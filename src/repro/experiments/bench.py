@@ -178,11 +178,12 @@ def run_bench(
 # ``run_bench`` times whole simulations, which is what users pay for but
 # tells you nothing about *which* layer regressed.  The micro mode times
 # each hot-path primitive in isolation — a cache hit probe, a cache
-# miss-fill (victim selection included), an L1 TLB hit probe, and native /
-# virtualized page walks — so a future PR that slows one layer shows up as
-# one moved number instead of a whole-matrix bisection.  Inputs are fully
-# deterministic (fixed address strides, no RNG), so run-to-run variance is
-# host jitter only.
+# miss-fill (victim selection included) with clean and with dirty
+# victims, an L1 TLB hit probe, native / virtualized page walks, a DRAM
+# access and an MSHR observation — so a change that slows one layer shows
+# up as one moved number instead of a whole-matrix bisection.  Inputs are
+# fully deterministic (fixed address strides, no RNG), so run-to-run
+# variance is host jitter only.
 
 def _micro_cache_lookup(operations: int) -> Callable[[], float]:
     """Hit-path probes of a warm 32 KB / 8-way cache (every probe hits)."""
@@ -209,10 +210,12 @@ def _micro_cache_lookup(operations: int) -> Callable[[], float]:
     return timed
 
 
-def _micro_cache_fill(operations: int) -> Callable[[], float]:
+def _micro_cache_fill(operations: int, dirty: bool) -> Callable[[], float]:
     """Miss-path (probe-miss then fill with victim selection): a
     2x-capacity working set keeps the LRU reuse distance (16 tags/set)
-    above the associativity (8 ways), so steady state is ~100% fills."""
+    above the associativity (8 ways), so steady state is ~100% fills.
+    With ``dirty`` every line is filled dirty, so every victim is dirty
+    and comes back for a write-back; otherwise every victim is clean."""
     from repro.mem.address import CACHE_LINE_BYTES
     from repro.mem.cache import Cache, LineKind
 
@@ -229,7 +232,7 @@ def _micro_cache_fill(operations: int) -> Callable[[], float]:
         start = time.perf_counter()
         for address in addresses:
             if not lookup(address, kind):
-                fill(address, kind)
+                fill(address, kind, dirty)
         return time.perf_counter() - start
 
     return timed
@@ -303,15 +306,69 @@ def _micro_walk(operations: int, native: bool) -> Callable[[], float]:
     return timed
 
 
+def _micro_dram_access(operations: int) -> Callable[[], float]:
+    """DDR4 channel accesses in rounds of three per bank: a closed row
+    (the round starts from a reset channel), a row hit (another line of
+    that row) and a row conflict (another row of that bank).  The reset
+    is one call per round of 48 accesses."""
+    from repro.mem.dram import DDR4_2133, DramChannel
+
+    channel = DramChannel(DDR4_2133)
+    banks = DDR4_2133.banks
+    row_bytes = DDR4_2133.row_bytes
+    round_addresses = (
+        [bank * row_bytes for bank in range(banks)]
+        + [bank * row_bytes + 64 for bank in range(banks)]
+        + [(bank + banks) * row_bytes for bank in range(banks)]
+    )
+    full_rounds, extra = divmod(operations, len(round_addresses))
+    rounds = [round_addresses] * full_rounds
+    if extra:
+        rounds.append(round_addresses[:extra])
+    access = channel.access
+    reset = channel.reset
+
+    def timed() -> float:
+        start = time.perf_counter()
+        for batch in rounds:
+            reset()
+            for address in batch:
+                access(address)
+        return time.perf_counter() - start
+
+    return timed
+
+
+def _micro_mshr_observe(operations: int) -> Callable[[], float]:
+    """MSHR observations alternating an L1D hit (nothing to stall) and a
+    200-cycle miss (miss-density update plus the MLP-discounted stall)."""
+    from repro.mem.mshr import MshrModel
+
+    observe = MshrModel().observe
+    latencies = [0.0 if i % 2 == 0 else 200.0 for i in range(operations)]
+
+    def timed() -> float:
+        start = time.perf_counter()
+        for latency in latencies:
+            observe(latency)
+        return time.perf_counter() - start
+
+    return timed
+
+
 #: Ordered (component name, builder) pairs; builders do all setup outside
 #: the timed region and return a zero-arg callable yielding host seconds.
 MICRO_COMPONENTS: List[tuple] = [
     ("cache.lookup", _micro_cache_lookup),
-    ("cache.fill", _micro_cache_fill),
+    ("cache.fill", lambda operations: _micro_cache_fill(operations, False)),
+    ("cache.fill_dirty",
+     lambda operations: _micro_cache_fill(operations, True)),
     ("tlb.lookup", _micro_tlb_lookup),
     ("walk.native", lambda operations: _micro_walk(operations, native=True)),
     ("walk.virtualized",
      lambda operations: _micro_walk(operations, native=False)),
+    ("dram.access", _micro_dram_access),
+    ("mshr.observe", _micro_mshr_observe),
 ]
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from itertools import chain
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.mem.address import CACHE_LINE_BYTES
 from repro.mem.replacement import ReplacementPolicy, fast_paths, make_policy
@@ -69,17 +69,6 @@ def set_fast_paths(enabled: bool) -> bool:
     previous = _FAST_PATHS_ENABLED
     _FAST_PATHS_ENABLED = bool(enabled)
     return previous
-
-
-@dataclass(frozen=False)
-class Eviction:
-    """A victim pushed out by a fill, for writeback propagation."""
-
-    __slots__ = ("address", "kind", "dirty")
-
-    address: int
-    kind: LineKind
-    dirty: bool
 
 
 @dataclass
@@ -310,11 +299,14 @@ class Cache:
 
     def fill(
         self, address: int, kind: int, dirty: bool = False
-    ) -> Optional[Eviction]:
-        """Install ``address`` after a miss; return the victim if valid.
+    ) -> Optional[Tuple[int, LineKind]]:
+        """Install ``address`` after a miss; return a dirty victim.
 
         The victim is the LRU line among the ways owned by ``kind``'s
-        partition (paper Section 3.1, Cache Replacement).
+        partition (paper Section 3.1, Cache Replacement).  Only a dirty
+        victim needs a write-back, so only a dirty victim is returned,
+        as its ``(address, kind)``; a clean or invalid one gives
+        ``None``, and :meth:`probe` tells which line left.
         """
         line = address >> self._line_shift
         set_index = line & self._set_mask
@@ -333,22 +325,17 @@ class Cache:
                     break
         if victim_way is None:
             victim_way = self._select_victim(self._recency[set_index], lo, hi)
-        evicted = None
+        victim = None
         slot = base + victim_way
         old_tag = way_tag[slot]
         if old_tag != _INVALID:
             del tags[old_tag]
-            old_dirty = self._way_dirty[slot]
-            victim_address = (
-                (old_tag << self._set_bits) | set_index
-            ) << self._line_shift
-            evicted = Eviction(
-                victim_address,
-                _KINDS[self._way_kind[slot]],
-                old_dirty,
-            )
-            if old_dirty:
+            if self._way_dirty[slot]:
                 self.stats.writebacks += 1
+                victim = (
+                    ((old_tag << self._set_bits) | set_index) << self._line_shift,
+                    _KINDS[self._way_kind[slot]],
+                )
         way_tag[slot] = tag
         tags[tag] = victim_way
         self._way_dirty[slot] = dirty
@@ -358,14 +345,17 @@ class Cache:
             at_mru = self.dip.insert_at_mru(set_index)
         self._insert(self._recency[set_index], victim_way, at_mru)
         self.stats.fills += 1
-        return evicted
+        return victim
 
-    def write_back(self, address: int, kind: int) -> Optional[Eviction]:
+    def write_back(
+        self, address: int, kind: int
+    ) -> Optional[Tuple[int, LineKind]]:
         """Absorb a dirty victim from the level above.
 
         If the line is present it is just marked dirty; otherwise it is
-        installed dirty (non-inclusive hierarchy).  Writebacks do not touch
-        the demand hit/miss statistics.
+        installed dirty (non-inclusive hierarchy), and the dirty victim
+        that install displaces, if any, is returned as from :meth:`fill`.
+        Writebacks do not touch the demand hit/miss statistics.
         """
         line = address >> self._line_shift
         set_index = line & self._set_mask

@@ -87,24 +87,36 @@ class DramChannel:
         self.timing = timing
         self.stats = DramStats()
         self._open_rows: Dict[int, int] = {}
+        self._row_bytes = timing.row_bytes
+        self._banks = timing.banks
+        # The three possible latencies, in CPU cycles, fixed by the timing.
+        closed = timing.t_cas + timing.t_rcd + timing.burst_cycles
+        self._row_hit_cycles = timing.device_to_cpu(
+            timing.t_cas + timing.burst_cycles
+        )
+        self._closed_row_cycles = timing.device_to_cpu(closed)
+        self._row_conflict_cycles = timing.device_to_cpu(closed + timing.t_rp)
 
     def access(self, address: int) -> int:
-        """Return the CPU-cycle latency of reading/writing ``address``."""
-        t = self.timing
-        row = address // t.row_bytes
-        bank = row % t.banks
-        self.stats.accesses += 1
-        open_row = self._open_rows.get(bank)
+        """Return the CPU-cycle latency of reading/writing ``address``.
+
+        An open-row hit pays CAS only, a closed row ACT + CAS, and a row
+        conflict the precharge as well.
+        """
+        row = address // self._row_bytes
+        bank = row % self._banks
+        stats = self.stats
+        stats.accesses += 1
+        open_rows = self._open_rows
+        open_row = open_rows.get(bank)
         if open_row == row:
-            self.stats.row_hits += 1
-            device_cycles = t.t_cas + t.burst_cycles
-        else:
-            self.stats.row_misses += 1
-            device_cycles = t.t_cas + t.t_rcd + t.burst_cycles
-            if open_row is not None:
-                device_cycles += t.t_rp
-            self._open_rows[bank] = row
-        return t.device_to_cpu(device_cycles)
+            stats.row_hits += 1
+            return self._row_hit_cycles
+        stats.row_misses += 1
+        open_rows[bank] = row
+        if open_row is None:
+            return self._closed_row_cycles
+        return self._row_conflict_cycles
 
     def average_latency(self, row_hit_fraction: float = 0.5) -> int:
         """Expected latency for the criticality estimator (no state change)."""

@@ -22,6 +22,12 @@ from dataclasses import dataclass
 from repro.telemetry.accounting import quantize_cycles
 
 
+def _achieved_mlp(entries: int, workload_mlp: float, miss_rate: float) -> float:
+    """Achieved MLP: 1 when misses are rare, the cap when every access
+    misses, linear in the miss density between."""
+    return 1.0 + (min(float(entries), workload_mlp) - 1.0) * miss_rate
+
+
 @dataclass
 class MshrModel:
     """Miss-density-driven MLP estimator bounded by MSHR capacity."""
@@ -44,7 +50,7 @@ class MshrModel:
     @property
     def mlp(self) -> float:
         """Currently achieved memory-level parallelism estimate."""
-        return 1.0 + (self.mlp_cap - 1.0) * self._miss_rate
+        return _achieved_mlp(self.entries, self.workload_mlp, self._miss_rate)
 
     @property
     def miss_rate(self) -> float:
@@ -62,10 +68,15 @@ class MshrModel:
         :mod:`repro.telemetry.accounting`).  The perturbation is below
         half a quantum (< 0.0005 cycles) per miss.
         """
+        miss_rate = self._miss_rate
         if miss_latency > 0:
-            self._miss_rate += self.decay * (1.0 - self._miss_rate)
-            return quantize_cycles(miss_latency / self.mlp)
-        self._miss_rate += self.decay * (0.0 - self._miss_rate)
+            miss_rate += self.decay * (1.0 - miss_rate)
+            self._miss_rate = miss_rate
+            return quantize_cycles(
+                miss_latency
+                / _achieved_mlp(self.entries, self.workload_mlp, miss_rate)
+            )
+        self._miss_rate = miss_rate + self.decay * (0.0 - miss_rate)
         return 0.0
 
     def reset(self) -> None:

@@ -39,7 +39,14 @@ from repro.mem.mshr import MshrModel
 from repro.sim.config import SystemConfig
 from repro.sim.stats import CoreStats, OccupancySample, SimulationResult
 from repro.telemetry import Telemetry
-from repro.telemetry.accounting import CycleAccountant, quantize_cycles
+from repro.telemetry.accounting import (
+    LEVEL_DRAM,
+    LEVEL_L2,
+    LEVEL_L3,
+    CycleAccountant,
+    context_names,
+    quantize_cycles,
+)
 from repro.telemetry.events import (
     EVENT_POM_LOOKUP,
     EVENT_SHOOTDOWN,
@@ -59,6 +66,9 @@ _DEFAULT_WALK_CYCLES = 500.0
 
 #: Inlined ``line_address`` mask for the per-access datapath.
 _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
+
+#: The demand-data charging context (``data.l2``/``data.l3``/``data.dram``).
+_DATA_NAMES = context_names("data", split=True)
 
 
 @dataclass
@@ -383,7 +393,7 @@ class System:
     # Memory datapath
     # ------------------------------------------------------------------
     def _dram_access(self, address: int) -> int:
-        if self.host_memory.in_pom_tlb(address):
+        if address in self.host_memory.pom_tlb_range:
             return self.die_stacked.access(address)
         return self.ddr.access(address)
 
@@ -401,15 +411,14 @@ class System:
         l2 = core.l2
         acct = self.accounting
         # ``charge_level`` inlined at each serving level: the context
-        # cannot change inside one reference, so the prefix/split pair is
-        # read once, and a suppressed (None-prefix) context books nothing
-        # — exactly the method's semantics, minus three calls per miss.
-        prefix = acct._prefix
-        split = acct._split
+        # cannot change inside one reference, so its component names are
+        # read once, and a suppressed (``None``) context books nothing —
+        # exactly the method's semantics, minus three calls per miss.
+        names = acct._names
         current = acct._current
         latency = l2.latency
-        if prefix is not None:
-            component = prefix + ".l2" if split else prefix
+        if names is not None:
+            component = names[LEVEL_L2]
             try:
                 current[component] += latency
             except KeyError:
@@ -429,8 +438,8 @@ class System:
         l3 = self.l3
         l3_latency = l3.latency
         latency += l3_latency
-        if prefix is not None:
-            component = prefix + ".l3" if split else prefix
+        if names is not None:
+            component = names[LEVEL_L3]
             try:
                 current[component] += l3_latency
             except KeyError:
@@ -448,8 +457,8 @@ class System:
         if not l3_hit:
             dram_latency = self._dram_access(line)
             latency += dram_latency
-            if prefix is not None:
-                component = prefix + ".dram" if split else prefix
+            if names is not None:
+                component = names[LEVEL_DRAM]
                 try:
                     current[component] += dram_latency
                 except KeyError:
@@ -458,9 +467,9 @@ class System:
             # Dirty L3 victims drain to DRAM through the write buffer; no
             # latency is charged on the demand path.
             l3.fill(line, kind)
-        evicted = l2.fill(line, kind, dirty=is_write)
-        if evicted is not None and evicted.dirty:
-            l3.write_back(evicted.address, evicted.kind)
+        victim = l2.fill(line, kind, is_write)
+        if victim is not None:
+            l3.write_back(*victim)
         return latency
 
     def _data_access(self, core: CoreState, address: int, is_write: bool) -> int:
@@ -470,9 +479,14 @@ class System:
         if l1d.lookup(line, 0, is_write):
             return l1d.latency
         latency = l1d.latency + self._mem_from_l2(core, line, 0, False)
-        evicted = l1d.fill(line, 0, dirty=is_write)
-        if evicted is not None and evicted.dirty:
-            core.l2.write_back(evicted.address, evicted.kind)
+        victim = l1d.fill(line, 0, is_write)
+        if victim is not None:
+            # Known model deviation: when this write-back installs the line
+            # in the L2, the dirty L2 victim it displaces is dropped rather
+            # than forwarded to the L3 as ``_mem_from_l2`` forwards its
+            # own.  Forwarding it changes results; that fix is left to a
+            # model change of its own.
+            core.l2.write_back(*victim)
         return latency
 
     # ------------------------------------------------------------------
@@ -485,11 +499,10 @@ class System:
         # The walker sets its own per-level charging contexts; save the
         # caller's (POM/TSB/none) and put it back afterwards (inlined
         # ``context(None)``/``restore``).
-        saved = (acct._prefix, acct._split)
-        acct._prefix = None
-        acct._split = False
+        saved = acct._names
+        acct._names = None
         result = self._do_walk(core, vm, asid, virtual_address)
-        acct._prefix, acct._split = saved
+        acct._names = saved
         tel = self.telemetry
         if tel is not None:
             if tel.tracer is not None:
@@ -827,13 +840,12 @@ class System:
         physical = (entry.frame_base << PAGE_4K_BITS) + (virtual_address & page_mask)
         mark = acct.charged
         # ``context``/``restore`` inlined around the data reference.
-        saved = (acct._prefix, acct._split)
-        acct._prefix = "data"
-        acct._split = True
+        saved = acct._names
+        acct._names = _DATA_NAMES
         miss_latency = (
             self._data_access(core, physical, is_write) - core.l1d.latency
         )
-        acct._prefix, acct._split = saved
+        acct._names = saved
         # Data misses overlap through the MSHRs: only the MLP-discounted
         # stall reaches the clock.
         stall = core.mshr.observe(miss_latency)

@@ -41,6 +41,7 @@ though they sum in different orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Cycle values are quantized to multiples of 2**-10 = 1/1024 cycle.
@@ -85,6 +86,32 @@ _SUFFIX_ORDER = {
 }
 
 
+#: Serving levels of the shared memory datapath, as indices into a
+#: charging context's component names (see :func:`context_names`).
+LEVEL_L2, LEVEL_L3, LEVEL_DRAM, LEVEL_NTLB = range(4)
+
+_LEVEL_SUFFIXES = (".l2", ".l3", ".dram", ".ntlb")
+
+
+@lru_cache(maxsize=None)
+def context_names(
+    prefix: Optional[str], split: bool = False
+) -> Optional[Tuple[str, ...]]:
+    """The component each serving level of a charging context books to.
+
+    Indexed by ``LEVEL_*``.  A split context names every level
+    (``pom.l2``, ``pom.l3``, ``pom.dram``, ``pom.ntlb``); a flat one
+    books them all to ``prefix`` (``walk.l2``); a ``None`` prefix books
+    nothing.  Cached, so a context's names are built once per process
+    and every charge indexes a name instead of concatenating one.
+    """
+    if prefix is None:
+        return None
+    if split:
+        return tuple(prefix + suffix for suffix in _LEVEL_SUFFIXES)
+    return (prefix,) * len(_LEVEL_SUFFIXES)
+
+
 def component_sort_key(name: str) -> Tuple[int, int, str]:
     group, _, rest = name.partition(".")
     suffix = rest.rsplit(".", 1)[-1] if rest else ""
@@ -111,11 +138,14 @@ class CycleAccountant:
       for them either;
     * contextual — the shared memory datapath (``System._mem_from_l2``)
       calls :meth:`charge_level` with the serving level's latency, and
-      whoever issued the reference has set a *context* first: a prefix
-      plus a flag saying whether to split by level (``pom.l3``) or charge
-      the prefix flat (``walk.l2``).  A ``None`` prefix suppresses the
-      charge — that is how off-critical-path traffic (TLB prefetch
-      probes) stays out of the ledger.
+      whoever issued the reference has set a *context* first.  A context
+      is one tuple of component names, indexed by serving level
+      (:func:`context_names`): split by level (``pom.l3``) or the same
+      name for every level (``walk.l2``).  ``context(prefix, split)``
+      looks the tuple up; the hot paths that set a context inline keep
+      theirs prebuilt.  A ``None`` context suppresses the charge — that
+      is how off-critical-path traffic (TLB prefetch probes) stays out
+      of the ledger.
 
     ``charged`` is a running total of everything ever booked; callers
     bracket a composite operation with ``mark = acct.charged`` and charge
@@ -128,8 +158,7 @@ class CycleAccountant:
         "_current",
         "_core_id",
         "_vm_id",
-        "_prefix",
-        "_split",
+        "_names",
         "charged",
         "synced",
     )
@@ -139,8 +168,7 @@ class CycleAccountant:
         self._current: Dict[str, float] = {}
         self._core_id: Optional[int] = None
         self._vm_id: Optional[int] = None
-        self._prefix: Optional[str] = None
-        self._split = False
+        self._names: Optional[Tuple[str, ...]] = None
         self.charged = 0.0
         #: False after a checkpoint restore whose snapshot predates the
         #: accountant — the ledger no longer matches the core clocks, so
@@ -172,19 +200,18 @@ class CycleAccountant:
             current[component] = cycles
         self.charged += cycles
 
-    def charge_level(self, suffix: str, cycles: float) -> None:
+    def charge_level(self, level: int, cycles: float) -> None:
         """Contextual charge from the shared memory datapath.
 
-        ``suffix`` names the serving level (".l2"/".l3"/".dram"/".ntlb");
-        split contexts append it to the prefix, flat contexts fold the
-        whole latency into the prefix component, and a ``None`` prefix
-        (no context / suppressed) books nothing.  The :meth:`charge` body
-        is inlined — this runs several times per simulated access.
+        ``level`` is the serving level (``LEVEL_L2``/``LEVEL_L3``/
+        ``LEVEL_DRAM``/``LEVEL_NTLB``), which picks the component from
+        the current context's names; a ``None`` context (none set, or
+        suppressed) books nothing.  The :meth:`charge` body is inlined.
         """
-        prefix = self._prefix
-        if prefix is None:
+        names = self._names
+        if names is None:
             return
-        component = prefix + suffix if self._split else prefix
+        component = names[level]
         current = self._current
         try:
             current[component] += cycles
@@ -194,15 +221,14 @@ class CycleAccountant:
 
     def context(
         self, prefix: Optional[str], split: bool = False
-    ) -> Tuple[Optional[str], bool]:
+    ) -> Optional[Tuple[str, ...]]:
         """Set the datapath charging context; returns the previous one."""
-        previous = (self._prefix, self._split)
-        self._prefix = prefix
-        self._split = split
+        previous = self._names
+        self._names = context_names(prefix, split)
         return previous
 
-    def restore(self, saved: Tuple[Optional[str], bool]) -> None:
-        self._prefix, self._split = saved
+    def restore(self, saved: Optional[Tuple[str, ...]]) -> None:
+        self._names = saved
 
     def charge_to(
         self, core_id: int, vm_id: int, component: str, cycles: float
@@ -225,8 +251,7 @@ class CycleAccountant:
         self._current = {}
         self._core_id = None
         self._vm_id = None
-        self._prefix = None
-        self._split = False
+        self._names = None
         self.charged = 0.0
         self.synced = True
 
@@ -293,8 +318,7 @@ class CycleAccountant:
         self._current = {}
         self._core_id = None
         self._vm_id = None
-        self._prefix = None
-        self._split = False
+        self._names = None
         self.charged = state["charged"]
         self.synced = True
 

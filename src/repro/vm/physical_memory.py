@@ -117,6 +117,11 @@ class HostPhysicalMemory:
             raise ValueError("need at least one virtual machine")
         self.pom_tlb_bytes = pom_tlb_bytes
         self.pom_tlb_base = 0
+        #: Host physical addresses resident in the POM-TLB's die-stacked
+        #: DRAM; ``address in pom_tlb_range`` routes a DRAM access.
+        self.pom_tlb_range = range(
+            self.pom_tlb_base, self.pom_tlb_base + pom_tlb_bytes
+        )
         vm_frames = vm_bytes // PAGE_4K
         first_frame = pom_tlb_bytes // PAGE_4K
         self._vm_allocators = [
@@ -126,10 +131,6 @@ class HostPhysicalMemory:
 
     def allocator_for_vm(self, vm_id: int) -> FrameAllocator:
         return self._vm_allocators[vm_id]
-
-    def in_pom_tlb(self, address: int) -> bool:
-        """Whether a host physical address falls in the POM-TLB region."""
-        return self.pom_tlb_base <= address < self.pom_tlb_base + self.pom_tlb_bytes
 
     @staticmethod
     def frame_to_address(frame: int) -> int:

@@ -21,7 +21,11 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.mem.address import Asid, PAGE_4K_BITS, RADIX_LEVELS
 from repro.mem.cache import LineKind
-from repro.telemetry.accounting import CycleAccountant
+from repro.telemetry.accounting import (
+    LEVEL_NTLB,
+    CycleAccountant,
+    context_names,
+)
 from repro.vm.mmu_cache import NestedTlb, PagingStructureCache, PscConfig
 from repro.vm.page_table import PageTable, Translation
 from repro.vm.physical_memory import FrameAllocator, HostPhysicalMemory
@@ -33,6 +37,10 @@ MemoryAccessor = Callable[[int, LineKind, bool], int]
 #: Guest-physical address space size per VM (frames are virtual bookkeeping;
 #: nothing this large is actually allocated).
 _GUEST_PHYS_BYTES = 1 << 40
+
+#: Charging context of the host walk of a 2-D walk's final guest-physical
+#: address.
+_FINAL_NAMES = context_names("walk.nested.final")
 
 
 @dataclass
@@ -217,11 +225,13 @@ class PageWalker:
     ):
         self._access = accessor
         self.levels = levels
-        #: Per-level charging-context labels, precomputed so the per-level
-        #: loops below do no string formatting (index = level number).
-        self._level_labels = tuple(f"walk.l{n}" for n in range(levels + 1))
-        self._nested_labels = tuple(
-            f"walk.nested.l{n}" for n in range(levels + 1)
+        #: Per-level charging contexts, prebuilt so the per-level loops
+        #: below do no string work (index = level number).
+        self._level_names = tuple(
+            context_names(f"walk.l{n}") for n in range(levels + 1)
+        )
+        self._nested_names = tuple(
+            context_names(f"walk.nested.l{n}") for n in range(levels + 1)
         )
         self.psc = PagingStructureCache(psc_config, levels=levels)
         self.nested_tlb = NestedTlb(entries=nested_tlb_entries)
@@ -278,14 +288,13 @@ class PageWalker:
             )
         access = self._access
         walk_kind = self.walk_kind
-        # ``acct.context(label)`` inlined: the walker owns the context for
-        # the whole walk (the System saved the caller's), so each level is
-        # two attribute stores, not a method call.
-        labels = self._level_labels
+        # ``acct.context(f"walk.l{level}")`` inlined: the walker owns the
+        # context for the whole walk (the System saved the caller's), so
+        # each level is one attribute store, not a method call.
+        level_names = self._level_names
         level = start_level
-        acct._split = False
         for entry_address in addresses:
-            acct._prefix = labels[level]
+            acct._names = level_names[level]
             latency += access(entry_address, walk_kind, False)
             level -= 1
         refs += len(addresses)
@@ -331,22 +340,21 @@ class PageWalker:
         walk_kind = self.walk_kind
         translate = self.translate_guest_physical
         # Context switches inlined, as in :meth:`walk_native`.
-        labels = self._level_labels
-        nested_labels = self._nested_labels
-        acct._split = False
+        level_names = self._level_names
+        nested_names = self._nested_names
         for guest_entry_address in entry_addresses:
-            acct._prefix = nested_labels[level]
+            acct._names = nested_names[level]
             host_latency, host_refs, host_entry = translate(
                 vm, guest_entry_address
             )
             latency += host_latency
             refs += host_refs
-            acct._prefix = labels[level]
+            acct._names = level_names[level]
             latency += access(host_entry, walk_kind, False)
             refs += 1
             level -= 1
         # Final host walk of the translated guest-physical data address.
-        acct._prefix = "walk.nested.final"
+        acct._names = _FINAL_NAMES
         guest_physical = guest_translation.physical_address(virtual_address)
         host_latency, host_refs, host_physical = translate(vm, guest_physical)
         latency += host_latency
@@ -387,9 +395,9 @@ class PageWalker:
             store.move_to_end(key)
             cache.hits += 1
             ntlb_latency = nested.latency
-            prefix = acct._prefix
-            if prefix is not None:
-                component = prefix + ".ntlb" if acct._split else prefix
+            names = acct._names
+            if names is not None:
+                component = names[LEVEL_NTLB]
                 current = acct._current
                 try:
                     current[component] += ntlb_latency
@@ -401,7 +409,7 @@ class PageWalker:
         cache.misses += 1
         vm.ensure_host_mapped(guest_physical)
         latency = self.nested_tlb.latency
-        acct.charge_level(".ntlb", latency)
+        acct.charge_level(LEVEL_NTLB, latency)
         refs = 0
         addresses, translation = vm.host_table.walk_addresses(guest_physical)
         for entry_address in addresses:

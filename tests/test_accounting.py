@@ -22,6 +22,9 @@ from repro.sim.system import System
 from repro.telemetry import CycleAccountant, Telemetry
 from repro.telemetry.accounting import (
     CYCLE_QUANTUM,
+    LEVEL_DRAM,
+    LEVEL_L2,
+    LEVEL_L3,
     CpiStack,
     component_sort_key,
     merge_components,
@@ -344,7 +347,7 @@ class TestAccountantMechanics:
         acct = CycleAccountant()
         acct.begin(0, 0)
         saved = acct.context(None)
-        acct.charge_level(".l2", 12)
+        acct.charge_level(LEVEL_L2, 12)
         acct.restore(saved)
         assert acct.charged == 0.0
 
@@ -352,11 +355,18 @@ class TestAccountantMechanics:
         acct = CycleAccountant()
         acct.begin(0, 0)
         acct.context("pom", split=True)
-        acct.charge_level(".l3", 30)
+        acct.charge_level(LEVEL_L3, 30)
         acct.context("walk.l2", split=False)
-        acct.charge_level(".dram", 200)
+        acct.charge_level(LEVEL_DRAM, 200)
         totals = acct.component_totals()
         assert totals == {"pom.l3": 30, "walk.l2": 200}
+
+    def test_context_names_built_once(self):
+        acct = CycleAccountant()
+        assert acct.context("pom", split=True) is None
+        names = acct.context("pom", split=True)
+        assert names == ("pom.l2", "pom.l3", "pom.dram", "pom.ntlb")
+        assert acct.context(None) is names  # the same tuple, not a rebuilt one
 
     def test_charge_to_other_core(self):
         acct = CycleAccountant()

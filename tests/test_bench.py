@@ -140,8 +140,9 @@ class TestMicroBench:
     def test_covers_every_datapath_layer(self, micro_document):
         names = [p["point"] for p in micro_document["points"]]
         assert names == [name for name, _ in MICRO_COMPONENTS]
-        assert {"cache.lookup", "cache.fill", "tlb.lookup",
-                "walk.native", "walk.virtualized"} == set(names)
+        assert {"cache.lookup", "cache.fill", "cache.fill_dirty",
+                "tlb.lookup", "walk.native", "walk.virtualized",
+                "dram.access", "mshr.observe"} == set(names)
 
     def test_point_fields(self, micro_document):
         assert micro_document["micro"] is True

@@ -56,34 +56,37 @@ class TestLookupFill:
 
     def test_eviction_reports_victim_address(self):
         cache = small_cache(ways=2, sets=1)
-        cache.fill(0x0, LineKind.DATA)
+        cache.fill(0x12340, LineKind.TLB, dirty=True)
         cache.fill(0x40, LineKind.DATA)
-        evicted = cache.fill(0x80, LineKind.DATA)
-        assert evicted is not None
-        assert evicted.address == 0x0
-        assert not cache.probe(0x0)
+        # A dirty victim comes back as its exact (line address, kind).
+        assert cache.fill(0x80, LineKind.DATA) == (0x12340, LineKind.TLB)
+        assert not cache.probe(0x12340)
+        # A clean one needs no write-back: nothing comes back, and the
+        # line that left is seen with probe().
+        assert cache.fill(0xC0, LineKind.DATA) is None
+        assert not cache.probe(0x40)
+        assert cache.probe(0x80) and cache.probe(0xC0)
 
     def test_dirty_eviction_flagged(self):
         cache = small_cache(ways=1, sets=1)
         cache.fill(0x0, LineKind.DATA, dirty=True)
-        evicted = cache.fill(0x40, LineKind.DATA)
-        assert evicted.dirty
+        assert cache.fill(0x40, LineKind.DATA) == (0x0, LineKind.DATA)
         assert cache.stats.writebacks == 1
 
     def test_write_lookup_dirties_line(self):
         cache = small_cache(ways=1, sets=1)
         cache.fill(0x0, LineKind.DATA)
         cache.lookup(0x0, LineKind.DATA, is_write=True)
-        evicted = cache.fill(0x40, LineKind.DATA)
-        assert evicted.dirty
+        assert cache.fill(0x40, LineKind.DATA) == (0x0, LineKind.DATA)
 
     def test_lru_victim_order(self):
         cache = small_cache(ways=2, sets=1)
         cache.fill(0x0, LineKind.DATA)
         cache.fill(0x40, LineKind.DATA)
         cache.lookup(0x0, LineKind.DATA)  # 0x40 becomes LRU
-        evicted = cache.fill(0x80, LineKind.DATA)
-        assert evicted.address == 0x40
+        assert cache.fill(0x80, LineKind.DATA) is None  # clean victim
+        assert not cache.probe(0x40)
+        assert cache.probe(0x0)
 
     def test_kind_at(self):
         cache = small_cache()
@@ -97,8 +100,7 @@ class TestWriteBack:
         cache = small_cache(ways=1, sets=1)
         cache.fill(0x0, LineKind.DATA)
         assert cache.write_back(0x0, LineKind.DATA) is None
-        evicted = cache.fill(0x40, LineKind.DATA)
-        assert evicted.dirty
+        assert cache.fill(0x40, LineKind.DATA) == (0x0, LineKind.DATA)
 
     def test_absent_line_installed_dirty(self):
         cache = small_cache()
@@ -180,8 +182,9 @@ class TestPartition:
         cache = small_cache(ways=4, sets=1)
         cache.set_partition(1)
         cache.fill(0x0, LineKind.DATA)
-        evicted = cache.fill(0x40, LineKind.DATA)
-        assert evicted is not None and evicted.address == 0x0
+        assert cache.fill(0x40, LineKind.DATA) is None  # clean victim
+        assert not cache.probe(0x0)
+        assert cache.probe(0x40)
 
 
 class TestDip:

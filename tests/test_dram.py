@@ -77,3 +77,19 @@ class TestChannel:
         channel.access(0)
         channel.access(64)
         assert channel.stats.row_hit_rate == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("timing", [DDR4_2133, DIE_STACKED])
+    def test_latencies_match_device_timing(self, timing):
+        """The channel's fixed latencies are the per-case timing sums."""
+        burst = timing.burst_cycles
+        row_hit = timing.device_to_cpu(timing.t_cas + burst)
+        closed = timing.device_to_cpu(timing.t_cas + timing.t_rcd + burst)
+        conflict = timing.device_to_cpu(
+            timing.t_cas + timing.t_rcd + burst + timing.t_rp
+        )
+        channel = DramChannel(timing)
+        row = timing.row_bytes
+        assert channel.access(0) == closed
+        assert channel.access(64) == row_hit
+        assert channel.access(row * timing.banks) == conflict
+        assert channel.stats.row_misses == 2

@@ -123,16 +123,16 @@ def test_checkpoint_restore_uses_batched_skip(tmp_path):
 
 def test_cache_state_roundtrip_mid_stream():
     """Flat-array cache layout: ``state_dict`` -> ``load_state`` resumes
-    to identical victims, hits and stats."""
+    to identical hits, dirty victims, contents and stats."""
     def drive(cache, start, count):
         log = []
         for i in range(start, start + count):
             address = (i * 2654435761) % (1 << 20) & ~0x3F
             hit = cache.lookup(address, i & 1, is_write=bool(i & 2))
-            evicted = None
+            victim = None
             if not hit:
-                evicted = cache.fill(address, i & 1, dirty=bool(i & 2))
-            log.append((hit, evicted))
+                victim = cache.fill(address, i & 1, dirty=bool(i & 2))
+            log.append((hit, victim))
         return log
 
     for policy in ("lru", "nru", "plru", "rrip"):
@@ -143,3 +143,5 @@ def test_cache_state_roundtrip_mid_stream():
         clone.load_state(snapshot)
         assert drive(original, 500, 300) == drive(clone, 500, 300), policy
         assert vars(original.stats) == vars(clone.stats)
+        # Clean victims leave no log entry; equal contents cover them.
+        assert original.state_dict() == clone.state_dict(), policy

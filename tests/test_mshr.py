@@ -7,6 +7,7 @@ from repro.mem.address import Asid
 from repro.mem.mshr import MshrModel
 from repro.sim.config import small_config
 from repro.sim.system import System
+from repro.telemetry.accounting import quantize_cycles
 
 
 class TestValidation:
@@ -41,6 +42,17 @@ class TestMlpEstimate:
         for _ in range(500):
             model.observe(0)
         assert model.mlp < high
+
+    def test_stall_uses_the_updated_mlp(self):
+        """A miss's stall divides by the MLP the miss itself raised."""
+        model = MshrModel(entries=10, workload_mlp=6.0)
+        for miss_latency in [0, 250, 250, 0, 90, 0, 0, 400] * 20:
+            stall = model.observe(miss_latency)
+            expected = (
+                quantize_cycles(miss_latency / model.mlp) if miss_latency
+                else 0.0
+            )
+            assert stall == expected
 
     def test_mlp_bounded(self):
         model = MshrModel(entries=10, workload_mlp=6.0)

@@ -63,9 +63,9 @@ class TestFrameAllocator:
 class TestHostPhysicalMemory:
     def test_pom_region_at_base(self):
         memory = HostPhysicalMemory(num_vms=2)
-        assert memory.in_pom_tlb(0)
-        assert memory.in_pom_tlb(DEFAULT_POM_TLB_BYTES - 1)
-        assert not memory.in_pom_tlb(DEFAULT_POM_TLB_BYTES)
+        assert 0 in memory.pom_tlb_range
+        assert DEFAULT_POM_TLB_BYTES - 1 in memory.pom_tlb_range
+        assert DEFAULT_POM_TLB_BYTES not in memory.pom_tlb_range
 
     def test_vm_slices_disjoint(self):
         memory = HostPhysicalMemory(num_vms=2, vm_bytes=1 << 20)
