@@ -33,7 +33,6 @@ from repro.telemetry import (
     CpiStack,
     CycleAccountant,
     EventTracer,
-    HostProfiler,
     MetricsRegistry,
     Telemetry,
     TraceEvent,
@@ -50,7 +49,6 @@ __all__ = [
     "Cache",
     "CacheConfig",
     "EventTracer",
-    "HostProfiler",
     "LineKind",
     "MetricsRegistry",
     "Telemetry",

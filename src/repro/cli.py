@@ -16,9 +16,8 @@ Commands:
                directories): per-metric deltas with regression flags,
                plus a per-component CPI-stack delta when both results
                carry a CPI stack;
-* ``bench``  — time the simulator itself over a fixed matrix, write
-               ``BENCH_<timestamp>.json``, and optionally gate against
-               a committed baseline;
+* ``bench``  — time each datapath primitive in isolation and write
+               ``BENCH_<timestamp>.json``;
 * ``report`` — regenerate paper exhibits (all, or a named subset);
 * ``chaos``  — run a campaign under a fault-injection plan and assert
                the end state converges to the fault-free result
@@ -50,7 +49,6 @@ from repro.sim.stats import SimulationResult
 from repro.telemetry import (
     DEFAULT_TRACE_CAPACITY,
     EventTracer,
-    HostProfiler,
     MetricsRegistry,
     Telemetry,
 )
@@ -164,11 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics-out", default=None, metavar="PATH",
                      help="write the metrics registry (counters, gauges, "
                           "latency histograms) as JSON")
-    run.add_argument("--profile", action="store_true",
-                     help="profile host wall-clock per simulator component "
-                          "(table on stderr; with --trace-out, individual "
-                          "scope spans are embedded in the trace as a "
-                          "'host' track for chrome://tracing)")
     run.add_argument("--progress", action="store_true",
                      help="live progress on stderr")
     run.add_argument("--cpi", action="store_true",
@@ -213,37 +206,15 @@ def _build_parser() -> argparse.ArgumentParser:
                            "beyond the tolerance")
 
     bench = commands.add_parser(
-        "bench", help="benchmark simulator throughput (host wall-clock)"
+        "bench", help="time datapath primitives in isolation (host "
+                      "wall-clock per operation)"
     )
-    bench.add_argument("--quick", action="store_true",
-                       help="small matrix / short runs (CI smoke)")
-    bench.add_argument("--micro", action="store_true",
-                       help="time datapath primitives in isolation "
-                            "(cache lookup/fill, TLB lookup, page walks) "
-                            "instead of whole simulations")
     bench.add_argument("--accesses", type=_positive_int, default=None,
-                       help="override accesses per matrix point "
-                            "(with --micro: operations per component)")
-    bench.add_argument("--seed", type=int, default=0)
+                       help="operations per micro point")
     bench.add_argument("--out-dir", default=".", metavar="DIR",
                        help="directory for BENCH_<timestamp>.json")
-    bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="compare against this benchmark document and "
-                            "exit 1 on regression beyond --tolerance")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       metavar="FRACTION",
-                       help="allowed relative throughput drop vs the "
-                            "baseline (default 0.25)")
-    bench.add_argument("--update-baseline", default=None, metavar="PATH",
-                       help="also write the document to PATH (commit it "
-                            "as the new baseline)")
     bench.add_argument("--json", action="store_true",
                        help="print the benchmark document as JSON")
-    bench.add_argument("--deadline", type=_duration_arg, default=None,
-                       metavar="DURATION",
-                       help="wall-clock budget for the whole matrix; a "
-                            "deadline hit still writes the (truncated) "
-                            "BENCH artifact, then exits 7")
 
     report = commands.add_parser(
         "report", help="regenerate paper exhibits (DESIGN.md section 6)"
@@ -400,16 +371,11 @@ def _build_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
     """A Telemetry bundle holding exactly the sinks the flags asked for."""
     want_trace = args.trace_out is not None
     want_metrics = args.metrics_out is not None
-    if not (want_trace or want_metrics or args.profile):
+    if not (want_trace or want_metrics):
         return None
     return Telemetry(
         tracer=EventTracer(args.trace_capacity) if want_trace else None,
         metrics=MetricsRegistry() if want_metrics else None,
-        # Span recording only matters when the spans can go somewhere
-        # (the trace file's "host" track).
-        profiler=(
-            HostProfiler(record_spans=want_trace) if args.profile else None
-        ),
     )
 
 
@@ -501,20 +467,11 @@ def _command_run(args: argparse.Namespace) -> int:
     elapsed = perf_counter() - started
 
     if args.trace_out:
-        from repro.telemetry import host_spans_to_events
-
-        host_events = None
-        if telemetry.profiler is not None and telemetry.profiler.spans:
-            host_events = host_spans_to_events(telemetry.profiler.spans)
-        written = telemetry.tracer.write_jsonl(
-            args.trace_out, extra=host_events
-        )
+        written = telemetry.tracer.write_jsonl(args.trace_out)
         note = (
             f" ({telemetry.tracer.dropped} older events dropped by the ring)"
             if telemetry.tracer.dropped else ""
         )
-        if host_events:
-            note += f" (+{len(host_events)} host profiler spans)"
         print(f"wrote {written} events to {args.trace_out}{note}",
               file=sys.stderr)
     if args.metrics_out:
@@ -526,12 +483,8 @@ def _command_run(args: argparse.Namespace) -> int:
                 "seed": args.seed,
             }
         }
-        if telemetry.profiler is not None:
-            extra["host_profile"] = telemetry.profiler.report()
         telemetry.metrics.write_json(args.metrics_out, extra=extra)
         print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
-    if args.profile:
-        print(telemetry.profiler.format(), file=sys.stderr)
 
     if args.json:
         document = {
@@ -541,8 +494,6 @@ def _command_run(args: argparse.Namespace) -> int:
         if baseline is not None:
             document["baseline"] = baseline.to_dict()
             document["speedup_over_baseline"] = result.speedup_over(baseline)
-        if telemetry is not None and telemetry.profiler is not None:
-            document["host_profile"] = telemetry.profiler.report()
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         _print_result(result, baseline)
@@ -657,79 +608,21 @@ def _command_diff(args: argparse.Namespace) -> int:
 
 def _command_bench(args: argparse.Namespace) -> int:
     from repro.experiments.bench import (
-        BenchError,
-        compare_bench,
-        format_bench,
-        load_bench,
-        run_bench,
+        format_micro_bench,
+        run_micro_bench,
         write_bench,
     )
 
-    from repro.errors import BudgetExceededError
-
-    if args.micro:
-        from repro.experiments.bench import format_micro_bench, run_micro_bench
-
-        document = run_micro_bench(
-            operations=args.accesses,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-        path = write_bench(document, args.out_dir)
-        print(f"wrote {path}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(document, indent=2, sort_keys=True))
-        else:
-            print(format_micro_bench(document))
-        if args.baseline:
-            print("micro documents are informational; skipping baseline "
-                  "comparison", file=sys.stderr)
-        return 0
-
-    try:
-        document = run_bench(
-            quick=args.quick, accesses=args.accesses, seed=args.seed,
-            progress=lambda line: print(line, file=sys.stderr),
-            deadline=args.deadline,
-        )
-    except BudgetExceededError as exc:
-        # The truncated document still becomes an artifact: a deadline
-        # hit is an incomplete benchmark, not a lost one.
-        truncated = getattr(exc, "document", None)
-        if truncated is not None:
-            path = write_bench(truncated, args.out_dir)
-            print(f"wrote {path} (truncated)", file=sys.stderr)
-            if args.json:
-                print(json.dumps(truncated, indent=2, sort_keys=True))
-            else:
-                print(format_bench(truncated))
-        raise
+    document = run_micro_bench(
+        operations=args.accesses,
+        progress=lambda line: print(line, file=sys.stderr),
+    )
     path = write_bench(document, args.out_dir)
     print(f"wrote {path}", file=sys.stderr)
-    if args.update_baseline:
-        with open(args.update_baseline, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"updated baseline {args.update_baseline}", file=sys.stderr)
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
-        print(format_bench(document))
-    if args.baseline:
-        # The artifact is already on disk: a failing comparison still
-        # leaves BENCH_*.json for CI to upload.
-        try:
-            baseline = load_bench(args.baseline)
-        except BenchError as exc:
-            print(f"bench error: {exc}", file=sys.stderr)
-            return 2
-        problems = compare_bench(document, baseline,
-                                 tolerance=args.tolerance)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"throughput within {args.tolerance:.0%} of baseline",
-              file=sys.stderr)
+        print(format_micro_bench(document))
     return 0
 
 

@@ -246,13 +246,6 @@ class PartitionController:
 
     def repartition(self) -> int:
         """Epoch boundary: Algorithm 1 (+ weights) then install the split."""
-        tel = self._telemetry
-        if tel is not None and tel.profiler is not None:
-            with tel.profiler.scope("partition"):
-                return self._repartition()
-        return self._repartition()
-
-    def _repartition(self) -> int:
         weight_data, weight_tlb = self.weight_provider()
         data_ways = best_partition(
             self.profilers.data.counters,

@@ -19,8 +19,8 @@ Exit-code table (see ``docs/chaos.md``):
 code   meaning
 =====  =====================================================
 0      success
-1      generic failure / gate failure (strict PARTIAL report,
-       bench or diff regression)
+1      generic failure / gate failure (strict PARTIAL report
+       or diff regression)
 2      usage, configuration or input-data error
 3      simulation integrity error (invariant violation, stall,
        checkpoint corruption)

@@ -53,7 +53,7 @@ from repro.telemetry.events import (
     EVENT_RESTORE,
     EVENT_WATCHDOG_TRIP,
 )
-from repro.telemetry.profiling import ProgressUpdate
+from repro.telemetry.progress import ProgressUpdate
 from repro.validate import InvariantChecker
 from repro.workloads.base import Workload
 
@@ -163,8 +163,8 @@ def run_simulation(
     individual structures.
 
     ``telemetry`` wires a :class:`~repro.telemetry.Telemetry` sink bundle
-    through the whole machine (event trace, metrics registry, host
-    profiler); ``None`` (the default) leaves every hook a no-op.
+    through the whole machine (event trace, metrics registry, cycle
+    ledger); ``None`` (the default) leaves every hook a no-op.
     ``progress`` is invoked with a
     :class:`~repro.telemetry.ProgressUpdate` every ``progress_every``
     accesses (default: ~5% of the run) and once more at completion.
@@ -517,8 +517,6 @@ def run_simulation(
     elapsed = time.perf_counter() - run_started
     if progress is not None:
         progress(ProgressUpdate(executed, total_accesses, elapsed))
-    if telemetry is not None and telemetry.profiler is not None:
-        telemetry.profiler.add("engine.run", elapsed)
     name = workload_name or "+".join(w.name for w in workloads)
     result = system.result(name)
     result.extra["context_switches"] = scheduler.switches
@@ -533,8 +531,8 @@ def run_simulation(
     # ``host_``-prefixed extras are host-dependent run-control facts; the
     # result store and the determinism oracle strip them before comparing.
     result.extra["host_seconds"] = elapsed
-    # Throughput facts for the ``repro bench`` harness: how fast the host
-    # chewed through simulated work this run.
+    # Throughput facts (``repro run --json``): how fast the host chewed
+    # through simulated work this run.
     simulated_cycles = sum(core.cycles for core in result.per_core)
     result.extra["host_accesses_per_second"] = (
         executed / elapsed if elapsed > 0 else 0.0

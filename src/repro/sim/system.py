@@ -95,10 +95,9 @@ class System:
     ):
         self.config = config
         self.scheme = config.scheme
-        #: Optional telemetry sink bundle; ``None`` keeps every tracer,
-        #: metrics and profiler hook a single ``is None`` check.
+        #: Optional telemetry sink bundle; ``None`` keeps every tracer
+        #: and metrics hook a single ``is None`` check.
         self.telemetry = telemetry
-        self._profiler = telemetry.profiler if telemetry is not None else None
         #: The cycle-accounting ledger: the bundle's when it carries one,
         #: else the machine's own.  Reset here, so a reused Telemetry
         #: bundle starts from a clean ledger (the previous machine's
@@ -146,8 +145,6 @@ class System:
         self._guest_tsbs: Dict[Tuple[int, int], Tsb] = {}
         self._host_tsbs: Dict[int, Tsb] = {}
 
-        if self._profiler is not None:
-            self._install_profiler_wrappers()
         self.cores: List[CoreState] = []
         for core_id in range(config.cores):
             self.cores.append(self._build_core(core_id))
@@ -207,9 +204,9 @@ class System:
             walker=None,  # set below: the accessor is bound to `core`
             mshr=MshrModel(entries=cfg.mshr_entries, workload_mlp=cfg.workload_mlp),
         )
-        # A partial over the (possibly profiler-wrapped) ``_mem_from_l2``
-        # adds no Python frame to walk memory references — the hottest
-        # call edge after the caches themselves.
+        # A partial over ``_mem_from_l2`` adds no Python frame to walk
+        # memory references — the hottest call edge after the caches
+        # themselves.
         core.walker = PageWalker(
             accessor=partial(self._mem_from_l2, core),
             accountant=self.accounting,
@@ -297,42 +294,6 @@ class System:
             metrics.gauge(
                 f"{prefix}.page_walks", lambda _c=core: _c.stats.page_walks
             )
-
-    def _install_profiler_wrappers(self) -> None:
-        """Route hot datapath methods through host-profiler scopes.
-
-        Installed as instance attributes only when profiling is on (and
-        before the cores, whose walkers bind ``_mem_from_l2``), so no
-        datapath method tests for the profiler.  Scope times are
-        inclusive: ``walker`` contains the ``cache``/``dram`` time its
-        memory references trigger.
-        """
-        prof = self._profiler
-        mem_from_l2 = self._mem_from_l2
-        dram_access = self._dram_access
-        translate_via_pom = self._translate_via_pom
-        do_walk = self._do_walk
-
-        def profiled_mem(core, address, kind, is_write):
-            with prof.scope("cache"):
-                return mem_from_l2(core, address, kind, is_write)
-
-        def profiled_dram(address):
-            with prof.scope("dram"):
-                return dram_access(address)
-
-        def profiled_pom(core, asid, virtual_address):
-            with prof.scope("pom"):
-                return translate_via_pom(core, asid, virtual_address)
-
-        def profiled_walk(core, vm, asid, virtual_address):
-            with prof.scope("walker"):
-                return do_walk(core, vm, asid, virtual_address)
-
-        self._mem_from_l2 = profiled_mem
-        self._dram_access = profiled_dram
-        self._translate_via_pom = profiled_pom
-        self._do_walk = profiled_walk
 
     def _apply_static_partition(self) -> None:
         if self.scheme.partition_mode is not PartitionMode.STATIC:
@@ -943,8 +904,6 @@ class System:
         # POM-TLB), and the walk/POM latency distributions are machine
         # properties worth keeping.  Callback gauges read the component
         # stats live, so they reflect the measured region regardless.
-        # The host profiler keeps running too — it measures *host*
-        # performance, for which warmup work is just as real.
         tel = self.telemetry
         if tel is not None and tel.tracer is not None:
             tel.tracer.clear()

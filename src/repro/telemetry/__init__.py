@@ -1,13 +1,11 @@
-"""Telemetry: event tracing, metrics, host profiling, cycle accounting.
+"""Telemetry: event tracing, metrics, cycle accounting.
 
-The subsystem has four independent sinks bundled by :class:`Telemetry`:
+The subsystem has three independent sinks bundled by :class:`Telemetry`:
 
 * an :class:`~repro.telemetry.events.EventTracer` — bounded ring of
   typed, cycle-stamped simulator events (JSONL / chrome://tracing);
 * a :class:`~repro.telemetry.metrics.MetricsRegistry` — hierarchical
   counters, gauges and log-scale histograms components register into;
-* a :class:`~repro.telemetry.profiling.HostProfiler` — wall-clock
-  scopes around the simulator's own code paths;
 * a :class:`~repro.telemetry.accounting.CycleAccountant` — per-(core,
   VM) ledger attributing every simulated cycle to a named component
   (surfaced as ``SimulationResult.cpi_stack``).  The ledger is not
@@ -15,18 +13,21 @@ The subsystem has four independent sinks bundled by :class:`Telemetry`:
 
 Design rule: **disabled telemetry costs one ``is None`` check** at each
 hook site.  Components hold ``telemetry=None`` by default and guard
-every tracer, metrics and profiler hook with a single ``if``; no such
-sink objects exist unless asked for.
+every tracer and metrics hook with a single ``if``; no such sink
+objects exist unless asked for.
+
+Where *host* time goes is not a telemetry sink: ``perf/trace.py``
+splits it across the simulator's layers from the outside
+(``examples/host_time_breakdown.py`` runs it on any point).
 
 Usage::
 
     from repro.telemetry import Telemetry
 
-    telemetry = Telemetry.enabled(profile=True)
+    telemetry = Telemetry.enabled()
     result = run_simulation(config, workloads, telemetry=telemetry)
     telemetry.tracer.write_jsonl("run.trace.jsonl")
     telemetry.metrics.write_json("metrics.json")
-    print(telemetry.profiler.format())
 
 See ``docs/observability.md`` for the event schema and metric names.
 """
@@ -53,18 +54,15 @@ from repro.telemetry.events import (
     EVENT_SWITCH,
     EVENT_TLB_MISS,
     EVENT_WALK,
-    HOST_EVENT_PREFIX,
-    HOST_PID,
     SYSTEM_CORE,
     EventTracer,
     TraceEvent,
     chrome_trace,
-    host_spans_to_events,
     read_events,
     write_chrome_trace,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.profiling import HostProfiler, ProgressUpdate
+from repro.telemetry.progress import ProgressUpdate
 from repro.telemetry.summary import TraceSummary, summarize_events
 
 __all__ = [
@@ -85,10 +83,7 @@ __all__ = [
     "EVENT_WALK",
     "EventTracer",
     "Gauge",
-    "HOST_EVENT_PREFIX",
-    "HOST_PID",
     "Histogram",
-    "HostProfiler",
     "MetricsRegistry",
     "ProgressUpdate",
     "SYSTEM_CORE",
@@ -96,7 +91,6 @@ __all__ = [
     "TraceEvent",
     "TraceSummary",
     "chrome_trace",
-    "host_spans_to_events",
     "quantize_cycles",
     "read_events",
     "summarize_events",
@@ -107,24 +101,22 @@ __all__ = [
 class Telemetry:
     """The sink bundle components are wired with.
 
-    Any of the four sinks may be ``None``; hook sites check the sink
+    Any of the three sinks may be ``None``; hook sites check the sink
     they need, and a System given no ``accounting`` builds its own
     ledger.  Construct directly for fine control or use :meth:`enabled`
     for the common all-on case.
     """
 
-    __slots__ = ("tracer", "metrics", "profiler", "accounting")
+    __slots__ = ("tracer", "metrics", "accounting")
 
     def __init__(
         self,
         tracer: Optional[EventTracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[HostProfiler] = None,
         accounting: Optional[CycleAccountant] = None,
     ):
         self.tracer = tracer
         self.metrics = metrics
-        self.profiler = profiler
         self.accounting = accounting
 
     @classmethod
@@ -132,13 +124,11 @@ class Telemetry:
         cls,
         trace: bool = True,
         metrics: bool = True,
-        profile: bool = False,
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
     ) -> "Telemetry":
         return cls(
             tracer=EventTracer(trace_capacity) if trace else None,
             metrics=MetricsRegistry() if metrics else None,
-            profiler=HostProfiler() if profile else None,
         )
 
     # ------------------------------------------------------------------
@@ -160,7 +150,5 @@ class Telemetry:
             self.tracer.clear()
         if self.metrics is not None:
             self.metrics.reset()
-        if self.profiler is not None:
-            self.profiler.reset()
         if self.accounting is not None:
             self.accounting.reset()

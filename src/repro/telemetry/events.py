@@ -15,11 +15,6 @@ Two export formats:
 * **Chrome trace_event JSON** — loadable in ``chrome://tracing`` /
   Perfetto, one track per core plus a "system" track, with page walks
   rendered as duration slices.
-
-Events whose name starts with ``host.`` are *host-side* profiler spans
-(see :func:`host_spans_to_events`): their timestamps are wall-clock
-microseconds, so the Chrome export routes them to a separate "host"
-process track instead of mixing them with simulated-cycle timelines.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ import json
 from collections import Counter as _Counter
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 #: Canonical event names (the ``name`` field of every TraceEvent).
 EVENT_TLB_MISS = "tlb.miss"
@@ -48,13 +43,6 @@ EVENT_BUDGET_HARD = "budget.exceeded"
 
 #: Core id used for events not attributable to a single core.
 SYSTEM_CORE = -1
-
-#: Name prefix marking host-side (wall-clock) events; the Chrome export
-#: gives these their own process track (pid HOST_PID).
-HOST_EVENT_PREFIX = "host."
-
-#: Chrome pid for the host track (simulated cores live on pid 0).
-HOST_PID = 1
 
 #: Default ring capacity (events kept before the oldest are dropped).
 DEFAULT_TRACE_CAPACITY = 1 << 16
@@ -199,25 +187,13 @@ class EventTracer:
         for event in self._events:
             yield event.to_json()
 
-    def write_jsonl(
-        self, path: str, extra: Optional[Iterable[TraceEvent]] = None
-    ) -> int:
-        """Write one JSON object per line; returns the event count.
-
-        ``extra`` events (e.g. host profiler spans from
-        :func:`host_spans_to_events`) are appended after the ring's
-        contents without passing through it, so they cannot push
-        simulator events out of the retention window.
-        """
+    def write_jsonl(self, path: str) -> int:
+        """Write one JSON object per line; returns the event count."""
         count = 0
         with open(path, "w") as handle:
             for line in self.to_jsonl_lines():
                 handle.write(line + "\n")
                 count += 1
-            if extra is not None:
-                for event in extra:
-                    handle.write(event.to_json() + "\n")
-                    count += 1
         return count
 
     def to_chrome(self) -> Dict[str, object]:
@@ -256,31 +232,19 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, object]:
     to complete ("X") slices, the rest to instant ("i") events.  The
     cycle timestamps are written through as microseconds — absolute wall
     time is meaningless in simulation, so 1 us in the viewer = 1 cycle.
-
-    ``host.*`` events (wall-clock profiler spans) are placed on their own
-    "host" process (pid :data:`HOST_PID`), since their microseconds are
-    real ones — the one view then shows both timelines, separately
-    scaled.
     """
     trace_events: List[Dict[str, object]] = []
     seen_cores = set()
-    saw_host = False
     for event in events:
-        is_host = event.name.startswith(HOST_EVENT_PREFIX)
         record: Dict[str, object] = {
-            "name": (
-                event.name[len(HOST_EVENT_PREFIX):] if is_host else event.name
-            ),
-            "pid": HOST_PID if is_host else 0,
-            "tid": 0 if is_host else event.core,
+            "name": event.name,
+            "pid": 0,
+            "tid": event.core,
             "ts": event.cycles,
-            "cat": "host" if is_host else event.name.split(".")[0],
+            "cat": event.name.split(".")[0],
             "args": event.args,
         }
-        if is_host:
-            saw_host = True
-        else:
-            seen_cores.add(event.core)
+        seen_cores.add(event.core)
         if event.duration > 0:
             record["ph"] = "X"
             record["dur"] = event.duration
@@ -300,25 +264,6 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, object]:
         }
         for core in sorted(seen_cores)
     ]
-    if saw_host:
-        metadata.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": HOST_PID,
-                "tid": 0,
-                "args": {"name": "host (wall clock)"},
-            }
-        )
-        metadata.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": HOST_PID,
-                "tid": 0,
-                "args": {"name": "profiler scopes"},
-            }
-        )
     return {
         "traceEvents": metadata + trace_events,
         "displayTimeUnit": "ms",
@@ -331,21 +276,3 @@ def write_chrome_trace(events: Iterable[TraceEvent], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(chrome_trace(events), handle)
 
-
-def host_spans_to_events(spans) -> List[TraceEvent]:
-    """Convert profiler (name, start_s, duration_s) spans to trace events.
-
-    Timestamps become wall-clock *microseconds* so they are directly
-    Chrome-compatible; the ``host.`` name prefix routes them to the host
-    track (see :func:`chrome_trace`) and keeps the summary from mixing
-    them into simulated-cycle statistics.
-    """
-    return [
-        TraceEvent(
-            name=HOST_EVENT_PREFIX + name,
-            cycles=start * 1e6,
-            core=SYSTEM_CORE,
-            duration=duration * 1e6,
-        )
-        for name, start, duration in spans
-    ]

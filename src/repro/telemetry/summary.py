@@ -18,7 +18,6 @@ from repro.telemetry.events import (
     EVENT_SWITCH,
     EVENT_TLB_MISS,
     EVENT_WALK,
-    HOST_EVENT_PREFIX,
     SYSTEM_CORE,
     TraceEvent,
 )
@@ -51,9 +50,6 @@ class TraceSummary:
     shootdowns: int = 0
     partition_decisions: int = 0
     final_tlb_fraction: Dict[str, float] = field(default_factory=dict)
-    #: ``host.*`` profiler spans embedded in the trace (wall-clock
-    #: events; excluded from the simulated-cycle statistics above).
-    host_spans: int = 0
 
     @property
     def pom_hit_rate(self) -> float:
@@ -86,7 +82,6 @@ class TraceSummary:
                 "decisions": self.partition_decisions,
                 "final_tlb_fraction": dict(self.final_tlb_fraction),
             },
-            "host_spans": self.host_spans,
         }
 
     def rows(self) -> List[Tuple[str, object]]:
@@ -123,8 +118,6 @@ class TraceSummary:
                         round(self.final_tlb_fraction[label], 4),
                     )
                 )
-        if self.host_spans:
-            out.append(("host_spans", self.host_spans))
         return out
 
     def format(self) -> str:
@@ -157,8 +150,6 @@ class TraceSummary:
                     f"  {label:<16}: final TLB share "
                     f"{self.final_tlb_fraction[label]:.1%}"
                 )
-        if self.host_spans:
-            lines.append(f"host spans        : {self.host_spans}")
         return "\n".join(lines)
 
 
@@ -170,11 +161,6 @@ def summarize_events(events: List[TraceEvent]) -> TraceSummary:
     last_partition: Dict[str, float] = {}
     span: Dict[int, Tuple[float, float]] = {}
     for event in events:
-        if event.name.startswith(HOST_EVENT_PREFIX):
-            # Wall-clock profiler spans: count them, but keep their
-            # microsecond timestamps out of the cycle statistics.
-            summary.host_spans += 1
-            continue
         start = event.cycles
         end = event.cycles + event.duration
         low, high = span.get(event.core, (start, end))

@@ -1,10 +1,18 @@
 """Record the result fixtures that ``tests/test_golden_fixtures.py`` checks.
 
 Each fixture is the host-independent ``SimulationResult.to_dict()`` of one
-point of the scheme x replacement-policy matrix on the ``can_ccomp`` mix:
-``small_config``, workload scale 0.25, 4,000 accesses, seed 3.  The mix
-draws its Zipf tables only with alpha 1.0 and 0.0, so the fixtures do not
-depend on the platform's ``pow``.
+(mix, scheme, replacement policy, accesses) point, run with
+``small_config``, workload scale 0.25 and seed 3.  There are two sets:
+
+* ``MATRIX``: every scheme x policy on the ``can_ccomp`` mix at 4,000
+  accesses.  These runs never switch context.
+* ``SWITCHING``: ``ccomp`` under Conventional, POM-TLB and CSALT-CD with
+  LRU at 24,000 accesses.  Each run switches context 10-11 times and
+  makes over a thousand page walks, and CSALT-CD repartitions the L2 and
+  L3, so the scheduler, walker and partition paths are pinned too.
+
+Both mixes draw their Zipf tables only with alpha 1.0 and 0.0, so the
+fixtures do not depend on the platform's ``pow``.
 
 Run from the repository root to (re)write every fixture::
 
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple
 
 from repro.core.schemes import Scheme
 from repro.experiments.store import strip_host_fields
@@ -27,40 +35,55 @@ from repro.sim.config import small_config
 from repro.sim.engine import run_simulation
 from repro.workloads.mixes import make_mix
 
-MIX = "can_ccomp"
 SCALE = 0.25
-ACCESSES = 4_000
 SEED = 3
 POLICIES = ("lru", "nru", "plru", "rrip")
 
-#: Every (scheme, replacement policy) point, in recording order.
-POINTS: List[Tuple[str, str]] = [
-    (scheme.value, policy) for scheme in Scheme for policy in POLICIES
+
+class Point(NamedTuple):
+    mix: str
+    scheme: str
+    policy: str
+    accesses: int
+
+
+#: Every (scheme, replacement policy) on ``can_ccomp``, in recording order.
+MATRIX: List[Point] = [
+    Point("can_ccomp", scheme.value, policy, 4_000)
+    for scheme in Scheme for policy in POLICIES
 ]
+
+#: Switching, walk-heavy points.
+SWITCHING: List[Point] = [
+    Point("ccomp", scheme, "lru", 24_000)
+    for scheme in ("conventional", "pom-tlb", "csalt-cd")
+]
+
+POINTS: List[Point] = MATRIX + SWITCHING
 
 FIXTURE_DIR = Path(__file__).resolve().parent
 
 
-def fixture_path(scheme: str, policy: str) -> Path:
-    return FIXTURE_DIR / f"{MIX}-{scheme}-{policy}.json"
+def fixture_path(point: Point) -> Path:
+    return FIXTURE_DIR / f"{point.mix}-{point.scheme}-{point.policy}.json"
 
 
-def simulate(scheme: str, policy: str) -> Dict[str, object]:
+def simulate(point: Point) -> Dict[str, object]:
     """One point's result, as plain JSON data."""
     result = run_simulation(
-        small_config(scheme=Scheme(scheme), replacement=policy),
-        make_mix(MIX, scale=SCALE),
-        total_accesses=ACCESSES,
+        small_config(scheme=Scheme(point.scheme), replacement=point.policy),
+        make_mix(point.mix, scale=SCALE),
+        total_accesses=point.accesses,
         seed=SEED,
-        workload_name=MIX,
+        workload_name=point.mix,
     )
     return json.loads(json.dumps(strip_host_fields(result.to_dict())))
 
 
 def main() -> None:
-    for scheme, policy in POINTS:
-        path = fixture_path(scheme, policy)
-        text = json.dumps(simulate(scheme, policy), indent=1, sort_keys=True)
+    for point in POINTS:
+        path = fixture_path(point)
+        text = json.dumps(simulate(point), indent=1, sort_keys=True)
         path.write_text(text + "\n", encoding="utf-8")
         print(f"wrote {path.name}")
 

@@ -28,7 +28,6 @@ from repro.errors import (
     DiskFullError,
 )
 from repro.experiments import runner
-from repro.experiments.bench import run_bench
 from repro.experiments.pool import _responsive_sleep, run_campaign
 from repro.experiments.store import ResultStore
 from repro.sim.config import small_config
@@ -558,27 +557,6 @@ class TestPoolEnforcement:
         started = time.monotonic()
         _responsive_sleep(0.08)
         assert time.monotonic() - started >= 0.08
-
-
-# ----------------------------------------------------------------------
-# Bench: deadline truncation
-# ----------------------------------------------------------------------
-class TestBenchDeadline:
-    def test_truncated_document_attached_to_error(self):
-        with pytest.raises(BudgetExceededError) as exc_info:
-            # The deadline passes during the first matrix point, so the
-            # check before the next one stops the run.
-            run_bench(quick=True, accesses=200, deadline=0.001)
-        document = exc_info.value.document
-        assert document["truncated"]["reason"] == "deadline"
-        assert document["truncated"]["points_run"] < \
-            document["truncated"]["points_total"]
-        assert len(document["points"]) == document["truncated"]["points_run"]
-
-    def test_no_deadline_runs_whole_matrix(self):
-        document = run_bench(quick=True, accesses=200)
-        assert "truncated" not in document
-        assert len(document["points"]) == 3
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments.bench import MICRO_COMPONENTS
 
 
 class TestMixes:
@@ -81,7 +82,6 @@ class TestRunTelemetry:
             "--accesses", "6000",
             "--trace-out", str(trace_path),
             "--metrics-out", str(metrics_path),
-            "--profile",
         ])
         assert code == 0
         assert trace_path.exists() and metrics_path.exists()
@@ -89,9 +89,8 @@ class TestRunTelemetry:
             metrics = json.load(handle)
         assert "buckets" in metrics["walker"]["latency_cycles"]
         assert metrics["run"]["scheme"] == "csalt-cd"
-        assert "host_profile" in metrics
         err = capsys.readouterr().err
-        assert "us/call" in err
+        assert f"events to {trace_path}" in err
 
     def test_stats_round_trip(self, tmp_path, capsys):
         trace_path = tmp_path / "run.trace.jsonl"
@@ -421,61 +420,23 @@ class TestDiffCommand:
 
 
 class TestBenchCommand:
-    def test_quick_bench_writes_artifact(self, tmp_path, capsys):
+    def test_bench_writes_artifact(self, tmp_path, capsys):
         code = main([
-            "bench", "--quick", "--accesses", "400",
-            "--out-dir", str(tmp_path),
+            "bench", "--accesses", "50", "--out-dir", str(tmp_path),
         ])
         assert code == 0
         artifacts = list(tmp_path.glob("BENCH_*.json"))
         assert len(artifacts) == 1
         out = capsys.readouterr().out
-        assert "aggregate" in out
-
-    def test_bench_baseline_pass_and_update(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        code = main([
-            "bench", "--quick", "--accesses", "400",
-            "--out-dir", str(tmp_path / "out1"),
-            "--update-baseline", str(baseline),
-        ])
-        assert code == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        # Same machine, same workload: well within a 90% tolerance.
-        code = main([
-            "bench", "--quick", "--accesses", "400",
-            "--out-dir", str(tmp_path / "out2"),
-            "--baseline", str(baseline), "--tolerance", "0.9",
-        ])
-        assert code == 0
-        assert "within" in capsys.readouterr().err
-
-    def test_bench_baseline_regression_fails(self, tmp_path, capsys):
-        baseline = tmp_path / "impossible.json"
-        document = {
-            "schema_version": 1,
-            "quick": True,
-            "points": [],
-            "aggregate_accesses_per_second": 1e12,
-        }
-        baseline.write_text(json.dumps(document))
-        code = main([
-            "bench", "--quick", "--accesses", "400",
-            "--out-dir", str(tmp_path / "out"),
-            "--baseline", str(baseline),
-        ])
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().err
-        # The artifact is still written for CI to upload.
-        assert list((tmp_path / "out").glob("BENCH_*.json"))
+        for name, _ in MICRO_COMPONENTS:
+            assert name in out
 
     def test_bench_json_output(self, tmp_path, capsys):
         code = main([
-            "bench", "--quick", "--accesses", "400",
+            "bench", "--accesses", "50",
             "--out-dir", str(tmp_path), "--json",
         ])
         assert code == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["quick"] is True
-        assert len(document["points"]) == 3
+        assert document["operations_per_point"] == 50
+        assert len(document["points"]) == len(MICRO_COMPONENTS)

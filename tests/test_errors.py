@@ -23,7 +23,6 @@ from repro.errors import (
     SimulationError,
     exit_code_for,
 )
-from repro.experiments.bench import BenchError
 from repro.experiments.runner import PointFailedError
 from repro.sim.config import small_config
 from repro.validate import InvariantViolation
@@ -45,7 +44,7 @@ class TestHierarchy:
     def test_legacy_runtime_error_bases(self):
         """Pre-taxonomy ``except RuntimeError`` call sites keep working."""
         for cls in (CheckpointError, SimulationStalled, InvariantViolation,
-                    BenchError, PointFailedError):
+                    PointFailedError):
             assert issubclass(cls, RuntimeError)
 
     def test_raised_subclasses_map_into_families(self):
@@ -53,7 +52,6 @@ class TestHierarchy:
         assert issubclass(SimulationStalled, SimulationError)
         assert issubclass(InvariantViolation, SimulationError)
         assert issubclass(DiffError, DataError)
-        assert issubclass(BenchError, DataError)
         assert issubclass(TraceFormatError, DataError)
         assert issubclass(PointFailedError, CampaignError)
 

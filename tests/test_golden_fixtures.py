@@ -1,9 +1,11 @@
 """Recorded results pin the simulator's output across commits.
 
-``tests/golden/`` holds one ``SimulationResult.to_dict()`` per scheme x
-replacement-policy point (see ``tests/golden/record.py`` for the points
-and how to regenerate them).  Each test re-simulates its point and
-requires the same parsed JSON, naming the first field that differs.
+``tests/golden/`` holds one ``SimulationResult.to_dict()`` per recorded
+point: the scheme x replacement-policy matrix on ``can_ccomp`` and three
+switching, walk-heavy ``ccomp`` runs (see ``tests/golden/record.py`` for
+the points and how to regenerate them).  Each test re-simulates its
+point and requires the same parsed JSON, naming the first field that
+differs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional
 
 import pytest
 
-from tests.golden.record import POINTS, fixture_path, simulate
+from tests.golden.record import MATRIX, SWITCHING, fixture_path, simulate
 
 
 def first_difference(expected, actual, path: str = "result") -> Optional[str]:
@@ -45,11 +47,24 @@ def first_difference(expected, actual, path: str = "result") -> Optional[str]:
     return None
 
 
-@pytest.mark.parametrize("scheme, policy", POINTS)
-def test_result_matches_fixture(scheme, policy):
-    expected = json.loads(fixture_path(scheme, policy).read_text(encoding="utf-8"))
-    difference = first_difference(expected, simulate(scheme, policy))
-    assert difference is None, f"{scheme}/{policy}: {difference}"
+def check_fixture(point) -> None:
+    expected = json.loads(fixture_path(point).read_text(encoding="utf-8"))
+    difference = first_difference(expected, simulate(point))
+    assert difference is None, f"{fixture_path(point).name}: {difference}"
+
+
+@pytest.mark.parametrize(
+    "point", MATRIX, ids=lambda point: f"{point.scheme}-{point.policy}"
+)
+def test_result_matches_fixture(point):
+    check_fixture(point)
+
+
+@pytest.mark.parametrize(
+    "point", SWITCHING, ids=lambda point: f"{point.mix}-{point.scheme}"
+)
+def test_switching_run_matches_fixture(point):
+    check_fixture(point)
 
 
 def test_first_difference_names_the_field():

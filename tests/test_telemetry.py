@@ -1,4 +1,4 @@
-"""Tests for the telemetry subsystem: tracer, metrics, profiler, wiring."""
+"""Tests for the telemetry subsystem: tracer, metrics, wiring."""
 
 import json
 
@@ -10,19 +10,16 @@ from repro.sim.engine import run_simulation
 from repro.sim.system import System
 from repro.telemetry import (
     EVENT_PARTITION,
-    HOST_PID,
     EVENT_POM_LOOKUP,
     EVENT_SHOOTDOWN,
     EVENT_SWITCH,
     EVENT_TLB_MISS,
     EVENT_WALK,
     EventTracer,
-    HostProfiler,
     MetricsRegistry,
     Telemetry,
     TraceEvent,
     chrome_trace,
-    host_spans_to_events,
     read_events,
     summarize_events,
     write_chrome_trace,
@@ -274,39 +271,10 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
-# HostProfiler
-# ----------------------------------------------------------------------
-class TestHostProfiler:
-    def test_scopes_accumulate(self):
-        profiler = HostProfiler()
-        for _ in range(3):
-            with profiler.scope("outer"):
-                with profiler.scope("inner"):
-                    pass
-        report = profiler.report()
-        assert report["outer"]["calls"] == 3
-        assert report["inner"]["calls"] == 3
-        assert report["outer"]["seconds"] >= report["inner"]["seconds"]
-        assert "outer" in profiler.format()
-
-    def test_add_external(self):
-        profiler = HostProfiler()
-        profiler.add("engine.run", 1.5)
-        assert profiler.report()["engine.run"]["seconds"] == pytest.approx(1.5)
-
-    def test_reset(self):
-        profiler = HostProfiler()
-        with profiler.scope("s"):
-            pass
-        profiler.reset()
-        assert profiler.report() == {}
-
-
-# ----------------------------------------------------------------------
 # Simulation wiring
 # ----------------------------------------------------------------------
 def run_traced(scheme=Scheme.CSALT_CD, accesses=12_000, **kwargs):
-    telemetry = Telemetry.enabled(profile=True)
+    telemetry = Telemetry.enabled()
     config = small_config(scheme=scheme, **kwargs)
     result = run_simulation(
         config, make_mix("gups"), total_accesses=accesses, telemetry=telemetry,
@@ -371,12 +339,6 @@ class TestSimulationTelemetry:
         assert result.extra["context_switches"] > 0
         assert all("vm" in e.args for e in switches)
 
-    def test_profiler_covers_components(self):
-        telemetry, _ = run_traced()
-        report = telemetry.profiler.report()
-        for scope in ("engine.run", "walker", "cache", "dram", "pom"):
-            assert scope in report, f"missing profiler scope {scope}"
-
     def test_shootdown_event(self):
         from repro.mem.address import Asid
 
@@ -423,7 +385,7 @@ class TestSimulationTelemetry:
     def test_disabled_telemetry_changes_nothing(self):
         config = small_config(scheme=Scheme.CSALT_CD)
         plain = run_simulation(config, make_mix("gups"), total_accesses=6_000)
-        traced_tel = Telemetry.enabled(profile=True)
+        traced_tel = Telemetry.enabled()
         traced = run_simulation(
             small_config(scheme=Scheme.CSALT_CD), make_mix("gups"),
             total_accesses=6_000, telemetry=traced_tel,
@@ -500,110 +462,6 @@ class TestHistogramEmpty:
         hist.reset()
         assert hist.mean == 0.0
         assert hist.percentile(0.99) == 0.0
-
-
-# ----------------------------------------------------------------------
-# Profiler span recording + host track in the Chrome trace
-# ----------------------------------------------------------------------
-class TestProfilerSpans:
-    def test_spans_off_by_default(self):
-        profiler = HostProfiler()
-        with profiler.scope("s"):
-            pass
-        assert profiler.spans == []
-        assert profiler.spans_dropped == 0
-
-    def test_spans_recorded_with_flag(self):
-        profiler = HostProfiler(record_spans=True)
-        with profiler.scope("outer"):
-            with profiler.scope("inner"):
-                pass
-        spans = profiler.spans
-        assert [name for name, _, _ in spans] == ["inner", "outer"]
-        for _name, start, duration in spans:
-            assert start >= 0.0
-            assert duration >= 0.0
-
-    def test_span_capacity_drops_oldest(self):
-        profiler = HostProfiler(record_spans=True, span_capacity=2)
-        for index in range(5):
-            with profiler.scope(f"s{index}"):
-                pass
-        assert len(profiler.spans) == 2
-        assert profiler.spans_dropped == 3
-        assert [name for name, _, _ in profiler.spans] == ["s3", "s4"]
-
-    def test_reset_clears_spans(self):
-        profiler = HostProfiler(record_spans=True)
-        with profiler.scope("s"):
-            pass
-        profiler.reset()
-        assert profiler.spans == []
-        assert profiler.spans_dropped == 0
-
-
-class TestHostTrack:
-    def spans(self):
-        return [("engine.run", 0.0, 0.5), ("walker", 0.1, 0.2)]
-
-    def test_host_spans_to_events(self):
-        events = host_spans_to_events(self.spans())
-        assert [e.name for e in events] == ["host.engine.run", "host.walker"]
-        assert events[0].duration == pytest.approx(0.5e6)
-        assert events[1].cycles == pytest.approx(0.1e6)
-
-    def test_chrome_trace_routes_host_events_to_own_pid(self):
-        sim = [TraceEvent("walk", 5.0, core=0, duration=10.0)]
-        document = chrome_trace(sim + host_spans_to_events(self.spans()))
-        records = document["traceEvents"]
-        host = [r for r in records if r.get("pid") == HOST_PID
-                and r["ph"] != "M"]
-        assert [r["name"] for r in host] == ["engine.run", "walker"]
-        assert all(r["cat"] == "host" for r in host)
-        names = [r["args"].get("name") for r in records if r["ph"] == "M"]
-        assert "host (wall clock)" in names
-
-    def test_write_jsonl_appends_extra_without_evicting(self, tmp_path):
-        tracer = EventTracer(capacity=2)
-        tracer.emit("walk", 1.0, core=0)
-        tracer.emit("walk", 2.0, core=0)
-        path = str(tmp_path / "t.jsonl")
-        count = tracer.write_jsonl(
-            path, extra=host_spans_to_events(self.spans())
-        )
-        assert count == 4
-        events = read_events(path)
-        assert [e.name for e in events] == [
-            "walk", "walk", "host.engine.run", "host.walker",
-        ]
-
-    def test_summary_counts_but_isolates_host_spans(self):
-        sim = [TraceEvent("walk", 5.0, core=0, duration=10.0)]
-        events = sim + host_spans_to_events(self.spans())
-        summary = summarize_events(events)
-        assert summary.host_spans == 2
-        assert summary.walk_count == 1
-        # Wall-clock microsecond timestamps must not stretch cycle spans.
-        assert summary.cycle_span[0] == (5.0, 15.0)
-        assert "host spans" in summary.format()
-        assert ("host_spans", 2) in summary.rows()
-
-    def test_profiled_run_exports_host_track(self, tmp_path):
-        telemetry = Telemetry(
-            tracer=EventTracer(),
-            profiler=HostProfiler(record_spans=True),
-        )
-        run_simulation(
-            small_config(scheme=Scheme.POM_TLB), make_mix("gups"),
-            total_accesses=2000, telemetry=telemetry,
-        )
-        assert telemetry.profiler.spans, "engine scopes must record spans"
-        path = str(tmp_path / "run.jsonl")
-        telemetry.tracer.write_jsonl(
-            path, extra=host_spans_to_events(telemetry.profiler.spans)
-        )
-        summary = summarize_events(read_events(path))
-        assert summary.host_spans == len(telemetry.profiler.spans)
 
 
 class TestSummaryRows:
