@@ -4,31 +4,22 @@ The paper's evaluation runs 10B-instruction campaigns across dozens of
 points; a reproduction of that scale must operate under explicit
 resource budgets instead of assuming infinite time, memory and disk.
 This module is the governance layer the engine, the campaign pool, the
-result store, the checkpoint writer and the telemetry ring all consult:
+result store and the checkpoint writer all consult:
 
 * a :class:`Budget` — the declarative limits: wall-clock
-  ``deadline_seconds``, ``max_rss_bytes`` (resident-set ceiling),
-  ``disk_quota_bytes`` (store + checkpoints + exported outputs) and
-  ``max_events`` (telemetry event budget);
+  ``deadline_seconds``, ``max_rss_bytes`` (resident-set ceiling) and
+  ``disk_quota_bytes`` (store + checkpoints + exported outputs);
 * a :class:`BudgetMonitor` — a daemon thread beside the engine's
   :class:`~repro.checkpoint.StallWatchdog` (both extend
   :class:`~repro.checkpoint.HeartbeatDaemon`) that samples usage and
-  classifies each dimension as ``ok``, ``soft`` or ``hard``.
+  latches the first dimension whose usage reaches its limit.
 
-Every budget has two thresholds:
-
-* **soft** (default 85% of the limit) triggers *graceful degradation*:
-  the telemetry ring downsamples (dropped events are accounted in the
-  tracer and the ``telemetry.downsampled`` counter), the engine doubles
-  its checkpoint cadence, and the campaign pool stops admitting new
-  points while in-flight ones finish and persist;
-* **hard** (100%) triggers *checkpoint-then-stop*: the engine snapshots
-  via its :class:`~repro.checkpoint.CheckpointWriter`, the campaign
-  drains exactly like a SIGINT, and
-  :class:`~repro.errors.BudgetExceededError` surfaces with the stable
-  exit code 7 — the run is resumable, and a resumed run without budgets
-  converges to the never-budgeted result byte-for-byte (the CI
-  ``budget-smoke`` job enforces this).
+A breach triggers *checkpoint-then-stop*: the engine snapshots via its
+:class:`~repro.checkpoint.CheckpointWriter`, the campaign drains exactly
+like a SIGINT, and :class:`~repro.errors.BudgetExceededError` surfaces
+with the stable exit code 7 — the run is resumable, and a resumed run
+without budgets converges to the never-budgeted result byte-for-byte
+(the CI ``recovery-smoke`` job enforces this).
 
 Enforcement is cooperative: the monitor thread only *observes* (it never
 touches simulator state), and the main loops read one attribute per
@@ -41,7 +32,7 @@ incrementally between scans via the process-wide :data:`ACTIVE` monitor
 does not survive the fork — so worker-side quota prechecks are a
 best-effort guard while the parent's monitor is the authority).
 
-See ``docs/budgets.md`` for the budget model and the degradation ladder.
+See ``docs/budgets.md`` for the budget model.
 """
 
 from __future__ import annotations
@@ -51,32 +42,22 @@ import re
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.checkpoint import HeartbeatDaemon
 from repro.errors import BudgetExceededError, ConfigError, DiskFullError
 
-#: Fraction of a limit at which graceful degradation begins.
-DEFAULT_SOFT_FRACTION = 0.85
-
-#: Keep one event in this many while the telemetry ring is degraded.
-DEFAULT_DOWNSAMPLE_STRIDE = 8
-
 #: How often the monitor thread samples usage (seconds).
-DEFAULT_POLL_SECONDS = 0.2
+POLL_SECONDS = 0.2
 
 #: How often tracked directories are rescanned to reconcile the disk
 #: ledger with writers the monitor cannot see (other processes, prunes).
-DEFAULT_DISK_RESCAN_SECONDS = 1.0
+DISK_RESCAN_SECONDS = 1.0
 
 #: Budget dimensions, in reporting order.
-DIMENSIONS = ("deadline", "rss", "disk", "events")
-
-LEVEL_OK = "ok"
-LEVEL_SOFT = "soft"
-LEVEL_HARD = "hard"
+DIMENSIONS = ("deadline", "rss", "disk")
 
 _SIZE_SUFFIXES = {
     "": 1,
@@ -201,80 +182,43 @@ class Budget:
     """Explicit resource limits for one run or campaign.
 
     Every field is optional; an all-``None`` budget is inert (and
-    :attr:`enabled` is ``False``).  ``soft_fraction`` positions the
-    degradation threshold relative to each limit.
+    :attr:`enabled` is ``False``).
     """
 
     deadline_seconds: Optional[float] = None
     max_rss_bytes: Optional[int] = None
     disk_quota_bytes: Optional[int] = None
-    max_events: Optional[int] = None
-    soft_fraction: float = DEFAULT_SOFT_FRACTION
 
     def __post_init__(self) -> None:
-        for name in (
-            "deadline_seconds", "max_rss_bytes", "disk_quota_bytes",
-            "max_events",
-        ):
-            value = getattr(self, name)
+        for limit in fields(self):
+            value = getattr(self, limit.name)
             if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if not 0.0 < self.soft_fraction <= 1.0:
-            raise ConfigError(
-                f"soft_fraction must be in (0, 1], got {self.soft_fraction}"
-            )
+                raise ConfigError(
+                    f"{limit.name} must be positive, got {value}"
+                )
 
     @property
     def enabled(self) -> bool:
-        return any(
-            getattr(self, name) is not None
-            for name in (
-                "deadline_seconds", "max_rss_bytes", "disk_quota_bytes",
-                "max_events",
-            )
-        )
+        return any(value is not None for value in self.to_dict().values())
 
     def limit_for(self, dimension: str) -> Optional[float]:
         return {
             "deadline": self.deadline_seconds,
             "rss": self.max_rss_bytes,
             "disk": self.disk_quota_bytes,
-            "events": self.max_events,
         }[dimension]
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "deadline_seconds": self.deadline_seconds,
-            "max_rss_bytes": self.max_rss_bytes,
-            "disk_quota_bytes": self.disk_quota_bytes,
-            "max_events": self.max_events,
-            "soft_fraction": self.soft_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "Budget":
-        if not isinstance(record, dict):
-            raise ConfigError(f"budget must be an object, got {record!r}")
-        unknown = set(record) - {
-            "deadline_seconds", "max_rss_bytes", "disk_quota_bytes",
-            "max_events", "soft_fraction",
-        }
-        if unknown:
-            raise ConfigError(
-                f"budget has unknown field(s): {sorted(unknown)}"
-            )
-        kwargs = dict(record)
-        return cls(**kwargs)
+        return asdict(self)
 
 
 @dataclass
 class BudgetStatus:
-    """One dimension's usage at one sample."""
+    """One dimension's usage at one sample; a breach once ``used >= limit``."""
 
     dimension: str
     used: float
     limit: float
-    level: str = LEVEL_OK
 
     @property
     def fraction(self) -> float:
@@ -291,14 +235,9 @@ class BudgetStatus:
                 f"rss: {self.used / (1 << 20):.0f} MiB of "
                 f"{self.limit / (1 << 20):.0f} MiB ({self.fraction:.0%})"
             )
-        if self.dimension == "disk":
-            return (
-                f"disk: {self.used / (1 << 20):.1f} MiB of "
-                f"{self.limit / (1 << 20):.1f} MiB quota "
-                f"({self.fraction:.0%})"
-            )
         return (
-            f"{self.dimension}: {self.used:,.0f} of {self.limit:,.0f} "
+            f"disk: {self.used / (1 << 20):.1f} MiB of "
+            f"{self.limit / (1 << 20):.1f} MiB quota "
             f"({self.fraction:.0%})"
         )
 
@@ -308,7 +247,6 @@ class BudgetStatus:
             "used": self.used,
             "limit": self.limit,
             "fraction": self.fraction,
-            "level": self.level,
         }
 
 
@@ -316,43 +254,31 @@ class BudgetStatus:
 # The monitor
 # ----------------------------------------------------------------------
 class BudgetMonitor(HeartbeatDaemon):
-    """Samples resource usage against a :class:`Budget` and classifies it.
+    """Samples resource usage against a :class:`Budget`; latches a breach.
 
     Runs as a daemon thread (same heartbeat plumbing as the stall
     watchdog: the engine's :meth:`beat` value is embedded in breach
     reports so "where did the budget die" is answerable).  The thread
     only *samples*; the engine loop, the campaign pool and the CLI read
-    :attr:`hard_breach` / :attr:`soft_active` and act on their own
-    threads.  :meth:`sample` can also be called synchronously — hook
-    sites that must decide *now* (a quota precheck before a store write)
-    do that instead of waiting a poll interval.
+    :attr:`hard_breach` and act on their own threads.  :meth:`sample`
+    can also be called synchronously — hook sites that must decide *now*
+    (a quota precheck before a store write) do that instead of waiting a
+    poll interval.
     """
 
     thread_name = "repro-budget-monitor"
 
-    def __init__(
-        self,
-        budget: Budget,
-        telemetry=None,
-        poll_seconds: float = DEFAULT_POLL_SECONDS,
-        downsample_stride: int = DEFAULT_DOWNSAMPLE_STRIDE,
-        disk_rescan_seconds: float = DEFAULT_DISK_RESCAN_SECONDS,
-    ):
-        super().__init__(poll_seconds)
+    def __init__(self, budget: Budget, telemetry=None):
+        super().__init__(POLL_SECONDS)
         self.budget = budget
         self.telemetry = telemetry
-        self.downsample_stride = max(1, int(downsample_stride))
         self.started_monotonic = time.monotonic()
-        self.soft_active: frozenset = frozenset()
         self.hard_breach: Optional[BudgetStatus] = None
-        self.soft_trips = 0
         self._disk_lock = threading.Lock()
         self._tracked: List[Path] = []
         self._disk_scanned = 0
         self._disk_charged = 0
-        self._disk_rescan_seconds = disk_rescan_seconds
         self._next_disk_scan = 0.0
-        self._downsampled_seen = 0
         self._register_gauges()
 
     # ------------------------------------------------------------------
@@ -430,9 +356,6 @@ class BudgetMonitor(HeartbeatDaemon):
             return rss_bytes()
         if dimension == "disk":
             return float(self.disk_used)
-        if dimension == "events":
-            tracer = getattr(self.telemetry, "tracer", None)
-            return float(tracer.emitted) if tracer is not None else 0.0
         raise ValueError(f"unknown budget dimension {dimension!r}")
 
     def statuses(self) -> List[BudgetStatus]:
@@ -445,39 +368,23 @@ class BudgetMonitor(HeartbeatDaemon):
             used = self._usage(dimension)
             if used is None:
                 continue  # unmeasurable on this host (e.g. no RSS source)
-            status = BudgetStatus(dimension, float(used), float(limit))
-            if used >= limit:
-                status.level = LEVEL_HARD
-            elif used >= limit * self.budget.soft_fraction:
-                status.level = LEVEL_SOFT
-            out.append(status)
+            out.append(BudgetStatus(dimension, float(used), float(limit)))
         return out
 
     def sample(self) -> Optional[BudgetStatus]:
-        """Take one sample; update soft/hard state and degradation.
+        """Take one sample; returns the hard breach, or ``None``.
 
-        Returns the hard breach (first dimension to cross 100%), or
-        ``None``.  A hard breach latches: once set it never clears, so
-        racing readers cannot see the budget "recover".
+        The breach is the first dimension whose usage reaches its limit.
+        It latches: once set it never clears, so racing readers cannot
+        see the budget "recover".
         """
         now = time.monotonic()
         if self._tracked and now >= self._next_disk_scan:
-            self._next_disk_scan = now + self._disk_rescan_seconds
+            self._next_disk_scan = now + DISK_RESCAN_SECONDS
             self._rescan_disk()
-        statuses = self.statuses()
-        soft = frozenset(
-            s.dimension for s in statuses if s.level != LEVEL_OK
-        )
-        newly_soft = soft - self.soft_active
-        if soft != self.soft_active:
-            self.soft_active = soft
-        for dimension in newly_soft:
-            self.soft_trips += 1
-            self._note_soft(dimension, statuses)
-        self._apply_degradation()
         if self.hard_breach is None:
-            for status in statuses:
-                if status.level == LEVEL_HARD:
+            for status in self.statuses():
+                if status.used >= status.limit:
                     self.hard_breach = status
                     self._note_hard(status)
                     break
@@ -496,36 +403,8 @@ class BudgetMonitor(HeartbeatDaemon):
         )
 
     # ------------------------------------------------------------------
-    # Degradation ladder + accounting
+    # Accounting
     # ------------------------------------------------------------------
-    def _apply_degradation(self) -> None:
-        tracer = getattr(self.telemetry, "tracer", None)
-        if tracer is not None and hasattr(tracer, "downsample"):
-            tracer.downsample = (
-                self.downsample_stride if self.soft_active else 1
-            )
-        metrics = getattr(self.telemetry, "metrics", None)
-        if metrics is not None and tracer is not None:
-            delta = tracer.downsampled - self._downsampled_seen
-            if delta > 0:
-                metrics.counter("telemetry.downsampled").inc(delta)
-                self._downsampled_seen = tracer.downsampled
-
-    def _note_soft(self, dimension: str, statuses: List[BudgetStatus]) -> None:
-        if self.telemetry is None:
-            return
-        status = next(
-            (s for s in statuses if s.dimension == dimension), None
-        )
-        if getattr(self.telemetry, "metrics", None) is not None:
-            self.telemetry.metrics.counter("budget.soft_trips").inc()
-        if getattr(self.telemetry, "tracer", None) is not None:
-            self.telemetry.emit(
-                "budget.soft", 0.0, dimension=dimension,
-                fraction=status.fraction if status else None,
-                heartbeat=_jsonable(self._value),
-            )
-
     def _note_hard(self, status: BudgetStatus) -> None:
         if self.telemetry is None:
             return
@@ -546,9 +425,6 @@ class BudgetMonitor(HeartbeatDaemon):
         metrics.gauge("budget.disk_bytes", fn=lambda: float(self.disk_used))
         metrics.gauge("budget.rss_bytes", fn=lambda: float(rss_bytes() or 0))
         metrics.gauge(
-            "budget.soft_dimensions", fn=lambda: float(len(self.soft_active))
-        )
-        metrics.gauge(
             "budget.hard_breached",
             fn=lambda: 1.0 if self.hard_breach is not None else 0.0,
         )
@@ -557,16 +433,13 @@ class BudgetMonitor(HeartbeatDaemon):
     # Thread + reporting
     # ------------------------------------------------------------------
     def _poll(self, value: object, now: float) -> bool:
-        self.sample()
-        return False  # keep observing: degradation state stays current
+        return self.sample() is not None  # a breach is terminal
 
     def to_dict(self) -> Dict[str, object]:
         """Budget state for stall snapshots and ``result.extra``."""
         return {
             "budget": self.budget.to_dict(),
             "statuses": [status.to_dict() for status in self.statuses()],
-            "soft_active": sorted(self.soft_active),
-            "soft_trips": self.soft_trips,
             "hard_breach": (
                 None if self.hard_breach is None
                 else self.hard_breach.to_dict()
@@ -625,12 +498,7 @@ __all__ = [
     "Budget",
     "BudgetMonitor",
     "BudgetStatus",
-    "DEFAULT_DOWNSAMPLE_STRIDE",
-    "DEFAULT_SOFT_FRACTION",
     "DIMENSIONS",
-    "LEVEL_HARD",
-    "LEVEL_OK",
-    "LEVEL_SOFT",
     "arm",
     "armed",
     "directory_bytes",

@@ -145,9 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "exits 7, resumable with --restore auto")
     run.add_argument("--max-rss", type=_size_arg, default=None,
                      metavar="SIZE",
-                     help="resident-memory ceiling ('512M', '2G'): soft "
-                          "(85%%) degrades telemetry, hard checkpoints "
-                          "and exits 7")
+                     help="resident-memory ceiling ('512M', '2G'): past "
+                          "it the run checkpoints (with --checkpoint-dir) "
+                          "and exits 7, resumable with --restore auto")
     run.add_argument("--baseline", action="store_true",
                      help="also run POM-TLB and report relative IPC")
     run.add_argument("--json", action="store_true",
@@ -252,10 +252,12 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--deadline", type=_duration_arg, default=None,
                         metavar="DURATION",
                         help="hard wall-clock budget for the campaign "
-                             "('30m', '2h'): soft (85%%) stops new "
-                             "launches, hard drains in-flight points, "
-                             "writes a PARTIAL report and exits 7 "
-                             "(resume with --resume and no budget)")
+                             "('30m', '2h'): past it no new point "
+                             "launches and in-flight points finish and "
+                             "persist; if any point was left unrun, a "
+                             "PARTIAL report is written and the exit "
+                             "code is 7 (resume with --resume and no "
+                             "budget)")
     report.add_argument("--max-rss", type=_size_arg, default=None,
                         metavar="SIZE",
                         help="resident-memory ceiling for the campaign "

@@ -54,6 +54,11 @@ _SNAPSHOT_GLOB = "*.ckpt"
 #: below this, the next campaign is likely to die on ENOSPC.
 DEFAULT_MIN_FREE_BYTES = 256 << 20
 
+#: Share of ``--store-quota`` already used at which the disk-headroom
+#: check reports a problem: past it, a campaign has little room to run
+#: before the quota stops it.
+_QUOTA_HEADROOM_FRACTION = 0.85
+
 
 @dataclass
 class CheckResult:
@@ -253,13 +258,13 @@ def check_disk_headroom(
     A campaign that fills the disk dies with the least useful error in
     the taxonomy's catalogue, so the doctor warns *before*: free bytes on
     the store's filesystem below ``min_free_bytes`` is a problem, and so
-    is a configured disk quota that is already ≥ the soft threshold
-    (85%) full.  Without a store directory the check reports the current
-    working directory's filesystem.
+    is a configured disk quota that is already ≥ 85% full.  Without a
+    store directory the check reports the current working directory's
+    filesystem.
     """
     import shutil
 
-    from repro.budget import DEFAULT_SOFT_FRACTION, directory_bytes
+    from repro.budget import directory_bytes
 
     check = CheckResult("disk headroom")
     probe = store_dir if store_dir is not None else Path(".")
@@ -309,12 +314,12 @@ def check_disk_headroom(
                 f"store already exceeds the {quota_bytes:,}-byte quota; "
                 "a budgeted campaign will stop immediately (exit 7)"
             )
-        elif fraction >= DEFAULT_SOFT_FRACTION:
+        elif fraction >= _QUOTA_HEADROOM_FRACTION:
             check.problems.append(
-                f"quota {fraction:.0%} full (soft threshold "
-                f"{DEFAULT_SOFT_FRACTION:.0%}): the next budgeted "
-                "campaign starts degraded; prune the store or raise "
-                "--store-quota"
+                f"quota {fraction:.0%} full (headroom threshold "
+                f"{_QUOTA_HEADROOM_FRACTION:.0%}): the next budgeted "
+                "campaign has little room before the quota stops it; "
+                "prune the store or raise --store-quota"
             )
     return check
 

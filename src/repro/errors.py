@@ -29,8 +29,8 @@ code   meaning
        not) fix
 6      an injected fault surfaced uncaught (plan left armed)
 7      a resource budget was exceeded (deadline, RSS ceiling,
-       disk quota, event budget) or the disk filled up; state
-       was checkpointed and the run is resumable
+       disk quota) or the disk filled up; state was
+       checkpointed and the run is resumable
 130    interrupted (SIGINT)
 =====  =====================================================
 
@@ -142,13 +142,13 @@ class InjectedFaultError(ReproError):
 
 
 class BudgetExceededError(ReproError):
-    """A resource budget's hard threshold was crossed.
+    """A resource budget's limit was reached.
 
     Raised by the :mod:`repro.budget` machinery after the run has been
     checkpointed (when checkpointing is configured) and in-flight work
     has drained — the state on disk is resumable exactly like a SIGINT
     drain.  ``dimension`` names the breached budget (``deadline``,
-    ``rss``, ``disk``, ``events``); ``snapshot_path`` points at the
+    ``rss``, ``disk``); ``snapshot_path`` points at the
     checkpoint written on the way out, when there is one.
     """
 

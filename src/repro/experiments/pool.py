@@ -87,7 +87,7 @@ class CampaignSummary:
     reused: int = 0       # already in the in-memory cache
     loaded: int = 0       # restored from the persistent store
     simulated: int = 0
-    skipped: int = 0      # never launched: budget hard stop (resumable)
+    skipped: int = 0      # never launched: budget stop (resumable)
     failures: List[PointFailure] = field(default_factory=list)
 
     @property
@@ -317,13 +317,14 @@ def run_campaign(
     restarting, and a completed point's snapshots are deleted.
 
     ``monitor`` (a started :class:`~repro.budget.BudgetMonitor`) puts the
-    campaign under resource budgets: a *soft* threshold stops launching
-    new points while in-flight ones finish and persist; a *hard* breach
-    drains exactly like a SIGINT, poisons the never-launched points (so
-    exhibits render PARTIAL instead of silently re-simulating) and
-    raises :class:`~repro.errors.BudgetExceededError` — the store stays
-    resumable, and re-running without budgets converges byte-identically
-    to a never-budgeted campaign.
+    campaign under resource budgets: a breach stops launching, drains
+    in-flight points exactly like a SIGINT, poisons the never-launched
+    points (so exhibits render PARTIAL instead of silently
+    re-simulating) and raises :class:`~repro.errors.BudgetExceededError`
+    — the store stays resumable, and re-running without budgets
+    converges byte-identically to a never-budgeted campaign.  A breach
+    that leaves no point unrun is not a stop: the campaign returns
+    normally.
 
     Raises :class:`CampaignInterrupted` after SIGINT, once everything
     already simulated has been persisted.
@@ -379,12 +380,13 @@ def run_campaign(
         if monitor is not None and monitor.hard_breach is not None:
             breach = monitor.hard_breach
             _skip_unfinished(todo, summary, breach.describe(), note)
-            error = monitor.build_error(
-                f"campaign stopped after {summary.simulated} simulated "
-                f"point(s); {summary.skipped} not run"
-            )
-            error.summary = summary  # callers render the partial campaign
-            raise error
+            if summary.skipped:
+                error = monitor.build_error(
+                    f"campaign stopped after {summary.simulated} simulated "
+                    f"point(s); {summary.skipped} not run"
+                )
+                error.summary = summary  # callers render the partial campaign
+                raise error
     return summary
 
 
@@ -441,9 +443,7 @@ def _run_inline(
     """Single-process execution: per-point exception isolation only.
 
     Budget admission control is between points: each point is one
-    indivisible launch, so a hard breach stops *before* the next launch
-    (soft pressure has no in-flight set to drain here — degradation is
-    the monitor's telemetry downsampling).
+    indivisible launch, so a breach stops *before* the next launch.
     """
     done = summary.reused + summary.loaded
     for attempt in todo:
@@ -592,7 +592,6 @@ def _run_parallel(
             # retrying cannot help, fail the point immediately.
             _record_failure(summary, task.attempt, str(payload), note)
 
-    soft_note = False
     try:
         while queue or running:
             if monitor is not None:
@@ -601,7 +600,6 @@ def _run_parallel(
                 )
                 monitor.sample()
             hard = monitor is not None and monitor.hard_breach is not None
-            soft = monitor is not None and bool(monitor.soft_active)
             draining = latch.interrupted or hard
             if hard and not drained_note and running:
                 note(
@@ -617,25 +615,12 @@ def _run_parallel(
                 drained_note = True
             if draining and not running:
                 break
-            if soft and not draining and not soft_note and queue:
-                note(
-                    "budget soft threshold reached "
-                    f"({', '.join(sorted(monitor.soft_active))}): narrowing "
-                    "the pool to one worker while pressure lasts"
-                )
-                soft_note = True
             now = time.monotonic()
-            # Soft pressure narrows the pool to one worker instead of
-            # freezing it: in-flight points finish, then work trickles
-            # serially until the pressure clears or goes hard.  (A soft
-            # RSS/disk level can plateau below 100% indefinitely; a
-            # frozen pool would idle forever.)
-            slots = 1 if soft else jobs
             if not draining:
                 launchable = [
                     attempt for attempt in queue if attempt.ready_at <= now
                 ]
-                while launchable and len(running) < slots:
+                while launchable and len(running) < jobs:
                     attempt = launchable.pop(0)
                     queue.remove(attempt)
                     launch(attempt)

@@ -188,14 +188,14 @@ def run_simulation(
       ``checkpoint_dir`` when given) and
       :class:`~repro.checkpoint.SimulationStalled` raised;
     * ``budget`` — a :class:`~repro.budget.Budget` of explicit resource
-      limits (deadline, RSS ceiling, disk quota, event budget).  A
+      limits (deadline, RSS ceiling, disk quota).  A
       :class:`~repro.budget.BudgetMonitor` samples usage beside the
-      watchdog; crossing a soft threshold degrades gracefully
-      (telemetry downsampling, doubled checkpoint cadence), crossing a
-      hard one snapshots the run (when checkpointing is configured) and
-      raises :class:`~repro.errors.BudgetExceededError` — resumable
-      exactly like an interrupt, and a resumed run converges to the
-      same result bit-for-bit (see ``docs/budgets.md``).
+      watchdog; a limit reached before the last access snapshots the
+      run (when checkpointing is configured) and raises
+      :class:`~repro.errors.BudgetExceededError` — resumable exactly
+      like an interrupt, and a resumed run converges to the same result
+      bit-for-bit (see ``docs/budgets.md``).  A breach during the last
+      batch does not stop the run: it has already finished.
     """
     if len(workloads) != config.num_vms:
         raise ConfigError(
@@ -435,18 +435,18 @@ def run_simulation(
                         executed=executed,
                         seconds=writer.last_write_seconds,
                     )
-                # Soft budget pressure doubles the checkpoint cadence:
-                # the closer the hard stop, the less work a stop loses.
-                if monitor is not None and monitor.soft_active:
-                    next_checkpoint += max(1, checkpoint_every // 2)
-                else:
-                    next_checkpoint += checkpoint_every
+                next_checkpoint += checkpoint_every
             # Hard budget breach: checkpoint-then-stop.  Checked at the
             # end of the iteration so the snapshot is a consistent,
             # post-sampling resume point — identical semantics to the
             # periodic checkpoint above, so a resumed run is
-            # bit-identical to one that was never stopped.
-            if monitor is not None and monitor.hard_breach is not None:
+            # bit-identical to one that was never stopped.  A run whose
+            # last batch is done has nothing left to stop.
+            if (
+                monitor is not None
+                and monitor.hard_breach is not None
+                and executed < total_accesses
+            ):
                 breach_snapshot: Optional[str] = None
                 if writer is not None:
                     # The emergency snapshot must land even when the

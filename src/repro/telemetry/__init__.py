@@ -45,7 +45,6 @@ from repro.telemetry.accounting import (
 from repro.telemetry.events import (
     DEFAULT_TRACE_CAPACITY,
     EVENT_BUDGET_HARD,
-    EVENT_BUDGET_SOFT,
     EVENT_FAULT,
     EVENT_PARTITION,
     EVENT_POM_LOOKUP,
@@ -72,7 +71,6 @@ __all__ = [
     "CycleAccountant",
     "DEFAULT_TRACE_CAPACITY",
     "EVENT_BUDGET_HARD",
-    "EVENT_BUDGET_SOFT",
     "EVENT_FAULT",
     "EVENT_PARTITION",
     "EVENT_POM_LOOKUP",

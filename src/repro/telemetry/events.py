@@ -38,7 +38,6 @@ EVENT_INVARIANT_CHECK = "validate.check"
 EVENT_WATCHDOG_TRIP = "watchdog.trip"
 EVENT_FAULT = "fault.injected"
 EVENT_STORE_SKIP = "store.skip"
-EVENT_BUDGET_SOFT = "budget.soft"
 EVENT_BUDGET_HARD = "budget.exceeded"
 
 #: Core id used for events not attributable to a single core.
@@ -86,18 +85,8 @@ class TraceEvent:
 class EventTracer:
     """Bounded ring buffer of :class:`TraceEvent`.
 
-    Two mechanisms shed events, and each is accounted separately so
-    ``emitted == downsampled + dropped_by_ring + len(ring)`` always
-    holds:
-
-    * the ring itself — when full, the *oldest* event is pushed out
-      (counted by :attr:`dropped` together with downsampling);
-    * :attr:`downsample` — when > 1 (set by the budget monitor's soft
-      degradation), only every Nth emission enters the ring; the rest
-      are counted in :attr:`downsampled` without being stored.
-
-    ``budget.*`` events always bypass downsampling: the events that
-    explain *why* the trace thinned out must not themselves be thinned.
+    When the ring is full the *oldest* event is pushed out, so
+    ``emitted == dropped + len(ring)`` always holds.
     """
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY):
@@ -106,11 +95,6 @@ class EventTracer:
         self.capacity = capacity
         self._events: deque = deque(maxlen=capacity)
         self.emitted = 0
-        self.downsampled = 0
-        #: Keep one emission in this many (1 = keep all).  Settable at
-        #: any time; the budget monitor raises it under memory/event
-        #: pressure and restores it to 1 when pressure clears.
-        self.downsample = 1
 
     # ------------------------------------------------------------------
     # Recording
@@ -124,41 +108,12 @@ class EventTracer:
         **args: object,
     ) -> None:
         self.emitted += 1
-        if (
-            self.downsample > 1
-            and self.emitted % self.downsample
-            and not name.startswith("budget.")
-        ):
-            self.downsampled += 1
-            return
         self._events.append(TraceEvent(name, cycles, core, duration, args))
 
     @property
     def dropped(self) -> int:
-        """Events shed instead of buffered (ring overflow + downsampling)."""
+        """Events pushed out of the full ring instead of buffered."""
         return self.emitted - len(self._events)
-
-    # ------------------------------------------------------------------
-    # Checkpoint/restore of the drop accounting
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, int]:
-        """The cumulative counters (the buffered events stay host-side)."""
-        return {
-            "emitted": self.emitted,
-            "downsampled": self.downsampled,
-        }
-
-    def load_state(self, state: Dict[str, int]) -> None:
-        """Restore counters, monotonically.
-
-        Counters never go backwards: restoring an *older* snapshot into
-        a tracer that has already counted further keeps the larger
-        value, so drop accounting stays a monotone record of loss.
-        """
-        self.emitted = max(self.emitted, int(state.get("emitted", 0)))
-        self.downsampled = max(
-            self.downsampled, int(state.get("downsampled", 0))
-        )
 
     def __len__(self) -> int:
         return len(self._events)
@@ -178,7 +133,6 @@ class EventTracer:
         """
         self._events.clear()
         self.emitted = 0
-        self.downsampled = 0
 
     # ------------------------------------------------------------------
     # Export

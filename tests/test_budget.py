@@ -12,9 +12,6 @@ from repro.budget import (
     Budget,
     BudgetMonitor,
     BudgetStatus,
-    LEVEL_HARD,
-    LEVEL_OK,
-    LEVEL_SOFT,
     parse_duration,
     parse_size,
 )
@@ -108,7 +105,6 @@ class TestBudget:
 
     @pytest.mark.parametrize("field", [
         "deadline_seconds", "max_rss_bytes", "disk_quota_bytes",
-        "max_events",
     ])
     def test_rejects_non_positive_limits(self, field):
         with pytest.raises(ConfigError, match="must be positive"):
@@ -116,42 +112,21 @@ class TestBudget:
         with pytest.raises(ConfigError, match="must be positive"):
             Budget(**{field: -1})
 
-    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
-    def test_rejects_bad_soft_fraction(self, fraction):
-        with pytest.raises(ConfigError, match="soft_fraction"):
-            Budget(soft_fraction=fraction)
-
-    def test_dict_round_trip(self):
-        original = Budget(deadline_seconds=30.0, disk_quota_bytes=1 << 20)
-        assert Budget.from_dict(original.to_dict()) == original
-
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ConfigError, match="unknown field"):
-            Budget.from_dict({"deadline_secondz": 30})
-
-    def test_from_dict_rejects_non_dict(self):
-        with pytest.raises(ConfigError):
-            Budget.from_dict([1, 2])
 
 
 class TestBudgetStatus:
     def test_levels_via_monitor(self):
-        telemetry = Telemetry(tracer=EventTracer())
-        monitor = BudgetMonitor(
-            Budget(max_events=100), telemetry=telemetry
+        monitor = BudgetMonitor(Budget(disk_quota_bytes=100))
+        monitor.charge_disk(99)
+        (status,) = monitor.statuses()
+        assert (status.dimension, status.used) == ("disk", 99.0)
+        assert monitor.sample() is None             # one byte short
+        monitor.charge_disk(1)
+        breach = monitor.sample()                   # exactly at the limit
+        assert breach is not None
+        assert (breach.dimension, breach.used, breach.limit) == (
+            "disk", 100.0, 100.0
         )
-        for _ in range(50):
-            telemetry.emit("e", 0.0)
-        (status,) = monitor.statuses()
-        assert (status.dimension, status.level) == ("events", LEVEL_OK)
-        for _ in range(40):
-            telemetry.emit("e", 0.0)
-        (status,) = monitor.statuses()
-        assert status.level == LEVEL_SOFT  # 90 >= 85% of 100
-        for _ in range(20):
-            telemetry.emit("e", 0.0)
-        (status,) = monitor.statuses()
-        assert status.level == LEVEL_HARD
 
     def test_describe_mentions_dimension_and_fraction(self):
         status = BudgetStatus("disk", used=float(1 << 20),
@@ -164,77 +139,31 @@ class TestBudgetStatus:
 
 
 # ----------------------------------------------------------------------
-# The monitor: degradation, latching, reporting
+# The monitor: latching, reporting
 # ----------------------------------------------------------------------
 class TestMonitor:
-    def test_soft_pressure_downsamples_tracer(self):
-        telemetry = Telemetry(
-            tracer=EventTracer(), metrics=MetricsRegistry()
-        )
-        monitor = BudgetMonitor(
-            Budget(max_events=100), telemetry=telemetry
-        )
-        for _ in range(90):
-            telemetry.emit("e", 0.0)
-        assert monitor.sample() is None
-        assert monitor.soft_active == frozenset({"events"})
-        assert telemetry.tracer.downsample == monitor.downsample_stride
-        assert monitor.soft_trips == 1
-        assert telemetry.metrics.counter("budget.soft_trips").value == 1
-
-    def test_downsampled_counter_tracks_tracer(self):
-        telemetry = Telemetry(
-            tracer=EventTracer(), metrics=MetricsRegistry()
-        )
-        monitor = BudgetMonitor(
-            Budget(max_events=1000), telemetry=telemetry,
-            downsample_stride=4,
-        )
-        for _ in range(900):
-            telemetry.emit("e", 0.0)
-        monitor.sample()            # trips soft, arms downsampling
-        for _ in range(40):
-            telemetry.emit("e", 0.0)
-        monitor.sample()
-        counted = telemetry.metrics.counter("telemetry.downsampled").value
-        assert counted == telemetry.tracer.downsampled > 0
-
-    def test_pressure_receding_restores_full_sampling(self):
-        telemetry = Telemetry(tracer=EventTracer())
-        monitor = BudgetMonitor(
-            Budget(max_events=100), telemetry=telemetry
-        )
-        for _ in range(90):
-            telemetry.emit("e", 0.0)
-        monitor.sample()
-        assert telemetry.tracer.downsample > 1
-        telemetry.tracer.clear()    # usage drops below the soft line
-        monitor.sample()
-        assert telemetry.tracer.downsample == 1
-
     def test_hard_breach_latches(self):
-        telemetry = Telemetry(tracer=EventTracer())
-        monitor = BudgetMonitor(
-            Budget(max_events=10), telemetry=telemetry
-        )
-        for _ in range(12):
-            telemetry.emit("e", 0.0)
+        monitor = BudgetMonitor(Budget(disk_quota_bytes=10))
+        monitor.charge_disk(12)
         breach = monitor.sample()
-        assert breach is not None and breach.level == LEVEL_HARD
-        telemetry.tracer.clear()    # usage "recovers" — breach must not
+        assert breach is not None and breach.dimension == "disk"
+        monitor.charge_disk(-12)    # usage "recovers" — breach must not
         assert monitor.sample() is breach
         assert monitor.hard_breach is breach
 
-    def test_budget_events_survive_downsampling(self):
-        telemetry = Telemetry(tracer=EventTracer())
-        monitor = BudgetMonitor(
-            Budget(max_events=10), telemetry=telemetry
+    def test_breach_recorded_in_telemetry(self):
+        telemetry = Telemetry(
+            tracer=EventTracer(), metrics=MetricsRegistry()
         )
-        for _ in range(12):
-            telemetry.emit("e", 0.0)
+        monitor = BudgetMonitor(
+            Budget(disk_quota_bytes=10), telemetry=telemetry
+        )
+        monitor.charge_disk(10)
         monitor.sample()
+        monitor.sample()            # latched: recorded once
         names = [event.name for event in telemetry.tracer]
-        assert "budget.exceeded" in names
+        assert names.count("budget.exceeded") == 1
+        assert telemetry.metrics.counter("budget.hard_stops").value == 1
 
     def test_build_error_carries_exit_code_and_dimension(self):
         monitor = breached_monitor()
@@ -476,6 +405,22 @@ class TestEngineEnforcement:
             )
         assert budget.ACTIVE is None
 
+    def test_breach_during_last_batch_finishes_the_run(self):
+        # The final batch's progress report latches a disk breach: the
+        # run has no access left to save, so it must return normally.
+        def progress(update):
+            monitor = budget.ACTIVE
+            if monitor is not None and update.executed >= update.total:
+                monitor.charge_disk(1 << 20)
+                assert monitor.sample() is not None
+
+        result = self._run(
+            budget=Budget(disk_quota_bytes=1 << 20),
+            progress=progress, progress_every=30_000,
+        )
+        breach = result.extra["host_budget"]["hard_breach"]
+        assert breach["dimension"] == "disk"
+
 
 # ----------------------------------------------------------------------
 # Pool: drain, skip accounting, responsive sleeps
@@ -496,6 +441,25 @@ class TestPoolEnforcement:
         assert summary.simulated == 0
         assert summary.skipped == 2
         assert "skipped (budget)" in summary.format()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_finished_campaign_is_not_a_budget_stop(self, jobs):
+        # The breach latches once the last point has reported, so no
+        # point was left unrun: the campaign returns normally.
+        grid = self.grid()
+        monitor = BudgetMonitor(Budget(disk_quota_bytes=1 << 20))
+
+        def progress(message):
+            if message.startswith(f"[{len(grid)}/{len(grid)}]"):
+                monitor.charge_disk(1 << 20)
+                assert monitor.sample() is not None
+
+        summary = run_campaign(
+            grid, jobs=jobs, progress=progress, monitor=monitor
+        )
+        assert monitor.hard_breach is not None
+        assert summary.simulated == len(grid)
+        assert summary.skipped == 0 and summary.ok
 
     def test_skipped_points_rerun_on_resume(self):
         monitor = breached_monitor()

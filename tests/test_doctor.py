@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.budget import directory_bytes
 from repro.checkpoint import write_checkpoint
 from repro.cli import main
 from repro.core.schemes import Scheme
@@ -165,6 +166,15 @@ class TestDoctorCli:
         captured = capsys.readouterr()
         assert "UNHEALTHY" in captured.out
         assert "--fix" in captured.err
+
+    def test_quota_headroom_band_exits_doctor_code(self, tmp_path, capsys):
+        # Under the quota but at >= 85% of it is already a problem.
+        store, _ = populated_store(tmp_path)
+        used = directory_bytes(store.root)
+        args = ["doctor", "--store", str(store.root), "--store-quota"]
+        assert main(args + [str(used * 2)]) == 0
+        assert main(args + [str(int(used / 0.9))]) == EXIT_DOCTOR
+        assert "90% full" in capsys.readouterr().out
 
     def test_fix_flag_cleans_and_exits_zero(self, tmp_path, capsys):
         store, path = populated_store(tmp_path)

@@ -108,81 +108,39 @@ class TestEventTracer:
 
 
 class TestEventTracerDropAccounting:
-    """Drop accounting under budget downsampling (docs/budgets.md)."""
+    """Drop accounting under ring overflow (docs/observability.md)."""
 
-    def test_downsampling_counts_as_dropped(self):
-        tracer = EventTracer()
-        tracer.downsample = 8
-        for i in range(80):
-            tracer.emit("e", float(i))
-        assert tracer.emitted == 80
-        assert len(tracer) == 10          # every 8th survives
-        assert tracer.downsampled == 70
-        assert tracer.dropped == 70       # ring never overflowed
-
-    def test_accounting_invariant_with_ring_and_downsampling(self):
+    def test_accounting_invariant_with_ring_overflow(self):
         tracer = EventTracer(capacity=4)
-        tracer.downsample = 3
         for i in range(60):
             tracer.emit("e", float(i))
-        ring_drops = tracer.dropped - tracer.downsampled
-        assert ring_drops >= 0
-        assert tracer.downsampled + ring_drops + len(tracer) == tracer.emitted
-
-    def test_budget_events_bypass_downsampling(self):
-        tracer = EventTracer()
-        tracer.downsample = 1000
-        for i in range(10):
-            tracer.emit("budget.soft", float(i))
-            tracer.emit("plain", float(i))
-        names = [event.name for event in tracer]
-        assert names.count("budget.soft") == 10
+        assert len(tracer) == 4
+        assert tracer.dropped == 56
+        assert tracer.dropped + len(tracer) == tracer.emitted
 
     def test_dropped_survives_jsonl_round_trip(self, tmp_path):
-        tracer = EventTracer()
-        tracer.downsample = 4
+        tracer = EventTracer(capacity=10)
         for i in range(40):
             tracer.emit("e", float(i))
         path = str(tmp_path / "t.jsonl")
         written = tracer.write_jsonl(path)
-        assert written == len(tracer)
+        assert written == len(tracer) == 10
         # `repro stats` summarises exactly what was written; the dropped
-        # total lives in the tracer's state, not the file.
+        # total lives in the tracer, not the file.
         summary = summarize_events(read_events(path))
         assert summary.total_events == written
-        state = tracer.state_dict()
-        assert state["emitted"] == 40
-        assert state["downsampled"] == tracer.downsampled
+        assert tracer.emitted == 40
+        assert tracer.dropped + written == tracer.emitted
 
-    def test_counters_never_go_backwards_across_restore(self):
-        tracer = EventTracer()
-        tracer.downsample = 2
-        for i in range(20):
-            tracer.emit("e", float(i))
-        saved = tracer.state_dict()
-        # The live tracer has advanced past the snapshot: load must not
-        # rewind it.
+    def test_clear_resets_drop_accounting(self):
+        tracer = EventTracer(capacity=4)
         for i in range(10):
             tracer.emit("e", float(i))
-        emitted_now, downsampled_now = tracer.emitted, tracer.downsampled
-        tracer.load_state(saved)
-        assert tracer.emitted == emitted_now
-        assert tracer.downsampled == downsampled_now
-        # A fresh tracer restoring the snapshot adopts it exactly.
-        fresh = EventTracer()
-        fresh.load_state(saved)
-        assert fresh.emitted == saved["emitted"]
-        assert fresh.downsampled == saved["downsampled"]
-
-    def test_clear_resets_downsample_accounting(self):
-        tracer = EventTracer()
-        tracer.downsample = 2
-        for i in range(10):
-            tracer.emit("e", float(i))
+        assert tracer.dropped == 6
         tracer.clear()
         assert tracer.emitted == 0
-        assert tracer.downsampled == 0
         assert tracer.dropped == 0
+        assert tracer.dropped + len(tracer) == tracer.emitted
 
 
 # ----------------------------------------------------------------------
