@@ -43,6 +43,7 @@ from typing import List, Optional
 from repro import faults
 from repro.core.schemes import Scheme
 from repro.errors import ReproError, exit_code_for
+from repro.mem.replacement import POLICY_BY_NAME
 from repro.sim.config import small_config
 from repro.sim.engine import run_simulation
 from repro.sim.stats import SimulationResult
@@ -117,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="page-table depth (5 = Intel LA57)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--replacement", default="lru",
-                     choices=("lru", "nru", "plru", "rrip"),
+                     choices=sorted(POLICY_BY_NAME),
                      help="cache replacement policy")
     run.add_argument("--checkpoint-every", type=_positive_int, default=None,
                      metavar="N",

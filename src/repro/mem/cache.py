@@ -19,11 +19,8 @@ Internally each set is a ``{tag: way}`` dict plus *flat* preallocated
 tag/dirty/kind arrays indexed ``set_index * ways + way``; this is the
 simulator's hottest structure, so it avoids per-line objects, per-set
 sublists and tuple-returning index helpers on the datapath.  Replacement
-bookkeeping runs through monomorphic fast paths bound at construction
-(``repro.mem.replacement.fast_paths``); the abstract policy object stays
-attached as the reference oracle and can be forced with
-``fast_path=False`` (or globally via :func:`set_fast_paths`) for
-equivalence testing.
+bookkeeping runs through the three closures the policy's
+``operations()`` returns, bound once at construction.
 
 ``LineKind`` is an ``IntEnum`` so the datapath can use a kind directly as
 an index and a truth value (``DATA`` is falsy, ``TLB`` truthy) without
@@ -38,7 +35,7 @@ from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.mem.address import CACHE_LINE_BYTES
-from repro.mem.replacement import ReplacementPolicy, fast_paths, make_policy
+from repro.mem.replacement import make_policy
 
 
 class LineKind(IntEnum):
@@ -53,22 +50,6 @@ class LineKind(IntEnum):
 _KINDS = (LineKind.DATA, LineKind.TLB)
 
 _INVALID = -1
-
-#: Module default for new caches; tests flip it to pin the generic
-#: reference path (see :func:`set_fast_paths`).
-_FAST_PATHS_ENABLED = True
-
-
-def set_fast_paths(enabled: bool) -> bool:
-    """Set the module-wide fast-path default; returns the previous value.
-
-    Only affects caches constructed afterwards — existing caches keep the
-    datapath they were built with.
-    """
-    global _FAST_PATHS_ENABLED
-    previous = _FAST_PATHS_ENABLED
-    _FAST_PATHS_ENABLED = bool(enabled)
-    return previous
 
 
 @dataclass
@@ -140,10 +121,9 @@ class Cache:
         size_bytes: int,
         ways: int,
         latency: int,
-        policy: str | ReplacementPolicy = "lru",
+        policy: str = "lru",
         line_bytes: int = CACHE_LINE_BYTES,
         dip: bool = False,
-        fast_path: Optional[bool] = None,
     ):
         if size_bytes % (ways * line_bytes):
             raise ValueError(
@@ -161,10 +141,7 @@ class Cache:
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
         self._set_bits = self.num_sets.bit_length() - 1
-        if isinstance(policy, ReplacementPolicy):
-            self.policy = policy
-        else:
-            self.policy = make_policy(policy, ways)
+        self.policy = make_policy(policy, ways)
         sets = self.num_sets
         lines = sets * ways
         self._tag_to_way: List[Dict[int, int]] = [dict() for _ in range(sets)]
@@ -178,43 +155,14 @@ class Cache:
         self.stats = CacheStats()
         # Partition: number of ways reserved for DATA lines; None = unpartitioned.
         self._data_ways: Optional[int] = None
-        self._partition_ranges = (range(ways), range(ways))
         self._partition_bounds = ((0, ways), (0, ways))
         self.dip = DipDueler() if dip else None
         # Most recent access's estimated LRU stack position, for profilers
         # running in pseudo-LRU estimation mode (paper Section 3.4).
         self.last_stack_position: Optional[int] = None
-        if fast_path is None:
-            fast_path = _FAST_PATHS_ENABLED
-        bundle = fast_paths(self.policy) if fast_path else None
-        self.fast_path = bundle is not None
-        if bundle is not None:
-            self._hit_update, self._select_victim, self._insert = bundle
-        else:
-            self._hit_update, self._select_victim, self._insert = (
-                self._generic_bundle()
-            )
-
-    def _generic_bundle(self):
-        """Reference datapath: the abstract policy behind fast-path shims."""
-        policy = self.policy
-        stack_position = policy.stack_position
-        touch = policy.touch
-        policy_victim = policy.victim
-        policy_insert = policy.insert
-
-        def hit_update(state, way):
-            position = stack_position(state, way)
-            touch(state, way)
-            return position
-
-        def victim(state, lo, hi):
-            return policy_victim(state, range(lo, hi))
-
-        def insert(state, way, at_mru):
-            policy_insert(state, way, at_mru=at_mru)
-
-        return hit_update, victim, insert
+        self._hit_update, self._select_victim, self._insert = (
+            self.policy.operations()
+        )
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -248,17 +196,9 @@ class Cache:
             )
         self._data_ways = data_ways
         if data_ways is None:
-            self._partition_ranges = (range(self.ways), range(self.ways))
             self._partition_bounds = ((0, self.ways), (0, self.ways))
         else:
-            self._partition_ranges = (
-                range(data_ways),
-                range(data_ways, self.ways),
-            )
             self._partition_bounds = ((0, data_ways), (data_ways, self.ways))
-
-    def _candidate_ways(self, kind: LineKind) -> range:
-        return self._partition_ranges[kind]
 
     # ------------------------------------------------------------------
     # Datapath

@@ -12,47 +12,38 @@ ordinary victim selection (paper Sections 3.1 and 3.4):
   that the paper adopts in Section 3.4.
 
 Every policy keeps one state object per cache set; the cache owns the
-mapping from set index to state.
+mapping from set index to state.  Each policy class is the only
+implementation of its policy: ``operations()`` returns the three closures
+the cache datapath binds once at construction.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Iterable, List
+from typing import List
 
 
-class ReplacementPolicy(ABC):
-    """Recency bookkeeping for one cache, parameterized by associativity."""
+class ReplacementPolicy:
+    """Recency bookkeeping for one cache, parameterized by associativity.
+
+    ``new_set_state()`` returns fresh per-set state (all ways
+    least-recent), and ``operations()`` returns ``(hit_update, victim,
+    insert)``:
+
+    * ``hit_update(state, way) -> position`` records an access to
+      ``way`` and returns its estimated LRU-stack position *before* the
+      access (0 = MRU, ways-1 = LRU);
+    * ``victim(state, lo, hi)`` returns the least-recently-used way in
+      ``lo..hi-1``, the partition that owns the incoming line;
+    * ``insert(state, way, at_mru)`` places a filled ``way`` at the MRU
+      or, for DIP's BIP-style insertion, the LRU position.  Policies
+      without a meaningful LRU insertion point treat both as a plain
+      access.
+    """
 
     def __init__(self, ways: int):
         if ways < 1:
             raise ValueError(f"associativity must be positive, got {ways}")
         self.ways = ways
-
-    @abstractmethod
-    def new_set_state(self) -> object:
-        """Return fresh per-set recency state (all ways least-recent)."""
-
-    @abstractmethod
-    def touch(self, state: object, way: int) -> None:
-        """Record an access (hit or fill) to ``way``."""
-
-    @abstractmethod
-    def victim(self, state: object, candidates: Iterable[int]) -> int:
-        """Return the least-recently-used way among ``candidates``."""
-
-    @abstractmethod
-    def stack_position(self, state: object, way: int) -> int:
-        """Estimated LRU-stack position of ``way`` (0 = MRU, ways-1 = LRU)."""
-
-    def insert(self, state: object, way: int, at_mru: bool = True) -> None:
-        """Place a filled ``way`` at the MRU (default) or LRU position.
-
-        The LRU variant implements BIP-style insertion for the DIP
-        comparison scheme; policies without a meaningful LRU insertion
-        point treat it as a plain touch.
-        """
-        self.touch(state, way)
 
 
 class TrueLRU(ReplacementPolicy):
@@ -65,35 +56,48 @@ class TrueLRU(ReplacementPolicy):
     def new_set_state(self) -> List[int]:
         return list(range(self.ways))
 
-    def touch(self, state: List[int], way: int) -> None:
-        state.remove(way)
-        state.insert(0, way)
+    def operations(self):
+        ways = self.ways
 
-    def victim(self, state: List[int], candidates: Iterable[int]) -> int:
-        # `candidates` is typically a range; `in` is O(1) for ranges.
-        for way in reversed(state):
-            if way in candidates:
-                return way
-        raise ValueError("candidates contain no valid way index")
+        def hit_update(state: List[int], way: int) -> int:
+            position = state.index(way)
+            if position:
+                del state[position]
+                state.insert(0, way)
+            return position
 
-    def stack_position(self, state: List[int], way: int) -> int:
-        return state.index(way)
+        def victim(state: List[int], lo: int, hi: int) -> int:
+            if hi - lo == ways:
+                return state[-1]
+            for way in reversed(state):
+                if lo <= way < hi:
+                    return way
+            raise ValueError("candidates contain no valid way index")
 
-    def insert(self, state: List[int], way: int, at_mru: bool = True) -> None:
-        state.remove(way)
-        if at_mru:
-            state.insert(0, way)
-        else:
-            state.append(way)
+        def insert(state: List[int], way: int, at_mru: bool) -> None:
+            # Fills overwhelmingly replace the LRU way (the unpartitioned
+            # ``victim`` above returns ``state[-1]``), so test the tail first:
+            # a pop is O(1) where ``remove`` scans the whole list.
+            if state[-1] == way:
+                state.pop()
+            else:
+                state.remove(way)
+            if at_mru:
+                state.insert(0, way)
+            else:
+                state.append(way)
+
+        return hit_update, victim, insert
 
 
 class NRU(ReplacementPolicy):
     """Not-recently-used: one reference bit per way.
 
-    Victim is the first candidate whose bit is clear; if none is clear in
-    the candidate range, all candidate bits are reset first (the standard
-    NRU epoch reset, scoped to the partition so one partition's resets do
-    not disturb the other's bits).
+    An access sets the way's bit; when that leaves every bit set, the
+    others are cleared.  Victim is the first candidate whose bit is
+    clear; if none is clear in the candidate range, all candidate bits
+    are reset first (the standard NRU epoch reset, scoped to the
+    partition so one partition's resets do not disturb the other's bits).
 
     Stack positions are estimated as in Kedzierski et al.: recently-used
     lines (bit set) occupy the upper half of the recency stack and
@@ -104,85 +108,123 @@ class NRU(ReplacementPolicy):
     def new_set_state(self) -> List[bool]:
         return [False] * self.ways
 
-    def touch(self, state: List[bool], way: int) -> None:
-        state[way] = True
-        if all(state):
-            for i in range(self.ways):
-                if i != way:
-                    state[i] = False
+    def operations(self):
+        ways = self.ways
+        last = ways - 1
 
-    def victim(self, state: List[bool], candidates: Iterable[int]) -> int:
-        ordered = list(candidates)
-        if not ordered:
-            raise ValueError("victim requested from an empty partition")
-        for way in ordered:
-            if not state[way]:
-                return way
-        for way in ordered:
-            state[way] = False
-        return ordered[0]
+        def hit_update(state: List[bool], way: int) -> int:
+            referenced = sum(state)
+            if state[way]:
+                position = max(0, referenced // 2 - (1 if way == 0 else 0)) % ways
+            else:
+                position = referenced + (ways - referenced) // 2
+                if position > last:
+                    position = last
+            state[way] = True
+            if all(state):
+                for i in range(ways):
+                    if i != way:
+                        state[i] = False
+            return position
 
-    def stack_position(self, state: List[bool], way: int) -> int:
-        referenced = sum(state)
-        if state[way]:
-            return max(0, referenced // 2 - (1 if way == 0 else 0)) % self.ways
-        return min(self.ways - 1, referenced + (self.ways - referenced) // 2)
+        def victim(state: List[bool], lo: int, hi: int) -> int:
+            for way in range(lo, hi):
+                if not state[way]:
+                    return way
+            for way in range(lo, hi):
+                state[way] = False
+            return lo
+
+        def insert(state: List[bool], way: int, at_mru: bool) -> None:
+            state[way] = True
+            if all(state):
+                for i in range(ways):
+                    if i != way:
+                        state[i] = False
+
+        return hit_update, victim, insert
 
 
 class TreePLRU(ReplacementPolicy):
     """Binary-tree pseudo-LRU (associativity must be a power of two).
 
     Per-set state is the flat array of ``ways - 1`` tree bits; bit value 0
-    means "left subtree is older".  Stack positions use the identifier
-    estimate from the paper's Section 3.4: each tree level on the path to a
-    way contributes half the remaining stack range when it points *toward*
-    the way (the way looks old at that level).
+    means "left subtree is older", and an access points every bit on its
+    path away from the accessed way.  Stack positions use the identifier
+    estimate from the paper's Section 3.4: each tree level on the path to
+    a way contributes half the remaining stack range when it points
+    *toward* the way (the way looks old at that level).  The victim is
+    the oldest candidate by that estimate, the lowest way on a tie.
     """
 
     def __init__(self, ways: int):
         super().__init__(ways)
         if ways & (ways - 1):
             raise ValueError(f"tree PLRU needs power-of-two ways, got {ways}")
-        self.levels = ways.bit_length() - 1
 
     def new_set_state(self) -> List[int]:
         return [0] * (self.ways - 1)
 
-    def _path(self, way: int):
-        """Yield (node_index, went_right) pairs from root to ``way``."""
-        node = 0
-        for level in range(self.levels, 0, -1):
-            went_right = (way >> (level - 1)) & 1
-            yield node, went_right
-            node = 2 * node + 1 + went_right
+    def operations(self):
+        ways = self.ways
+        levels = ways.bit_length() - 1
+        last = ways - 1
 
-    def touch(self, state: List[int], way: int) -> None:
-        for node, went_right in self._path(way):
-            # Point the bit away from the accessed way.
-            state[node] = 0 if went_right else 1
+        def hit_update(state: List[int], way: int) -> int:
+            # Reads each path node before overwriting it, so the position
+            # is the pre-access estimate.
+            position = 0
+            span = ways
+            node = 0
+            for level in range(levels - 1, -1, -1):
+                went_right = (way >> level) & 1
+                span >>= 1
+                if state[node] == went_right:
+                    position += span
+                state[node] = 0 if went_right else 1
+                node = 2 * node + 1 + went_right
+            return position if position < last else last
 
-    def victim(self, state: List[int], candidates: Iterable[int]) -> int:
-        allowed = set(candidates)
-        if not allowed:
-            raise ValueError("victim requested from an empty partition")
-        best_way = None
-        best_age = -1
-        for way in allowed:
-            age = self.stack_position(state, way)
-            if age > best_age:
-                best_age = age
-                best_way = way
-        return best_way
+        def age_of(state: List[int], way: int) -> int:
+            position = 0
+            span = ways
+            node = 0
+            for level in range(levels - 1, -1, -1):
+                went_right = (way >> level) & 1
+                span >>= 1
+                if state[node] == went_right:
+                    position += span
+                node = 2 * node + 1 + went_right
+            return position
 
-    def stack_position(self, state: List[int], way: int) -> int:
-        position = 0
-        span = self.ways
-        for node, went_right in self._path(way):
-            span //= 2
-            if state[node] == went_right:
-                # Tree points toward this way: it is in the older half.
-                position += span
-        return min(position, self.ways - 1)
+        def victim(state: List[int], lo: int, hi: int) -> int:
+            if hi - lo == ways:
+                # Unpartitioned: the leaf every tree bit points toward is
+                # the unique way at age ways-1, the argmax of ``age_of``.
+                way = 0
+                node = 0
+                for level in range(levels - 1, -1, -1):
+                    went_right = state[node]
+                    way |= went_right << level
+                    node = 2 * node + 1 + went_right
+                return way
+            best_way = lo
+            best_age = -1
+            for way in range(lo, hi):
+                age = age_of(state, way)
+                if age > best_age:
+                    best_age = age
+                    best_way = way
+            return best_way
+
+        def insert(state: List[int], way: int, at_mru: bool) -> None:
+            node = 0
+            for level in range(levels - 1, -1, -1):
+                went_right = (way >> level) & 1
+                state[node] = 0 if went_right else 1
+                node = 2 * node + 1 + went_right
+
+        return hit_update, victim, insert
 
 
 class Rrip(ReplacementPolicy):
@@ -203,241 +245,48 @@ class Rrip(ReplacementPolicy):
     def new_set_state(self) -> List[int]:
         return [self.MAX_RRPV] * self.ways
 
-    def touch(self, state: List[int], way: int) -> None:
-        state[way] = 0
+    def operations(self):
+        last = self.ways - 1
+        max_rrpv = self.MAX_RRPV
+        insert_rrpv = self.INSERT_RRPV
 
-    def victim(self, state: List[int], candidates: Iterable[int]) -> int:
-        ordered = list(candidates)
-        if not ordered:
-            raise ValueError("victim requested from an empty partition")
-        while True:
-            for way in ordered:
-                if state[way] >= self.MAX_RRPV:
-                    return way
-            for way in ordered:
-                state[way] += 1
+        def hit_update(state: List[int], way: int) -> int:
+            rrpv = state[way]
+            younger = 0
+            peers = -1
+            for value in state:
+                if value < rrpv:
+                    younger += 1
+                elif value == rrpv:
+                    peers += 1
+            position = younger + peers // 2
+            state[way] = 0
+            return position if position < last else last
 
-    def stack_position(self, state: List[int], way: int) -> int:
-        rrpv = state[way]
-        younger = sum(1 for value in state if value < rrpv)
-        peers = sum(1 for value in state if value == rrpv) - 1
-        return min(self.ways - 1, younger + peers // 2)
+        def victim(state: List[int], lo: int, hi: int) -> int:
+            while True:
+                for way in range(lo, hi):
+                    if state[way] >= max_rrpv:
+                        return way
+                for way in range(lo, hi):
+                    state[way] += 1
 
-    def insert(self, state: List[int], way: int, at_mru: bool = True) -> None:
-        state[way] = self.INSERT_RRPV if at_mru else self.MAX_RRPV
+        def insert(state: List[int], way: int, at_mru: bool) -> None:
+            state[way] = insert_rrpv if at_mru else max_rrpv
 
-
-# ----------------------------------------------------------------------
-# Monomorphic fast paths
-# ----------------------------------------------------------------------
-#
-# The abstract-method dispatch above is the *reference* implementation;
-# the cache datapath calls these specialized closures instead (bound once
-# at cache construction).  Each factory returns ``(hit_update, victim,
-# insert)`` where
-#
-# * ``hit_update(state, way) -> position`` fuses ``stack_position`` (on
-#   the pre-touch state, exactly as ``Cache.lookup`` orders the two
-#   calls) with ``touch``;
-# * ``victim(state, lo, hi)`` equals ``victim(state, range(lo, hi))``;
-# * ``insert(state, way, at_mru)`` equals the policy's ``insert``.
-#
-# Bit-identity with the generic path is load-bearing: the golden
-# equivalence suite (tests/test_golden_equivalence.py) diffs full
-# simulation results between the two, so any behavioral drift here is a
-# bug even when it looks like an optimization.
+        return hit_update, victim, insert
 
 
-def _lru_fast_paths(ways: int):
-    def hit_update(state: List[int], way: int) -> int:
-        position = state.index(way)
-        if position:
-            del state[position]
-            state.insert(0, way)
-        return position
-
-    def victim(state: List[int], lo: int, hi: int) -> int:
-        if hi - lo == ways:
-            return state[-1]
-        for way in reversed(state):
-            if lo <= way < hi:
-                return way
-        raise ValueError("candidates contain no valid way index")
-
-    def insert(state: List[int], way: int, at_mru: bool) -> None:
-        # Fills overwhelmingly replace the LRU way (the unpartitioned
-        # ``victim`` above returns ``state[-1]``), so test the tail first:
-        # a pop is O(1) where ``remove`` scans the whole list.
-        if state[-1] == way:
-            state.pop()
-        else:
-            state.remove(way)
-        if at_mru:
-            state.insert(0, way)
-        else:
-            state.append(way)
-
-    return hit_update, victim, insert
-
-
-def _nru_fast_paths(ways: int):
-    last = ways - 1
-
-    def hit_update(state: List[bool], way: int) -> int:
-        referenced = sum(state)
-        if state[way]:
-            position = max(0, referenced // 2 - (1 if way == 0 else 0)) % ways
-        else:
-            position = referenced + (ways - referenced) // 2
-            if position > last:
-                position = last
-        state[way] = True
-        if all(state):
-            for i in range(ways):
-                if i != way:
-                    state[i] = False
-        return position
-
-    def victim(state: List[bool], lo: int, hi: int) -> int:
-        for way in range(lo, hi):
-            if not state[way]:
-                return way
-        for way in range(lo, hi):
-            state[way] = False
-        return lo
-
-    def insert(state: List[bool], way: int, at_mru: bool) -> None:
-        state[way] = True
-        if all(state):
-            for i in range(ways):
-                if i != way:
-                    state[i] = False
-
-    return hit_update, victim, insert
-
-
-def _plru_fast_paths(ways: int):
-    levels = ways.bit_length() - 1
-    last = ways - 1
-
-    def hit_update(state: List[int], way: int) -> int:
-        # Reads each path node before overwriting it, so the position
-        # matches stack_position-then-touch on the same pre-touch state.
-        position = 0
-        span = ways
-        node = 0
-        for level in range(levels - 1, -1, -1):
-            went_right = (way >> level) & 1
-            span >>= 1
-            if state[node] == went_right:
-                position += span
-            state[node] = 0 if went_right else 1
-            node = 2 * node + 1 + went_right
-        return position if position < last else last
-
-    def age_of(state: List[int], way: int) -> int:
-        position = 0
-        span = ways
-        node = 0
-        for level in range(levels - 1, -1, -1):
-            went_right = (way >> level) & 1
-            span >>= 1
-            if state[node] == went_right:
-                position += span
-            node = 2 * node + 1 + went_right
-        return position
-
-    def victim(state: List[int], lo: int, hi: int) -> int:
-        if hi - lo == ways:
-            # Unpartitioned: the leaf every tree bit points toward is the
-            # unique way at age ways-1, i.e. the argmax the generic path
-            # computes.
-            way = 0
-            node = 0
-            for level in range(levels - 1, -1, -1):
-                went_right = state[node]
-                way |= went_right << level
-                node = 2 * node + 1 + went_right
-            return way
-        best_way = lo
-        best_age = -1
-        for way in range(lo, hi):
-            age = age_of(state, way)
-            if age > best_age:
-                best_age = age
-                best_way = way
-        return best_way
-
-    def insert(state: List[int], way: int, at_mru: bool) -> None:
-        node = 0
-        for level in range(levels - 1, -1, -1):
-            went_right = (way >> level) & 1
-            state[node] = 0 if went_right else 1
-            node = 2 * node + 1 + went_right
-
-    return hit_update, victim, insert
-
-
-def _rrip_fast_paths(ways: int):
-    last = ways - 1
-    max_rrpv = Rrip.MAX_RRPV
-    insert_rrpv = Rrip.INSERT_RRPV
-
-    def hit_update(state: List[int], way: int) -> int:
-        rrpv = state[way]
-        younger = 0
-        peers = -1
-        for value in state:
-            if value < rrpv:
-                younger += 1
-            elif value == rrpv:
-                peers += 1
-        position = younger + peers // 2
-        state[way] = 0
-        return position if position < last else last
-
-    def victim(state: List[int], lo: int, hi: int) -> int:
-        while True:
-            for way in range(lo, hi):
-                if state[way] >= max_rrpv:
-                    return way
-            for way in range(lo, hi):
-                state[way] += 1
-
-    def insert(state: List[int], way: int, at_mru: bool) -> None:
-        state[way] = insert_rrpv if at_mru else max_rrpv
-
-    return hit_update, victim, insert
-
-
-_FAST_PATH_FACTORIES = {
-    TrueLRU: _lru_fast_paths,
-    NRU: _nru_fast_paths,
-    TreePLRU: _plru_fast_paths,
-    Rrip: _rrip_fast_paths,
-}
-
-
-def fast_paths(policy: ReplacementPolicy):
-    """``(hit_update, victim, insert)`` specialized for ``policy``, or None.
-
-    Keyed on the policy's *exact* type: subclasses (and third-party
-    policies) fall back to the generic reference path, which keeps the
-    reference oracle authoritative for anything not covered by the
-    equivalence suite.
-    """
-    factory = _FAST_PATH_FACTORIES.get(type(policy))
-    if factory is None:
-        return None
-    return factory(policy.ways)
+#: Every policy by the name configs and the CLI use for it.
+POLICY_BY_NAME = {"lru": TrueLRU, "nru": NRU, "plru": TreePLRU, "rrip": Rrip}
 
 
 def make_policy(name: str, ways: int) -> ReplacementPolicy:
     """Build a policy by name: ``lru``, ``nru``, ``plru`` or ``rrip``."""
-    table = {"lru": TrueLRU, "nru": NRU, "plru": TreePLRU, "rrip": Rrip}
     try:
-        return table[name.lower()](ways)
+        return POLICY_BY_NAME[name.lower()](ways)
     except KeyError:
         raise ValueError(
-            f"unknown replacement policy {name!r}; expected one of {sorted(table)}"
+            f"unknown replacement policy {name!r}; expected one of "
+            f"{sorted(POLICY_BY_NAME)}"
         ) from None

@@ -15,6 +15,7 @@ from typing import Optional
 from repro.core.partitioning import DEFAULT_EPOCH_ACCESSES, N_MIN
 from repro.errors import ConfigError
 from repro.core.schemes import PartitionMode, Scheme
+from repro.mem.replacement import POLICY_BY_NAME
 from repro.vm.mmu_cache import PscConfig
 
 #: Paper platform frequency: cycles per (unscaled) millisecond.
@@ -65,7 +66,7 @@ class SystemConfig:
     #: only effective with a POM-TLB substrate to prefetch from).
     tlb_prefetch: bool = False
 
-    #: Cache replacement: "lru", "nru" or "plru".
+    #: Cache replacement: a name in ``repro.mem.replacement.POLICY_BY_NAME``.
     replacement: str = "lru"
     #: Partition profilers: shadow tags (False) or Section 3.4 estimates.
     estimate_positions: bool = False
@@ -141,7 +142,13 @@ class SystemConfig:
                 f"check_invariants: interval must be positive, got "
                 f"{self.check_invariants}"
             )
-        if self.replacement == "plru":
+        replacement = self.replacement.lower()
+        if replacement not in POLICY_BY_NAME:
+            raise ConfigError(
+                f"replacement: unknown policy {self.replacement!r}; expected "
+                f"one of {sorted(POLICY_BY_NAME)}"
+            )
+        if replacement == "plru":
             for field_name, cache in (("l2", self.l2), ("l3", self.l3)):
                 if cache.ways & (cache.ways - 1):
                     raise ConfigError(

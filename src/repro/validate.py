@@ -8,12 +8,12 @@ Algorithms 1-3 rely on into mechanical checks:
 
 * **replacement-stack integrity** — True-LRU per-set state is a
   permutation of the ways; NRU reference bits can never be all-set
-  (``touch`` clears the others); tree-PLRU has exactly ``ways - 1``
+  (an access that sets the last clears the others); tree-PLRU has exactly ``ways - 1``
   binary bits; RRIP values stay within ``[0, MAX_RRPV]``;
 * **partition conservation** (Algorithm 1) — the installed split obeys
-  ``N_MIN <= N <= K - N_MIN``, the data and TLB way ranges tile all K
-  ways, and the controller's last recorded decision matches the split
-  the cache actually has installed;
+  ``N_MIN <= N <= K - N_MIN``, the victim bounds ``Cache.fill`` reads
+  are exactly that split, and the controller's last recorded decision
+  matches the split the cache actually has installed;
 * **MSA profiler sanity** (Eq. 1/2 inputs) — K+1 non-negative counters,
   shadow stacks of at most K distinct tags;
 * **tag-store consistency** — the ``{tag: way}`` index and the per-way
@@ -155,7 +155,7 @@ def _check_recency(
                 set_index=set_index,
             )
         elif ways > 1 and all(state):
-            # touch() clears the other bits when the last one saturates,
+            # An access clears the other bits when the last one saturates,
             # so an all-set vector is unreachable in a consistent cache.
             yield InvariantViolation(
                 name, "nru-saturated",
@@ -184,35 +184,23 @@ def _check_recency(
 
 def _check_partition(name: str, cache: Cache) -> Iterator[InvariantViolation]:
     data_ways = cache._data_ways
-    data_range, tlb_range = cache._partition_ranges
+    ways = cache.ways
     if data_ways is None:
-        if list(data_range) != list(range(cache.ways)) or list(
-            tlb_range
-        ) != list(range(cache.ways)):
+        expected = ((0, ways), (0, ways))
+    else:
+        if not N_MIN <= data_ways <= ways - N_MIN:
             yield InvariantViolation(
-                name, "partition-ranges",
-                "unpartitioned cache must expose all ways to both kinds",
+                name, "partition-minimum",
+                f"data_ways {data_ways} violates N_MIN={N_MIN} bounds for a "
+                f"{ways}-way cache",
+                data_ways=data_ways,
             )
-        return
-    if not N_MIN <= data_ways <= cache.ways - N_MIN:
+        expected = ((0, data_ways), (data_ways, ways))
+    if cache._partition_bounds != expected:
         yield InvariantViolation(
-            name, "partition-minimum",
-            f"data_ways {data_ways} violates N_MIN={N_MIN} bounds for a "
-            f"{cache.ways}-way cache",
-            data_ways=data_ways,
-        )
-    if len(data_range) + len(tlb_range) != cache.ways:
-        yield InvariantViolation(
-            name, "partition-sum",
-            f"partition ranges hold {len(data_range)} + {len(tlb_range)} "
-            f"ways, associativity is {cache.ways}",
-            data_ways=data_ways,
-        )
-    elif sorted(list(data_range) + list(tlb_range)) != list(range(cache.ways)):
-        yield InvariantViolation(
-            name, "partition-tiling",
-            f"partition ranges {data_range} and {tlb_range} do not tile "
-            f"0..{cache.ways - 1}",
+            name, "partition-bounds",
+            f"fill victim bounds (data, tlb) are {cache._partition_bounds}, "
+            f"data_ways {data_ways} implies {expected}",
             data_ways=data_ways,
         )
 

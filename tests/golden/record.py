@@ -2,7 +2,7 @@
 
 Each fixture is the host-independent ``SimulationResult.to_dict()`` of one
 (mix, scheme, replacement policy, accesses) point, run with
-``small_config``, workload scale 0.25 and seed 3.  There are two sets:
+``small_config``, workload scale 0.25 and seed 3.  There are three sets:
 
 * ``MATRIX``: every scheme x policy on the ``can_ccomp`` mix at 4,000
   accesses.  These runs never switch context.
@@ -10,6 +10,11 @@ Each fixture is the host-independent ``SimulationResult.to_dict()`` of one
   LRU at 24,000 accesses.  Each run switches context 10-11 times and
   makes over a thousand page walks, and CSALT-CD repartitions the L2 and
   L3, so the scheduler, walker and partition paths are pinned too.
+* ``ESTIMATE``: ``ccomp`` under CSALT-CD with NRU, tree-PLRU and RRIP at
+  24,000 accesses, with the partition profilers fed the replacement
+  policy's estimated stack positions instead of shadow tags (paper
+  Section 3.4).  Each run repartitions the L2 twice and the L3 eight
+  times, so the estimate each policy reports on a hit is pinned.
 
 Both mixes draw their Zipf tables only with alpha 1.0 and 0.0, so the
 fixtures do not depend on the platform's ``pow``.
@@ -45,6 +50,7 @@ class Point(NamedTuple):
     scheme: str
     policy: str
     accesses: int
+    estimate: bool = False
 
 
 #: Every (scheme, replacement policy) on ``can_ccomp``, in recording order.
@@ -59,19 +65,31 @@ SWITCHING: List[Point] = [
     for scheme in ("conventional", "pom-tlb", "csalt-cd")
 ]
 
-POINTS: List[Point] = MATRIX + SWITCHING
+#: CSALT-CD with Section 3.4 position estimates on every policy that
+#: estimates rather than knows its LRU stack.
+ESTIMATE: List[Point] = [
+    Point("ccomp", "csalt-cd", policy, 24_000, estimate=True)
+    for policy in ("nru", "plru", "rrip")
+]
+
+POINTS: List[Point] = MATRIX + SWITCHING + ESTIMATE
 
 FIXTURE_DIR = Path(__file__).resolve().parent
 
 
 def fixture_path(point: Point) -> Path:
-    return FIXTURE_DIR / f"{point.mix}-{point.scheme}-{point.policy}.json"
+    suffix = "-estimate" if point.estimate else ""
+    return FIXTURE_DIR / f"{point.mix}-{point.scheme}-{point.policy}{suffix}.json"
 
 
 def simulate(point: Point) -> Dict[str, object]:
     """One point's result, as plain JSON data."""
     result = run_simulation(
-        small_config(scheme=Scheme(point.scheme), replacement=point.policy),
+        small_config(
+            scheme=Scheme(point.scheme),
+            replacement=point.policy,
+            estimate_positions=point.estimate,
+        ),
         make_mix(point.mix, scale=SCALE),
         total_accesses=point.accesses,
         seed=SEED,

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.schemes import Scheme
+from repro.errors import ConfigError, exit_code_for
+from repro.mem.replacement import POLICY_BY_NAME
 from repro.sim.config import (
     CYCLES_PER_MS,
     CacheConfig,
@@ -109,6 +111,15 @@ class TestRobustnessValidation:
     def test_check_invariants_must_be_positive(self):
         with pytest.raises(ValueError, match="check_invariants"):
             SystemConfig(check_invariants=-5)
+
+    def test_unknown_replacement_is_a_config_error(self):
+        # Rejected when the config is built (exit 2), not later when the
+        # System builds its caches.
+        with pytest.raises(ConfigError, match="replacement") as info:
+            SystemConfig(replacement="belady")
+        assert exit_code_for(info.value) == 2
+        for name in POLICY_BY_NAME:
+            assert SystemConfig(replacement=name).replacement == name
 
     def test_plru_requires_power_of_two_ways(self):
         with pytest.raises(ValueError, match="l3.ways"):

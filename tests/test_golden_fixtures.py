@@ -1,11 +1,14 @@
 """Recorded results pin the simulator's output across commits.
 
 ``tests/golden/`` holds one ``SimulationResult.to_dict()`` per recorded
-point: the scheme x replacement-policy matrix on ``can_ccomp`` and three
-switching, walk-heavy ``ccomp`` runs (see ``tests/golden/record.py`` for
-the points and how to regenerate them).  Each test re-simulates its
-point and requires the same parsed JSON, naming the first field that
-differs.
+point: the scheme x replacement-policy matrix on ``can_ccomp``, three
+switching, walk-heavy ``ccomp`` runs, and three CSALT-CD runs whose
+partition profilers read the replacement policy's estimated stack
+positions (see ``tests/golden/record.py`` for the points and how to
+regenerate them).  Each test re-simulates its point and requires the
+same parsed JSON, naming the first field that differs.  The fixtures
+are the oracle for every replacement policy, which has no second
+implementation to compare against.
 """
 
 from __future__ import annotations
@@ -15,7 +18,13 @@ from typing import Optional
 
 import pytest
 
-from tests.golden.record import MATRIX, SWITCHING, fixture_path, simulate
+from tests.golden.record import (
+    ESTIMATE,
+    MATRIX,
+    SWITCHING,
+    fixture_path,
+    simulate,
+)
 
 
 def first_difference(expected, actual, path: str = "result") -> Optional[str]:
@@ -64,6 +73,11 @@ def test_result_matches_fixture(point):
     "point", SWITCHING, ids=lambda point: f"{point.mix}-{point.scheme}"
 )
 def test_switching_run_matches_fixture(point):
+    check_fixture(point)
+
+
+@pytest.mark.parametrize("point", ESTIMATE, ids=lambda point: point.policy)
+def test_estimated_positions_match_fixture(point):
     check_fixture(point)
 
 

@@ -85,6 +85,16 @@ class TestInjectedCorruption:
         found = list(check_cache(system.l3))
         assert any(v.invariant.startswith("partition") for v in found)
 
+    def test_partition_bounds_tamper_caught(self):
+        _, system, _ = exercised("lru")
+        cache = system.l3
+        assert cache.data_ways is not None
+        # Let TLB fills take every way while the recorded split stays
+        # put: ``fill`` reads these bounds, so the audit must read them.
+        cache._partition_bounds = ((0, cache.data_ways), (0, cache.ways))
+        found = list(check_cache(cache))
+        assert [v.invariant for v in found] == ["partition-bounds"]
+
     def test_tag_index_mismatch_caught(self):
         _, system, _ = exercised("lru")
         cache = system.l3
