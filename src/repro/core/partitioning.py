@@ -198,8 +198,15 @@ class PartitionController:
         #: Inline shadow-mode sampling test for :meth:`observe` (matches
         #: ``StackDistanceProfiler.is_sampled`` on both profilers).
         self._sample_mask = (1 << sample_shift) - 1
-        self._accesses_in_epoch = 0
+        #: A set index with any of these bits set is one :meth:`observe`
+        #: would only count: the caller may skip the call and advance
+        #: the epoch itself (``total_accesses += 1``, then
+        #: :meth:`repartition` once it reaches ``epoch_end``).  Zero in
+        #: estimate mode, where every access feeds a profiler.
+        self.skip_mask = 0 if estimate_positions else self._sample_mask
         self.total_accesses = 0
+        #: The ``total_accesses`` count at which the current epoch ends.
+        self.epoch_end = epoch_accesses
         self.timeline: List[PartitionDecision] = []
         #: Telemetry sink plus a simulated-cycle clock for event stamps
         #: (falls back to the access count when no clock is wired).
@@ -239,9 +246,8 @@ class PartitionController:
             profiler.record_position(position)
         elif set_index & self._sample_mask == 0:
             profiler.record_sampled(set_index, tag)
-        self._accesses_in_epoch += 1
         self.total_accesses += 1
-        if self._accesses_in_epoch >= self.epoch_accesses:
+        if self.total_accesses >= self.epoch_end:
             self.repartition()
 
     def repartition(self) -> int:
@@ -257,7 +263,7 @@ class PartitionController:
         self.cache.set_partition(data_ways)
         self._record_decision(data_ways, weight_data, weight_tlb)
         self.profilers.decay()
-        self._accesses_in_epoch = 0
+        self.epoch_end = self.total_accesses + self.epoch_accesses
         return data_ways
 
     def _record_decision(
@@ -292,6 +298,11 @@ class PartitionController:
                 self._decision_counter.inc()
 
     @property
+    def accesses_in_epoch(self) -> int:
+        """Accesses observed since the last epoch boundary."""
+        return self.total_accesses - (self.epoch_end - self.epoch_accesses)
+
+    @property
     def current_data_ways(self) -> int:
         return self.timeline[-1].data_ways
 
@@ -308,13 +319,16 @@ class PartitionController:
         position, and decision timeline."""
         return {
             "profilers": self.profilers.state_dict(),
-            "accesses_in_epoch": self._accesses_in_epoch,
+            "accesses_in_epoch": self.accesses_in_epoch,
             "total_accesses": self.total_accesses,
             "timeline": [replace(decision) for decision in self.timeline],
         }
 
     def load_state(self, state: dict) -> None:
         self.profilers.load_state(state["profilers"])
-        self._accesses_in_epoch = state["accesses_in_epoch"]
         self.total_accesses = state["total_accesses"]
+        self.epoch_end = (
+            self.total_accesses - state["accesses_in_epoch"]
+            + self.epoch_accesses
+        )
         self.timeline = [replace(decision) for decision in state["timeline"]]

@@ -3,9 +3,10 @@
 The repo's pytest "benchmarks" validate paper *numbers*; ``repro bench``
 times the simulator's hot-path primitives in isolation — a cache hit
 probe, a cache miss-fill (victim selection included) with clean and with
-dirty victims, an L1 TLB hit probe, native / virtualized page walks, a
-DRAM access and an MSHR observation — so a change that slows one layer
-shows up as one moved number.  Each point is named
+dirty victims, L1 and unified L2 TLB probes, a POM-TLB probe, a
+partition-controller observation, a first-touch page mapping, native /
+virtualized page walks, a DRAM access and an MSHR observation — so a
+change that slows one layer shows up as one moved number.  Each point is named
 ``<layer>.<operation>`` after the layer ``perf/trace.py`` books that
 primitive's time to.  Inputs are fully deterministic (fixed address
 strides, no RNG), so run-to-run variance is host jitter only.  The
@@ -100,6 +101,117 @@ def _micro_tlb_lookup(operations: int) -> Callable[[], float]:
         start = time.perf_counter()
         for address in addresses:
             lookup(asid, address)
+        return time.perf_counter() - start
+
+    return timed
+
+
+def _micro_l2_tlb_lookup(operations: int) -> Callable[[], float]:
+    """Probes of a warm unified 1536-entry / 12-way L2 TLB, alternating
+    a 4 KB hit and a 2 MB hit (which first misses the 4 KB set).  512
+    pages of each size fill 8 of the 12 ways of every set."""
+    from repro.mem.address import Asid, PAGE_2M_BITS, PAGE_4K_BITS
+    from repro.tlb.tlb import Tlb, TlbEntry
+
+    tlb = Tlb(
+        "micro-l2tlb", entries=1536, ways=12, latency=17,
+        page_bits_supported=(PAGE_4K_BITS, PAGE_2M_BITS),
+    )
+    asid = Asid(vm_id=0, process_id=0)
+    # 4 KB pages in the first 2 MB region, 2 MB pages above it.
+    small = [vpn << PAGE_4K_BITS for vpn in range(512)]
+    huge = [(region + 1) << PAGE_2M_BITS for region in range(512)]
+    for virtual_address in small:
+        tlb.insert(asid, virtual_address, TlbEntry(1, PAGE_4K_BITS))
+    for virtual_address in huge:
+        tlb.insert(asid, virtual_address, TlbEntry(512, PAGE_2M_BITS))
+    addresses = [
+        (small if i % 2 == 0 else huge)[(i * 7) % 512]
+        for i in range(operations)
+    ]
+    lookup = tlb.lookup
+
+    def timed() -> float:
+        start = time.perf_counter()
+        for address in addresses:
+            lookup(asid, address)
+        return time.perf_counter() - start
+
+    return timed
+
+
+def _micro_pom_probe(operations: int) -> Callable[[], float]:
+    """``PomTlb.probe_with_address`` on a 4 MB POM-TLB holding 4,096
+    4 KB translations: three probes in four hit, the fourth asks for a
+    page never inserted."""
+    from repro.mem.address import Asid, PAGE_4K_BITS
+    from repro.tlb.pom_tlb import PomTlb
+    from repro.tlb.tlb import TlbEntry
+
+    pom = PomTlb(size_bytes=4 * 1024 * 1024)
+    asid = Asid(vm_id=0, process_id=0)
+    pages = [vpn << PAGE_4K_BITS for vpn in range(4096)]
+    for virtual_address in pages:
+        pom.insert(asid, virtual_address, TlbEntry(1, PAGE_4K_BITS))
+    absent = 1 << 32
+    addresses = [
+        pages[(i * 7) % 4096] + (absent if i % 4 == 3 else 0)
+        for i in range(operations)
+    ]
+    probe = pom.probe_with_address
+
+    def timed() -> float:
+        start = time.perf_counter()
+        for address in addresses:
+            probe(asid, address, PAGE_4K_BITS)
+        return time.perf_counter() - start
+
+    return timed
+
+
+def _micro_partition_observe(operations: int) -> Callable[[], float]:
+    """Shadow-mode ``PartitionController.observe`` calls on sampled sets
+    of a 64 KB / 4-way cache (every fourth set, ``sample_shift=2``),
+    alternating data and TLB kinds over 12 tags per set, so the shadow
+    stacks see hits at every depth and misses beyond it."""
+    from repro.core.partitioning import PartitionController
+    from repro.mem.cache import Cache
+
+    cache = Cache("micro-l2", 1 << 16, ways=4, latency=12, policy="lru")
+    controller = PartitionController(cache, sample_shift=2)
+    sampled = list(range(0, cache.num_sets, 4))
+    stream = [
+        (i % 2, sampled[(i * 7) % len(sampled)], (i * 5) % 12)
+        for i in range(operations)
+    ]
+    observe = controller.observe
+
+    def timed() -> float:
+        start = time.perf_counter()
+        for kind, set_index, tag in stream:
+            observe(kind, set_index, tag, False)
+        return time.perf_counter() - start
+
+    return timed
+
+
+def _micro_first_touch(operations: int) -> Callable[[], float]:
+    """``VirtualMachine.ensure_mapped`` of fresh 4 KB pages on a
+    virtualized VM (guest and host tables both grow), 17 pages apart so
+    a new leaf node is built about every 30 touches."""
+    from repro.mem.address import PAGE_4K_BITS
+    from repro.vm.physical_memory import HostPhysicalMemory
+    from repro.vm.walker import VirtualMachine
+
+    vm = VirtualMachine(0, HostPhysicalMemory(num_vms=1))
+    vm.guest_table(0)
+    addresses = [(i * 17) << PAGE_4K_BITS for i in range(operations)]
+    ensure_mapped = vm.ensure_mapped
+
+    def timed() -> float:
+        start = time.perf_counter()
+        for address in addresses:
+            ensure_mapped(0, address)
         return time.perf_counter() - start
 
     return timed
@@ -207,6 +319,10 @@ MICRO_COMPONENTS: List[tuple] = [
     ("cache.l2.fill_dirty",
      lambda operations: _micro_cache_fill(operations, True)),
     ("tlb.l1.lookup", _micro_tlb_lookup),
+    ("tlb.l2.lookup", _micro_l2_tlb_lookup),
+    ("pom.probe", _micro_pom_probe),
+    ("partition.observe", _micro_partition_observe),
+    ("vm.map.first_touch", _micro_first_touch),
     ("walker.native",
      lambda operations: _micro_walk(operations, native=True)),
     ("walker.virtualized",

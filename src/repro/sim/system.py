@@ -70,6 +70,10 @@ _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 #: The demand-data charging context (``data.l2``/``data.l3``/``data.dram``).
 _DATA_NAMES = context_names("data", split=True)
 
+#: The POM-TLB probe-and-fill charging context (``pom.l2``/``pom.l3``/
+#: ``pom.dram``).
+_POM_NAMES = context_names("pom", split=True)
+
 
 @dataclass
 class CoreState:
@@ -139,6 +143,9 @@ class System:
                 base_address=self.host_memory.pom_tlb_base,
                 size_bytes=config.pom_tlb_bytes,
             )
+        #: Which structure backs the L2 TLB, resolved once: the POM-TLB
+        #: (``self.pom``), the TSBs, or neither (walk on every miss).
+        self._uses_tsb = self.scheme.uses_tsb
         self._prefetch_enabled = config.tlb_prefetch and self.pom is not None
         self._prefetched = set()
         self._tsb_predictor = PageSizePredictor()
@@ -389,9 +396,17 @@ class System:
         controller = core.l2_controller
         if controller is not None:
             line_no = line >> l2._line_shift
-            controller.observe(
-                kind, line_no & l2._set_mask, line_no >> l2._set_bits, hit
-            )
+            set_index = line_no & l2._set_mask
+            if set_index & controller.skip_mask:
+                # An unsampled set only advances the epoch (``observe``'s
+                # tail, inlined: most references take this branch).
+                controller.total_accesses += 1
+                if controller.total_accesses >= controller.epoch_end:
+                    controller.repartition()
+            else:
+                controller.observe(
+                    kind, set_index, line_no >> l2._set_bits, hit
+                )
         if hit:
             if kind:
                 self.tlb_ref_levels["l2"] += 1
@@ -410,9 +425,15 @@ class System:
         controller = self.l3_controller
         if controller is not None:
             line_no = line >> l3._line_shift
-            controller.observe(
-                kind, line_no & l3._set_mask, line_no >> l3._set_bits, l3_hit
-            )
+            set_index = line_no & l3._set_mask
+            if set_index & controller.skip_mask:
+                controller.total_accesses += 1
+                if controller.total_accesses >= controller.epoch_end:
+                    controller.repartition()
+            else:
+                controller.observe(
+                    kind, set_index, line_no >> l3._set_bits, l3_hit
+                )
         if kind:
             self.tlb_ref_levels["l3" if l3_hit else "dram"] += 1
         if not l3_hit:
@@ -462,7 +483,12 @@ class System:
         # ``context(None)``/``restore``).
         saved = acct._names
         acct._names = None
-        result = self._do_walk(core, vm, asid, virtual_address)
+        if vm.native:
+            result = core.walker.walk_native(
+                asid, vm.guest_table(asid.process_id), virtual_address
+            )
+        else:
+            result = core.walker.walk_virtualized(asid, vm, virtual_address)
         acct._names = saved
         tel = self.telemetry
         if tel is not None:
@@ -478,19 +504,7 @@ class System:
             if self._walk_hist is not None:
                 self._walk_hist.record(result.latency)
         self._last_walk_latency = result.latency
-        return TlbEntry(
-            frame_base=result.translation.frame_base,
-            page_bits=result.translation.page_bits,
-        )
-
-    def _do_walk(
-        self, core: CoreState, vm: VirtualMachine, asid: Asid, virtual_address: int
-    ):
-        if vm.native:
-            return core.walker.walk_native(
-                asid, vm.guest_table(asid.process_id), virtual_address
-            )
-        return core.walker.walk_virtualized(asid, vm, virtual_address)
+        return result.translation
 
     def _translate_via_pom(
         self, core: CoreState, asid: Asid, virtual_address: int
@@ -498,7 +512,9 @@ class System:
         """POM-TLB path: probe (through the caches), walk on miss."""
         pom = self.pom
         acct = self.accounting
-        saved = acct.context("pom", split=True)
+        # ``context``/``restore`` inlined, as around the data reference.
+        saved = acct._names
+        acct._names = _POM_NAMES
         latency = 0
         probes = 0
         entry = None
@@ -532,17 +548,16 @@ class System:
             if hit and self._pom_hit_hist is not None:
                 self._pom_hit_hist.record(latency)
         if entry is not None:
-            acct.restore(saved)
+            acct._names = saved
             if core.prefetcher is not None:
                 self._maybe_prefetch(core, asid, virtual_address, entry.page_bits)
             return latency, entry
         entry = self._walk(core, asid, virtual_address)
         latency += self._last_walk_latency
-        pom.insert(asid, virtual_address, entry)
         # The fill dirties the set line in the cache hierarchy.
-        fill_addr = pom.set_address(asid, virtual_address, entry.page_bits)
+        fill_addr = pom.insert(asid, virtual_address, entry)
         latency += self._mem_from_l2(core, fill_addr, LineKind.TLB, True)
-        acct.restore(saved)
+        acct._names = saved
         if core.prefetcher is not None:
             self._maybe_prefetch(core, asid, virtual_address, entry.page_bits)
         return latency, entry
@@ -719,7 +734,6 @@ class System:
             current["tlb.l2tlb"] = latency
         acct.charged += latency
         entry = l2_tlb.lookup(asid, virtual_address)
-        l1_pair = core.l1_tlb
         if entry is not None:
             if core.prefetcher is not None:
                 key = (
@@ -729,34 +743,29 @@ class System:
                 if key in self._prefetched:
                     self._prefetched.discard(key)
                     core.prefetcher.credit_hit()
-            # L1 pair insert dispatched inline (one call frame saved on
-            # every L1 TLB miss).
-            (
-                l1_pair.tlb_4k if entry.page_bits == PAGE_4K_BITS
-                else l1_pair.tlb_2m
-            ).insert(asid, virtual_address, entry)
-            return latency, entry
-        core.stats.l2_tlb_misses += 1
-        tel = self.telemetry
-        # ``emit`` is a no-op without a tracer; skip the call (and its
-        # kwargs build) on every L2 TLB miss of untraced runs.
-        if tel is not None and tel.tracer is not None:
-            tel.emit(
-                EVENT_TLB_MISS, core.stats.cycles, core.core_id, level="l2"
-            )
-        if self.scheme.uses_pom_tlb:
-            extra, entry = self._translate_via_pom(core, asid, virtual_address)
-        elif self.scheme.uses_tsb:
-            extra, entry = self._translate_via_tsb(core, asid, virtual_address)
         else:
-            entry = self._walk(core, asid, virtual_address)
-            extra = self._last_walk_latency
-        latency += extra
-        l2_tlb.insert(asid, virtual_address, entry)
-        (
-            l1_pair.tlb_4k if entry.page_bits == PAGE_4K_BITS
-            else l1_pair.tlb_2m
-        ).insert(asid, virtual_address, entry)
+            core.stats.l2_tlb_misses += 1
+            tel = self.telemetry
+            # ``emit`` is a no-op without a tracer; skip the call (and its
+            # kwargs build) on every L2 TLB miss of untraced runs.
+            if tel is not None and tel.tracer is not None:
+                tel.emit(
+                    EVENT_TLB_MISS, core.stats.cycles, core.core_id, level="l2"
+                )
+            if self.pom is not None:
+                extra, entry = self._translate_via_pom(
+                    core, asid, virtual_address
+                )
+            elif self._uses_tsb:
+                extra, entry = self._translate_via_tsb(
+                    core, asid, virtual_address
+                )
+            else:
+                entry = self._walk(core, asid, virtual_address)
+                extra = self._last_walk_latency
+            latency += extra
+            l2_tlb.insert(asid, virtual_address, entry)
+        core.l1_tlb.insert(asid, virtual_address, entry)
         return latency, entry
 
     # ------------------------------------------------------------------
@@ -833,9 +842,10 @@ class System:
     def shootdown_page(self, asid: Asid, virtual_address: int) -> int:
         """Invalidate one page's translation everywhere (inter-core IPI).
 
-        Drops matching entries from every core's L1/L2 TLBs and from the
-        POM-TLB, and charges each core the IPI handling cost.  Returns the
-        total number of TLB entries dropped.
+        Drops matching entries from every core's L1/L2 TLBs, from the
+        POM-TLB and from the virtual-address-keyed TSB (the guest's when
+        virtualized, the host's when native), and charges each core the
+        IPI handling cost.  Returns the total number of entries dropped.
         """
         dropped = 0
         acct = self.accounting
@@ -851,6 +861,14 @@ class System:
             )
         if self.pom is not None:
             dropped += self.pom.invalidate(asid, virtual_address)
+        # TSBs are built on first use; one that does not exist holds
+        # nothing to drop.
+        if self.vms[asid.vm_id].native:
+            tsb = self._host_tsbs.get(asid.vm_id)
+        else:
+            tsb = self._guest_tsbs.get((asid.vm_id, asid.process_id))
+        if tsb is not None:
+            dropped += tsb.invalidate(asid, virtual_address)
         if self.telemetry is not None:
             self.telemetry.emit(
                 EVENT_SHOOTDOWN,

@@ -177,10 +177,15 @@ class PomTlb:
         if probes > 1:
             self.stats.second_probes += 1
 
-    def insert(self, asid: Asid, virtual_address: int, entry: TlbEntry) -> None:
-        """Install a translation in its set (4-way LRU within the line)."""
-        vpn = virtual_address >> entry.page_bits
-        index = self._set_index(asid, vpn, entry.page_bits)
+    def insert(self, asid: Asid, virtual_address: int, entry: TlbEntry) -> int:
+        """Install a translation in its set (4-way LRU within the line).
+
+        Returns the host physical address of the set line written (what
+        :meth:`set_address` gives), for the fill's memory reference.
+        """
+        page_bits = entry.page_bits
+        vpn = virtual_address >> page_bits
+        index = self._set_index(asid, vpn, page_bits)
         pom_set = self._contents.setdefault(index, OrderedDict())
         key = (asid, vpn)
         if key in pom_set:
@@ -189,7 +194,8 @@ class PomTlb:
             pom_set.popitem(last=False)
         pom_set[key] = entry
         self.stats.insertions += 1
-        self.predictor.update(asid, entry.page_bits)
+        self.predictor.update(asid, page_bits)
+        return self.base_address + index * CACHE_LINE_BYTES
 
     def invalidate(self, asid: Asid, virtual_address: int) -> int:
         """Drop the translation for ``virtual_address`` (both page sizes).

@@ -23,6 +23,10 @@ class TlbEntry:
     frame_base: int
     page_bits: int
 
+    def physical_address(self, virtual_address: int) -> int:
+        offset = virtual_address & ((1 << self.page_bits) - 1)
+        return (self.frame_base << PAGE_4K_BITS) + offset
+
 
 @dataclass
 class TlbStats:
@@ -66,14 +70,11 @@ class Tlb:
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
         self.stats = TlbStats()
 
-    def _set_index(self, vpn: int) -> int:
-        return vpn % self.num_sets
-
     def lookup(self, asid: Asid, virtual_address: int) -> Optional[TlbEntry]:
         """Probe all supported page sizes; LRU-promote on hit.
 
-        Hot path: the set-index modulo is inlined (no ``_set_index``
-        call) and attributes are hoisted out of the probe loop.
+        Hot path: attributes are hoisted out of the probe loop.  The set
+        of a page is ``vpn % num_sets`` in every method.
         """
         sets = self._sets
         num_sets = self.num_sets
@@ -94,20 +95,21 @@ class Tlb:
         prefetchers and tests)."""
         for page_bits in self.page_bits_supported:
             vpn = virtual_address >> page_bits
-            entry = self._sets[self._set_index(vpn)].get((asid, vpn, page_bits))
+            entry = self._sets[vpn % self.num_sets].get((asid, vpn, page_bits))
             if entry is not None:
                 return entry
         return None
 
     def insert(self, asid: Asid, virtual_address: int, entry: TlbEntry) -> None:
         """Install a translation, evicting the set's LRU entry if full."""
-        if entry.page_bits not in self.page_bits_supported:
+        page_bits = entry.page_bits
+        if page_bits not in self.page_bits_supported:
             raise ValueError(
-                f"{self.name} does not hold 2**{entry.page_bits}-byte pages"
+                f"{self.name} does not hold 2**{page_bits}-byte pages"
             )
-        vpn = virtual_address >> entry.page_bits
-        tlb_set = self._sets[self._set_index(vpn)]
-        key = (asid, vpn, entry.page_bits)
+        vpn = virtual_address >> page_bits
+        tlb_set = self._sets[vpn % self.num_sets]
+        key = (asid, vpn, page_bits)
         if key in tlb_set:
             tlb_set.move_to_end(key)
             tlb_set[key] = entry
@@ -127,7 +129,7 @@ class Tlb:
         dropped = 0
         for page_bits in self.page_bits_supported:
             vpn = virtual_address >> page_bits
-            tlb_set = self._sets[self._set_index(vpn)]
+            tlb_set = self._sets[vpn % self.num_sets]
             if tlb_set.pop((asid, vpn, page_bits), None) is not None:
                 dropped += 1
         return dropped

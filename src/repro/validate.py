@@ -21,6 +21,10 @@ Algorithms 1-3 rely on into mechanical checks:
   of invalid ways;
 * **translation coherence** — every TLB/POM-TLB entry agrees with the
   page tables it was filled from (frame and page size);
+* **translation-structure geometry** — no POM-TLB set holds more than
+  its associativity, each POM-TLB entry sits in the set its hash
+  names, and no paging-structure cache or nested TLB holds more than
+  its entry count;
 * **cycle-accounting conservation** — the System's
   :class:`~repro.telemetry.accounting.CycleAccountant` per-component
   cycle charges sum *bit-exactly* to each core's clock;
@@ -51,11 +55,14 @@ if TYPE_CHECKING:
     from repro.sim.scheduler import ContextScheduler
     from repro.sim.system import System
     from repro.telemetry import Telemetry
+    from repro.tlb.pom_tlb import PomTlb
+    from repro.vm.walker import PageWalker
 
-#: Cap on POM-TLB entries verified against the page tables per check —
-#: the POM-TLB can hold hundreds of thousands of entries and coherence
-#: is per-entry, so a deterministic prefix (lowest set indices first)
-#: bounds the cost.  On-chip TLBs are small and are checked in full.
+#: Cap on POM-TLB entries verified against the page tables (and against
+#: their set hash) per check — the POM-TLB can hold hundreds of
+#: thousands of entries and both checks are per-entry, so a
+#: deterministic prefix (lowest set indices first) bounds the cost.
+#: On-chip TLBs are small and are checked in full.
 POM_COHERENCE_LIMIT = 2048
 
 
@@ -240,6 +247,55 @@ def check_tlb(tlb: Tlb) -> Iterator[InvariantViolation]:
                 )
 
 
+def check_pom_tlb(pom: "PomTlb") -> Iterator[InvariantViolation]:
+    """Set sizing (every set) and hash placement (a bounded prefix)."""
+    name = "tlb:pom"
+    contents = pom._contents
+    for index, pom_set in contents.items():
+        if len(pom_set) > pom.entries_per_set:
+            yield InvariantViolation(
+                name, "pom-set-overflow",
+                f"set {index} holds {len(pom_set)} entries, associativity "
+                f"is {pom.entries_per_set}",
+                set_index=index,
+            )
+    checked = 0
+    for index in sorted(contents):
+        if checked >= POM_COHERENCE_LIMIT:
+            break
+        for (asid, vpn), entry in contents[index].items():
+            home = pom._set_index(asid, vpn, entry.page_bits)
+            if home != index:
+                yield InvariantViolation(
+                    name, "pom-set-placement",
+                    f"entry ({asid}, vpn={vpn:#x}, 2**{entry.page_bits}) "
+                    f"sits in set {index}, belongs in {home}",
+                    set_index=index, vpn=vpn,
+                )
+            checked += 1
+
+
+def check_mmu_caches(
+    core_id: int, walker: "PageWalker"
+) -> Iterator[InvariantViolation]:
+    """No paging-structure cache or nested TLB exceeds its entry count."""
+    psc = walker.psc
+    for label, cache in (
+        ("pml4", psc._pml4),
+        ("pdp", psc._pdp),
+        ("pde", psc._pde),
+        ("nested-tlb", walker.nested_tlb._cache),
+    ):
+        held = len(cache._store)
+        if held > cache.entries:
+            yield InvariantViolation(
+                f"walker:core{core_id}", "mmu-cache-capacity",
+                f"{label} cache holds {held} entries, capacity is "
+                f"{cache.entries}",
+                cache=label,
+            )
+
+
 def check_profiler_pair(
     label: str, controller: PartitionController
 ) -> Iterator[InvariantViolation]:
@@ -273,10 +329,11 @@ def check_profiler_pair(
                     f"limit {profiler.ways}",
                     stream=stream, set_index=set_index,
                 )
-    if not 0 <= controller._accesses_in_epoch < controller.epoch_accesses:
+    position = controller.accesses_in_epoch
+    if not 0 <= position < controller.epoch_accesses:
         yield InvariantViolation(
             name, "epoch-position",
-            f"accesses_in_epoch {controller._accesses_in_epoch} outside "
+            f"accesses_in_epoch {position} outside "
             f"[0, {controller.epoch_accesses})",
         )
     if controller.timeline:
@@ -605,6 +662,7 @@ class InvariantChecker:
             for tlb in (core.l1_tlb.tlb_4k, core.l1_tlb.tlb_2m, core.l2_tlb):
                 found.extend(check_tlb(tlb))
             found.extend(check_mshr(core.core_id, core.mshr))
+            found.extend(check_mmu_caches(core.core_id, core.walker))
             if core.l2_controller is not None:
                 found.extend(
                     check_profiler_pair(
@@ -617,6 +675,8 @@ class InvariantChecker:
         found.extend(check_dram(system.die_stacked))
         if self.scheduler is not None:
             found.extend(check_scheduler(self.scheduler))
+        if system.pom is not None:
+            found.extend(check_pom_tlb(system.pom))
         found.extend(check_translation_coherence(system))
         found.extend(check_cycle_accounting(system))
         current = counter_snapshot(system)

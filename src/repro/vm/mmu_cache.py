@@ -121,6 +121,12 @@ class PagingStructureCache:
         self._pde = SmallFullyAssocCache(self.config.pde_entries, self.config.latency)
         self._pdp = SmallFullyAssocCache(self.config.pdp_entries, self.config.latency)
         self._pml4 = SmallFullyAssocCache(self.config.pml4_entries, self.config.latency)
+        #: (resume level, cache, tag shift) in ``install`` order.
+        self._by_level = (
+            (1, self._pde, _SHIFT_PDE),
+            (2, self._pdp, _SHIFT_PDP),
+            (3, self._pml4, _SHIFT_PML4),
+        )
 
     def _prefix(self, virtual_address: int, resume_level: int) -> int:
         """VA bits above (and including) the index at ``resume_level + 1``.
@@ -175,13 +181,18 @@ class PagingStructureCache:
         ``deepest_level`` is the level of the last *interior* node read
         (1 means the walk reached a leaf PTE, so all three prefixes are
         cacheable; a 2 MB walk stops at level 2 so only PML4/PDP apply).
+        Each store is updated in place, exactly as
+        ``SmallFullyAssocCache.put`` would.
         """
-        if deepest_level <= 1:
-            self._pde.put((asid, virtual_address >> _SHIFT_PDE), True)
-        if deepest_level <= 2:
-            self._pdp.put((asid, virtual_address >> _SHIFT_PDP), True)
-        if deepest_level <= 3:
-            self._pml4.put((asid, virtual_address >> _SHIFT_PML4), True)
+        for level, cache, shift in self._by_level:
+            if deepest_level <= level:
+                store = cache._store
+                key = (asid, virtual_address >> shift)
+                if key in store:
+                    store.move_to_end(key)
+                store[key] = True
+                if len(store) > cache.entries:
+                    store.popitem(last=False)
 
     def invalidate_all(self) -> None:
         self._pde.invalidate_all()

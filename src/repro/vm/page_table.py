@@ -135,6 +135,52 @@ class PageTable:
             self.pages_mapped += 1
         return Translation(frame_base=frame, page_bits=page_bits)
 
+    def lookup_or_map(
+        self, virtual_address: int, page_bits: int = PAGE_4K_BITS
+    ) -> Translation:
+        """``lookup``, and on a miss ``map_page``, in one descent.
+
+        Returns and raises what ``lookup`` followed by ``map_page`` would,
+        with the same frame-allocation order: the missing path is built
+        from the node where the lookup stopped.  This is the demand-map
+        step of every first touch (``radix_index`` inlined as in
+        ``lookup``).
+        """
+        node = self.root
+        for level in range(self.levels, 0, -1):
+            index = (virtual_address >> (3 + 9 * level)) & 0x1FF
+            frame = node.leaves.get(index)
+            if frame is not None:
+                return Translation(frame, PAGE_4K_BITS + (level - 1) * 9)
+            child = node.children.get(index)
+            if child is None:
+                break
+            node = child
+        if page_bits not in (PAGE_4K_BITS, PAGE_2M_BITS):
+            raise ValueError(f"unsupported page size: 2**{page_bits}")
+        leaf_level = 1 if page_bits == PAGE_4K_BITS else 2
+        if level < leaf_level:
+            raise ValueError(
+                "page-size conflict: 4K mappings already occupy this range"
+            )
+        while level > leaf_level:
+            frame = self._allocator.alloc(contiguous=1)
+            child = PageTableNode(
+                level=level - 1,
+                base_address=frame << PAGE_4K_BITS,
+                children={},
+                leaves={},
+            )
+            node.children[index] = child
+            self.nodes_allocated += 1
+            node = child
+            level -= 1
+            index = (virtual_address >> (3 + 9 * level)) & 0x1FF
+        frame = self._frame_of_page(virtual_address, page_bits)
+        node.leaves[index] = frame
+        self.pages_mapped += 1
+        return Translation(frame, page_bits)
+
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

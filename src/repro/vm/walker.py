@@ -26,8 +26,9 @@ from repro.telemetry.accounting import (
     CycleAccountant,
     context_names,
 )
+from repro.tlb.tlb import TlbEntry
 from repro.vm.mmu_cache import NestedTlb, PagingStructureCache, PscConfig
-from repro.vm.page_table import PageTable, Translation
+from repro.vm.page_table import PageTable
 from repro.vm.physical_memory import FrameAllocator, HostPhysicalMemory
 
 #: Signature of the memory-access callback: (host physical address, line
@@ -45,9 +46,9 @@ _FINAL_NAMES = context_names("walk.nested.final")
 
 @dataclass
 class WalkResult:
-    """Outcome of one page walk."""
+    """Outcome of one page walk: the entry the TLBs will store."""
 
-    translation: Translation
+    translation: TlbEntry
     latency: int
     memory_refs: int
 
@@ -128,16 +129,21 @@ class VirtualMachine:
     def ensure_mapped(
         self, process_id: int, virtual_address: int, page_bits: int = PAGE_4K_BITS
     ) -> None:
-        """Demand-map a guest page and (if virtualized) its EPT backing."""
+        """Demand-map a guest page and (if virtualized) its EPT backing.
+
+        One radix descent per table; the host table is touched only when
+        the guest page is new.
+        """
         table = self.guest_table(process_id)
-        if table.lookup(virtual_address) is not None:
+        mapped = table.pages_mapped
+        guest_translation = table.lookup_or_map(virtual_address, page_bits)
+        if self.native or table.pages_mapped == mapped:
             return
-        guest_translation = table.map_page(virtual_address, page_bits)
-        if self.native:
-            return
-        guest_physical = guest_translation.frame_base << PAGE_4K_BITS
-        if self.host_table.lookup(guest_physical) is None:
-            self.host_table.map_page(guest_physical, page_bits)
+        guest_frame = guest_translation.frame_base
+        self.host_table.lookup_or_map(guest_frame << PAGE_4K_BITS, page_bits)
+        # The page's first frame is now proven mapped: the 2-D walk's
+        # final host translation of it skips ``ensure_host_mapped``.
+        self._host_mapped.add(guest_frame)
 
     def remap_guest_page(self, process_id: int, virtual_address: int):
         """Guest OS moves a page to a new guest frame; EPT backs it anew.
@@ -148,9 +154,9 @@ class VirtualMachine:
         table = self.guest_table(process_id)
         translation = table.remap_page(virtual_address)
         if not self.native:
-            guest_physical = translation.frame_base << PAGE_4K_BITS
-            if self.host_table.lookup(guest_physical) is None:
-                self.host_table.map_page(guest_physical, translation.page_bits)
+            self.host_table.lookup_or_map(
+                translation.frame_base << PAGE_4K_BITS, translation.page_bits
+            )
         return translation
 
     def ensure_host_mapped(self, guest_physical: int) -> None:
@@ -160,8 +166,7 @@ class VirtualMachine:
         frame = guest_physical >> PAGE_4K_BITS
         if frame in self._host_mapped:
             return
-        if self.host_table.lookup(guest_physical) is None:
-            self.host_table.map_page(guest_physical, PAGE_4K_BITS)
+        self.host_table.lookup_or_map(guest_physical, PAGE_4K_BITS)
         self._host_mapped.add(frame)
 
     # ------------------------------------------------------------------
@@ -303,7 +308,11 @@ class PageWalker:
         self.stats.walks += 1
         self.stats.total_latency += latency
         self.stats.total_refs += refs
-        return WalkResult(translation, latency, refs)
+        return WalkResult(
+            TlbEntry(translation.frame_base, translation.page_bits),
+            latency,
+            refs,
+        )
 
     # ------------------------------------------------------------------
     # Virtualized (2-D) walk
@@ -363,15 +372,15 @@ class PageWalker:
         self.psc.install(asid, virtual_address, deepest)
         # The effective TLB entry maps the guest page to the host frame of
         # its page base (guest and host page sizes agree by construction).
-        page_mask = (1 << guest_translation.page_bits) - 1
-        translation = Translation(
-            frame_base=(host_physical & ~page_mask) >> PAGE_4K_BITS,
-            page_bits=guest_translation.page_bits,
+        page_bits = guest_translation.page_bits
+        entry = TlbEntry(
+            (host_physical & ~((1 << page_bits) - 1)) >> PAGE_4K_BITS,
+            page_bits,
         )
         self.stats.walks += 1
         self.stats.total_latency += latency
         self.stats.total_refs += refs
-        return WalkResult(translation, latency, refs)
+        return WalkResult(entry, latency, refs)
 
     def translate_guest_physical(
         self, vm: VirtualMachine, guest_physical: int
@@ -380,9 +389,9 @@ class PageWalker:
 
         Used by the 2-D walk and by the TSB trap handler.  Returns
         (latency, memory references, host physical address).
-        The nested-TLB hit path — most host references of a warm 2-D
-        walk — is inlined down to the backing store (same LRU update and
-        hit/miss counts as ``SmallFullyAssocCache.get``).
+        Both paths are inlined down to the nested TLB's backing store,
+        with the same LRU updates and hit/miss counts as
+        ``SmallFullyAssocCache.get`` and ``put``.
         """
         guest_frame = guest_physical >> PAGE_4K_BITS
         acct = self.accountant
@@ -391,30 +400,35 @@ class PageWalker:
         store = cache._store
         key = (vm.vm_id, guest_frame)
         host_frame = store.get(key)
+        latency = nested.latency
+        names = acct._names
+        if names is not None:
+            component = names[LEVEL_NTLB]
+            current = acct._current
+            try:
+                current[component] += latency
+            except KeyError:
+                current[component] = latency
+            acct.charged += latency
         if host_frame is not None:
             store.move_to_end(key)
             cache.hits += 1
-            ntlb_latency = nested.latency
-            names = acct._names
-            if names is not None:
-                component = names[LEVEL_NTLB]
-                current = acct._current
-                try:
-                    current[component] += ntlb_latency
-                except KeyError:
-                    current[component] = ntlb_latency
-                acct.charged += ntlb_latency
             offset = guest_physical & ((1 << PAGE_4K_BITS) - 1)
-            return ntlb_latency, 0, (host_frame << PAGE_4K_BITS) + offset
+            return latency, 0, (host_frame << PAGE_4K_BITS) + offset
         cache.misses += 1
-        vm.ensure_host_mapped(guest_physical)
-        latency = self.nested_tlb.latency
-        acct.charge_level(LEVEL_NTLB, latency)
-        refs = 0
+        if guest_frame not in vm._host_mapped:
+            vm.ensure_host_mapped(guest_physical)
         addresses, translation = vm.host_table.walk_addresses(guest_physical)
+        access = self._access
+        walk_kind = self.walk_kind
         for entry_address in addresses:
-            latency += self._access(entry_address, self.walk_kind, False)
-            refs += 1
-        host_physical = translation.physical_address(guest_physical)
-        self.nested_tlb.put(vm.vm_id, guest_frame, host_physical >> PAGE_4K_BITS)
-        return latency, refs, host_physical
+            latency += access(entry_address, walk_kind, False)
+        host_physical = (translation.frame_base << PAGE_4K_BITS) + (
+            guest_physical & ((1 << translation.page_bits) - 1)
+        )
+        # A miss means the key is absent: ``put`` is an append plus the
+        # LRU eviction.
+        store[key] = host_physical >> PAGE_4K_BITS
+        if len(store) > cache.entries:
+            store.popitem(last=False)
+        return latency, len(addresses), host_physical

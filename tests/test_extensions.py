@@ -8,6 +8,7 @@ from repro.mem.address import Asid, PAGE_4K_BITS
 from repro.sim.config import small_config
 from repro.sim.system import System
 from repro.telemetry.accounting import CycleAccountant
+from repro.validate import check_translation_coherence
 from repro.vm.page_table import PageTable
 from repro.vm.physical_memory import FrameAllocator, HostPhysicalMemory
 from repro.vm.walker import PageWalker, VirtualMachine
@@ -125,13 +126,23 @@ class TestShootdown:
         for core, cycles in zip(system.cores, before):
             assert core.stats.cycles == cycles + System.SHOOTDOWN_CYCLES_PER_CORE
 
-    def test_translation_after_remap_is_fresh(self):
-        system = self._system()
+    @pytest.mark.parametrize(
+        "virtualized", [True, False], ids=["virtualized", "native"]
+    )
+    @pytest.mark.parametrize(
+        "scheme", [Scheme.POM_TLB, Scheme.TSB], ids=["pom-tlb", "tsb"]
+    )
+    def test_translation_after_remap_is_fresh(self, scheme, virtualized):
+        system = System(
+            small_config(scheme=scheme, cores=2, virtualized=virtualized)
+        )
+        system.vms[0].ensure_mapped(0, 0x5000)
         core = system.cores[0]
         _, old_entry = system.translate_beyond_l1(core, A, 0x5123)
         system.remap_page(A, 0x5123)
         _, new_entry = system.translate_beyond_l1(core, A, 0x5123)
         assert new_entry.frame_base != old_entry.frame_base
+        assert list(check_translation_coherence(system)) == []
 
     def test_shootdown_without_pom(self):
         system = self._system(Scheme.CONVENTIONAL)

@@ -82,6 +82,15 @@ class TestPsc:
         assert hit is not None
         assert hit.start_level == 2
 
+    def test_reinstall_refreshes_recency(self):
+        psc = PagingStructureCache(PscConfig(pde_entries=2))
+        psc.install(ASID, 0x0, deepest_level=1)
+        psc.install(ASID, 1 << 21, deepest_level=1)
+        psc.install(ASID, 0x0, deepest_level=1)  # region 0 is now MRU
+        psc.install(ASID, 2 << 21, deepest_level=1)  # evicts region 1
+        assert psc.probe(ASID, 0x0).start_level == 1
+        assert psc.probe(ASID, 1 << 21).start_level == 2
+
     def test_invalidate_all(self):
         psc = PagingStructureCache()
         psc.install(ASID, 0x1000, deepest_level=1)

@@ -158,3 +158,58 @@ class TestWalkAddresses:
         leaf = table.node_at_level(0x1000, 1)
         assert leaf is not None and leaf.level == 1
         assert table.node_at_level(0xFFFF_F000_0000, 1) is None
+
+
+#: Addresses packed into a few 2 MB regions under distinct upper-level
+#: nodes, so random sequences revisit pages and collide on page size.
+clustered_addresses = st.builds(
+    lambda top, region, offset: top + region * PAGE_2M + offset,
+    st.sampled_from([0, 1 << 30, 1 << 39]),
+    st.integers(0, 3),
+    st.integers(0, PAGE_2M - 1),
+)
+#: 4 KB, 2 MB and an unsupported size (1 GB).
+any_page_bits = st.sampled_from([PAGE_4K_BITS, PAGE_2M_BITS, 30])
+
+
+def outcome(call):
+    """A call's return value, or its exception as (type, message)."""
+    try:
+        return call()
+    except Exception as error:
+        return type(error), str(error)
+
+
+def lookup_then_map_page(table, address, page_bits):
+    found = table.lookup(address)
+    return found if found is not None else table.map_page(address, page_bits)
+
+
+class TestLookupOrMap:
+    def test_existing_mapping_of_any_size_is_returned(self):
+        table = make_table()
+        huge = table.map_page(0, PAGE_2M_BITS)
+        assert table.lookup_or_map(0x1000, PAGE_4K_BITS) == huge
+        small = table.map_page(PAGE_2M, PAGE_4K_BITS)
+        assert table.lookup_or_map(PAGE_2M, PAGE_2M_BITS) == small
+        assert table.pages_mapped == 2
+        with pytest.raises(ValueError, match="4K mappings already occupy"):
+            table.lookup_or_map(PAGE_2M + PAGE_4K, PAGE_2M_BITS)
+        with pytest.raises(ValueError, match="unsupported page size"):
+            table.lookup_or_map(PAGE_2M * 7, 30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(clustered_addresses, any_page_bits), max_size=40))
+    def test_matches_lookup_then_map_page(self, steps):
+        table, reference = make_table(), make_table()
+        for address, page_bits in steps:
+            assert outcome(
+                lambda: table.lookup_or_map(address, page_bits)
+            ) == outcome(
+                lambda: lookup_then_map_page(reference, address, page_bits)
+            )
+            assert table.state_dict() == reference.state_dict()
+            assert (
+                table._allocator.state_dict()
+                == reference._allocator.state_dict()
+            )

@@ -103,6 +103,27 @@ class TestTranslationDatapath:
         system.translate_beyond_l1(core1, A, 0x5123)
         assert core1.stats.page_walks == 0
 
+    @pytest.mark.parametrize("virtualized", [True, False])
+    def test_walk_entry_is_the_one_the_tlbs_store(self, virtualized):
+        system = mapped_system(virtualized=virtualized)
+        core = system.cores[0]
+        walker = core.walker
+        name = "walk_virtualized" if virtualized else "walk_native"
+        walk = getattr(walker, name)
+        walks = []
+
+        def recording(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        setattr(walker, name, recording)
+        _, entry = system.translate_beyond_l1(core, A, 0x5123)
+        [result] = walks
+        assert entry is result.translation
+        assert core.l2_tlb.probe(A, 0x5123) is entry
+        assert system.pom.probe(A, 0x5123, entry.page_bits) is entry
+        assert core.l1_tlb.lookup(A, 0x5123) is entry
+
     def test_l2_tlb_hit_fast_path(self):
         system = mapped_system()
         core = system.cores[0]

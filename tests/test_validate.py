@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.experiments import runner
+from repro.mem.address import Asid
 from repro.experiments.pool import run_campaign
 from repro.sim.config import small_config
 from repro.sim.engine import build_contexts, run_simulation
@@ -15,7 +16,9 @@ from repro.validate import (
     InvariantChecker,
     InvariantViolation,
     check_cache,
+    check_mmu_caches,
     check_monotone,
+    check_pom_tlb,
     counter_snapshot,
 )
 from repro.workloads.mixes import make_mix
@@ -116,6 +119,61 @@ class TestInjectedCorruption:
         system.cores[0].l2.stats.tlb_hits = 0
         found = list(check_monotone(baseline, counter_snapshot(system)))
         assert found and found[0].invariant == "monotonicity"
+
+    def test_pom_set_overflow_caught(self):
+        _, system, scheduler = exercised("lru")
+        pom = system.pom
+        index, pom_set = next(iter(pom._contents.items()))
+        (asid, vpn), entry = next(iter(pom_set.items()))
+        # Other processes' copies of the entry that hash to the same set:
+        # each sits where it belongs, so only the set size is wrong.
+        others = (
+            (Asid(asid.vm_id, process), vpn) for process in range(256)
+            if (Asid(asid.vm_id, process), vpn) not in pom_set
+            and pom._set_index(
+                Asid(asid.vm_id, process), vpn, entry.page_bits
+            ) == index
+        )
+        while len(pom_set) <= pom.entries_per_set:
+            pom_set[next(others)] = entry
+        found = list(check_pom_tlb(pom))
+        assert [v.invariant for v in found] == ["pom-set-overflow"]
+        assert found[0].context["set_index"] == index
+        swept = InvariantChecker(system, scheduler).sweep()
+        assert "pom-set-overflow" in [v.invariant for v in swept]
+
+    def test_pom_entry_in_wrong_set_caught(self):
+        _, system, scheduler = exercised("lru")
+        contents = system.pom._contents
+        low, high = sorted(contents)[:2]
+        key, entry = contents[high].popitem(last=False)
+        if len(contents[low]) >= system.pom.entries_per_set:
+            contents[low].popitem(last=False)
+        contents[low][key] = entry
+        found = list(check_pom_tlb(system.pom))
+        assert [v.invariant for v in found] == ["pom-set-placement"]
+        assert found[0].context["set_index"] == low
+        swept = InvariantChecker(system, scheduler).sweep()
+        assert "pom-set-placement" in [v.invariant for v in swept]
+
+    @pytest.mark.parametrize("label", ["pml4", "pdp", "pde", "nested-tlb"])
+    def test_mmu_cache_over_capacity_caught(self, label):
+        _, system, scheduler = exercised("lru")
+        walker = system.cores[1].walker
+        cache = {
+            "pml4": walker.psc._pml4,
+            "pdp": walker.psc._pdp,
+            "pde": walker.psc._pde,
+            "nested-tlb": walker.nested_tlb._cache,
+        }[label]
+        for n in range(cache.entries + 1):
+            cache._store[("seeded", n)] = True
+        found = list(check_mmu_caches(1, walker))
+        assert [v.invariant for v in found] == ["mmu-cache-capacity"]
+        assert found[0].component == "walker:core1"
+        assert found[0].context["cache"] == label
+        swept = InvariantChecker(system, scheduler).sweep()
+        assert [v.invariant for v in swept] == ["mmu-cache-capacity"]
 
     def test_sweep_collects_multiple(self):
         _, system, scheduler = exercised("lru")

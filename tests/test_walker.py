@@ -1,12 +1,19 @@
 """Unit tests for the 1-D and 2-D page walkers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mem.address import Asid, PAGE_2M_BITS, PAGE_4K_BITS
 from repro.mem.cache import LineKind
 from repro.telemetry.accounting import CycleAccountant
 from repro.vm.physical_memory import HostPhysicalMemory
 from repro.vm.walker import PageWalker, VirtualMachine
+from tests.test_page_table import (
+    any_page_bits,
+    clustered_addresses,
+    lookup_then_map_page,
+    outcome,
+)
 
 ASID = Asid(0, 0)
 
@@ -164,3 +171,38 @@ class TestVirtualMachine:
         assert guest is not None
         host = vm.host_table.lookup(guest.frame_base << PAGE_4K_BITS)
         assert host is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 1), clustered_addresses, any_page_bits),
+        max_size=30,
+    ))
+    def test_ensure_mapped_matches_lookup_then_map_page(self, steps):
+        """One descent per table maps exactly what the two-step form
+        did: same tables, same allocators, same exceptions."""
+
+        def two_step(vm, process_id, address, page_bits):
+            table = vm.guest_table(process_id)
+            if table.lookup(address) is not None:
+                return
+            guest = table.map_page(address, page_bits)
+            lookup_then_map_page(
+                vm.host_table, guest.frame_base << PAGE_4K_BITS, page_bits
+            )
+
+        vm = VirtualMachine(0, HostPhysicalMemory(num_vms=1, vm_bytes=1 << 30))
+        reference = VirtualMachine(
+            0, HostPhysicalMemory(num_vms=1, vm_bytes=1 << 30)
+        )
+        for process_id, address, page_bits in steps:
+            assert outcome(
+                lambda: vm.ensure_mapped(process_id, address, page_bits)
+            ) == outcome(
+                lambda: two_step(reference, process_id, address, page_bits)
+            )
+            assert vm.state_dict() == reference.state_dict()
+            # The host-mapping memo may only name frames the EPT maps.
+            assert all(
+                vm.host_table.lookup(frame << PAGE_4K_BITS) is not None
+                for frame in vm._host_mapped
+            )
