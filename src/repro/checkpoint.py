@@ -29,7 +29,6 @@ contribute via their ``state_dict()``/``load_state()`` methods (see
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
@@ -41,7 +40,6 @@ import _thread
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro import faults
 from repro.errors import SimulationError
 
 #: First line of every checkpoint file.
@@ -128,21 +126,8 @@ def write_checkpoint(
     }
     if meta:
         header.update(meta)
-    # Chaos hooks (no-ops unless a FaultPlan is armed): each lands the
-    # exact artifact the matching host failure would leave behind, so
-    # ``read_checkpoint``'s rejections are exercised honestly.
-    write_payload = payload
-    injector = faults.ACTIVE
-    if injector is not None:
-        if injector.fire("checkpoint.write.torn_payload", path=target.name):
-            write_payload = payload[: len(payload) // 2]
-        if injector.fire("checkpoint.write.flip_checksum", path=target.name):
-            digest = header["sha256"]
-            header["sha256"] = (
-                ("0" if digest[0] != "0" else "1") + digest[1:]
-            )
     header_line = json.dumps(header, sort_keys=True).encode("utf-8")
-    total_bytes = len(MAGIC) + 1 + len(header_line) + 1 + len(write_payload)
+    total_bytes = len(MAGIC) + 1 + len(header_line) + 1 + len(payload)
     monitor = _budget.ACTIVE
     previous_size = 0
     if monitor is not None:
@@ -159,22 +144,10 @@ def write_checkpoint(
         prefix=target.name + ".", suffix=".tmp", dir=target.parent
     )
     try:
-        if injector is not None and injector.fire(
-            "checkpoint.write.io_error", path=target.name
-        ):
-            os.close(fd)
-            raise OSError(f"injected I/O error writing {target.name}")
-        if injector is not None and injector.fire(
-            "checkpoint.enospc", path=target.name
-        ):
-            os.close(fd)
-            raise OSError(
-                errno.ENOSPC, f"injected disk-full writing {target.name}"
-            )
         with os.fdopen(fd, "wb") as handle:
             handle.write(MAGIC + b"\n")
             handle.write(header_line + b"\n")
-            handle.write(write_payload)
+            handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, target)
@@ -215,11 +188,6 @@ def read_checkpoint(path: os.PathLike) -> Tuple[object, Dict[str, object]]:
     """
     target = Path(path)
     try:
-        injector = faults.ACTIVE
-        if injector is not None and injector.fire(
-            "checkpoint.read.io_error", path=target.name
-        ):
-            raise OSError(f"injected I/O error reading {target.name}")
         with open(target, "rb") as handle:
             magic = handle.readline().rstrip(b"\n")
             if magic != MAGIC:

@@ -275,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       "end state (docs/chaos.md)"
     )
     chaos.add_argument("--plan", required=True, metavar="PATH",
-                       help="FaultPlan JSON file (points, filters, seeds)")
+                       help="FaultPlan JSON file (points, when filters, "
+                            "max_triggers)")
     chaos.add_argument("--only", default=None,
                        help="comma-separated exhibit names whose evaluation "
                             "grids form the campaign (default: figure8)")
@@ -872,9 +873,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    # REPRO_FAULT_PLAN lets CI run *any* command under a fault plan
-    # without new flags; a no-op when the variable is unset.
-    faults.arm_from_env()
     try:
         return _dispatch(args)
     except ReproError as exc:

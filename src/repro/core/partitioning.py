@@ -84,63 +84,6 @@ def best_partition(
     return best_n
 
 
-def lookahead_partition(
-    data_counters: List[int],
-    tlb_counters: List[int],
-    total_ways: int,
-    weight_data: float = 1.0,
-    weight_tlb: float = 1.0,
-) -> int:
-    """UCP's greedy lookahead allocation (Qureshi & Patt, cited as [60]).
-
-    Hardware-friendly alternative to the exhaustive argmax: repeatedly
-    grant ways to whichever stream offers the best *hits gained per way*
-    over any lookahead distance, starting from one guaranteed way each.
-    With only two streams the exhaustive search (``best_partition``) is
-    cheap and optimal; this exists for the ablation comparing the two and
-    matches the argmax in the common convex cases.
-    """
-    curves = (
-        [weight_data * c for c in data_counters],
-        [weight_tlb * c for c in tlb_counters],
-    )
-    allocation = [N_MIN, N_MIN]
-    remaining = total_ways - 2 * N_MIN
-
-    def best_step(stream: int, budget: int):
-        """(utility-per-way, ways) of the best lookahead for ``stream``."""
-        counters = curves[stream]
-        start = allocation[stream]
-        best = (0.0, 0)
-        gained = 0.0
-        for extra in range(1, budget + 1):
-            index = start + extra - 1
-            if index >= total_ways:
-                break
-            gained += counters[index]
-            rate = gained / extra
-            if rate > best[0]:
-                best = (rate, extra)
-        return best
-
-    while remaining > 0:
-        data_step = best_step(0, remaining)
-        tlb_step = best_step(1, remaining)
-        if data_step[1] == 0 and tlb_step[1] == 0:
-            # No stream gains anything: split the leftovers evenly.
-            allocation[0] += remaining - remaining // 2
-            allocation[1] += remaining // 2
-            break
-        if data_step[0] >= tlb_step[0]:
-            stream, step = 0, max(1, data_step[1])
-        else:
-            stream, step = 1, max(1, tlb_step[1])
-        step = min(step, remaining)
-        allocation[stream] += step
-        remaining -= step
-    return allocation[0]
-
-
 @dataclass
 class PartitionDecision:
     """One epoch-boundary outcome, kept for the Figure 9 timeline."""
@@ -301,10 +244,6 @@ class PartitionController:
     def accesses_in_epoch(self) -> int:
         """Accesses observed since the last epoch boundary."""
         return self.total_accesses - (self.epoch_end - self.epoch_accesses)
-
-    @property
-    def current_data_ways(self) -> int:
-        return self.timeline[-1].data_ways
 
     def tlb_fraction_timeline(self) -> List[Tuple[int, float]]:
         """(access count, TLB way share) pairs — the Figure 9 series."""

@@ -130,11 +130,11 @@ class DoctorError(ReproError):
 class InjectedFaultError(ReproError):
     """An error deliberately raised by an armed fault point.
 
-    Fault points that simulate host failures raise the *real* exception
-    type (``OSError`` and friends) so recovery paths are exercised
-    honestly; this class is for faults whose contract is "a deterministic
-    simulation failure" (e.g. ``pool.worker.error``), where the campaign
-    must classify the failure without retrying it.
+    Fault points that simulate host failures produce the *real* artifact
+    (a hard exit, a flipped byte on disk) so recovery paths are exercised
+    honestly; this class is for ``pool.worker.error``, whose contract is
+    "a deterministic simulation failure" that the campaign must classify
+    without retrying it.
     """
 
     exit_code = EXIT_INJECTED

@@ -155,18 +155,14 @@ def _worker_entry(
         # only" deterministically, without trigger counters that would
         # die with the crashing process.
         injector = faults.ACTIVE
-        context = dict(
-            attempt=attempt,
-            mix_name=signature.get("mix_name"),
-            scheme=signature.get("scheme"),
-        )
         if injector is not None:
-            spec = injector.fire("pool.worker.crash", **context)
-            if spec:
-                os._exit(int(spec.args.get("exit_code", 17)))
-            spec = injector.fire("pool.worker.hang", **context)
-            if spec:
-                time.sleep(float(spec.args.get("seconds", 3600.0)))
+            context = dict(
+                attempt=attempt,
+                mix_name=signature.get("mix_name"),
+                scheme=signature.get("scheme"),
+            )
+            if injector.fire("pool.worker.crash", **context):
+                os._exit(17)
             if injector.fire("pool.worker.error", **context):
                 raise InjectedFaultError(
                     f"injected deterministic failure in "
@@ -191,10 +187,6 @@ def _worker_entry(
         result = runner.run_point(**kwargs)
         if checkpoint_dir is not None:
             shutil.rmtree(checkpoint_dir, ignore_errors=True)
-        if injector is not None and injector.fire(
-            "pool.worker.lost_result", **context
-        ):
-            return  # exit cleanly without shipping: a lost result
         conn.send(("ok", result.to_dict()))
     except (KeyboardInterrupt, SystemExit):
         raise

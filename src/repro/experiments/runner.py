@@ -29,7 +29,7 @@ from repro.experiments.store import ResultStore
 from repro.sim.config import SMALL_WORKLOAD_SCALE, SystemConfig, small_config
 from repro.sim.engine import run_simulation
 from repro.sim.stats import SimulationResult
-from repro.workloads.mixes import MIX_NAMES, make_mix
+from repro.workloads.mixes import make_mix
 
 #: Fallback run length / seed when the ``REPRO_*`` variables are unset.
 #: The environment is consulted on *every* call (not at import), so
@@ -142,10 +142,6 @@ def set_store(store: Optional[ResultStore], consult: bool = True) -> None:
     global _store, _consult_store
     _store = store
     _consult_store = consult
-
-
-def get_store() -> Optional[ResultStore]:
-    return _store
 
 
 # ----------------------------------------------------------------------
@@ -293,10 +289,6 @@ def mark_failed(signature: Dict[str, object], error: str) -> None:
     _failed[_cache_key(signature)] = error
 
 
-def failed_count() -> int:
-    return len(_failed)
-
-
 def clear_cache() -> None:
     _cache.clear()
     _failed.clear()
@@ -304,7 +296,3 @@ def clear_cache() -> None:
 
 def cache_size() -> int:
     return len(_cache)
-
-
-def all_mixes() -> list:
-    return list(MIX_NAMES)

@@ -23,7 +23,6 @@ points; rerunning with the same store replays only what is missing.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
@@ -106,38 +105,18 @@ class ResultStore:
             "result": strip_host_fields(result.to_dict()),
         }
         path = self.path_for(signature)
-        # Chaos hooks (no-ops unless a FaultPlan is armed): each mutates
-        # what lands on disk exactly the way the matching host failure
-        # would, so ``load``'s corruption tolerance is exercised honestly.
-        injector = faults.ACTIVE
-        if injector is not None:
-            context = dict(
-                entry=path.name,
-                mix_name=signature.get("mix_name"),
-                scheme=signature.get("scheme"),
-            )
-            if injector.fire("store.save.io_error", **context):
-                raise OSError(
-                    errno.EIO, f"injected I/O error persisting {path.name}"
-                )
-            if injector.fire("store.enospc", **context):
-                raise _budget.translate_disk_error(
-                    OSError(
-                        errno.ENOSPC,
-                        f"injected disk-full persisting {path.name}",
-                    ),
-                    f"persisting result {path.name}",
-                )
-            if injector.fire("store.save.wrong_signature", **context):
-                mutated = dict(document["signature"])
-                mutated["mix_name"] = "__chaos__"
-                document = dict(document, signature=mutated)
         data = json.dumps(document, sort_keys=True).encode("utf-8")
-        if injector is not None:
-            if injector.fire("store.save.torn_write", **context):
-                data = data[: len(data) // 2]
-            elif injector.fire("store.save.corrupt_byte", **context):
-                data = faults.flip_byte(data)
+        # Chaos hook (a no-op unless a FaultPlan is armed): bit rot that
+        # still lands via os.replace, so ``load``'s corruption tolerance
+        # is exercised honestly.
+        injector = faults.ACTIVE
+        if injector is not None and injector.fire(
+            "store.save.corrupt_byte",
+            entry=path.name,
+            mix_name=signature.get("mix_name"),
+            scheme=signature.get("scheme"),
+        ):
+            data = faults.flip_byte(data)
         monitor = _budget.ACTIVE
         previous_size = 0
         if monitor is not None:
@@ -189,13 +168,6 @@ class ResultStore:
         """
         path = self.path_for(signature)
         try:
-            injector = faults.ACTIVE
-            if injector is not None and injector.fire(
-                "store.load.io_error", entry=path.name
-            ):
-                raise OSError(
-                    errno.EIO, f"injected I/O error reading {path.name}"
-                )
             with open(path) as handle:
                 document = json.load(handle)
         except FileNotFoundError:

@@ -1,41 +1,35 @@
-"""Deterministic fault injection: seeded chaos for the robustness layer.
+"""Deterministic fault injection for ``repro chaos``.
 
-PRs 2–4 built the survival machinery — crash-safe result store, retrying
-worker pool, checksummed checkpoints — but those recovery paths only run
-when the host actually misbehaves.  This module makes failure a
-first-class, *reproducible* input: a declarative :class:`FaultPlan`
-names *fault points* threaded through the I/O and orchestration layers
-and says when each should fire; ``repro chaos`` then runs a campaign
-under the plan and asserts the end state (see
-:mod:`repro.experiments.chaos` and ``docs/chaos.md``).
+The survival machinery — crash-safe result store, retrying worker pool
+— only runs when the host actually misbehaves.  This module makes
+failure a reproducible input: a declarative :class:`FaultPlan` names
+*fault points* in the campaign path and says when each should fire;
+``repro chaos`` then runs a campaign under the plan and asserts the end
+state (see :mod:`repro.experiments.chaos` and ``docs/chaos.md``).
+
+Only failures a campaign cannot be made to suffer any other way get a
+fault point.  Recovery paths a test can reach directly (a damaged file,
+an ``OSError`` from a monkeypatched ``os.replace``, ``ENOSPC``) are
+tested that way instead.
 
 Design rules:
 
 * **zero overhead unarmed** — every hook site guards with one
   ``faults.ACTIVE is not None`` check (the same idiom as telemetry), so
   production runs pay nothing;
-* **deterministic** — each spec draws from its own ``random.Random``
-  seeded from ``(plan.seed, spec index, point name)``; the same plan
-  over the same campaign fires the same faults;
-* **honest failures** — fault points raise the *real* exception type
-  the failure would produce (``OSError``, truncated bytes on disk, a
-  hard ``os._exit``), so the recovery path exercised is exactly the
-  production one;
+* **honest failures** — fault points produce the *real* artifact the
+  failure would (a hard ``os._exit``, a flipped byte on disk), so the
+  recovery path exercised is exactly the production one;
 * **accounted** — every injected fault is recorded in the injector, in
   the telemetry event trace / metrics registry (when attached), and in
   a durable append-only JSONL *fault log* that survives worker crashes
   (children fork the armed injector and append to the same file).
-
-Fault-point catalogue (``FAULT_POINTS``): see ``docs/chaos.md`` for
-behavior, context keys and the recovery each point exercises.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -43,75 +37,18 @@ from typing import Dict, List, Optional
 from repro.errors import ConfigError
 from repro.telemetry.events import EVENT_FAULT
 
-#: Environment knobs: arm any process (CLI entry points call
-#: :func:`arm_from_env`) with a plan file / fault-log path.
-ENV_PLAN = "REPRO_FAULT_PLAN"
-ENV_LOG = "REPRO_FAULT_LOG"
-
 #: Every fault point a plan may reference, with a one-line contract.
 FAULT_POINTS: Dict[str, str] = {
-    "store.save.io_error": (
-        "raise OSError(EIO) while persisting a result (write fails cleanly)"
-    ),
-    "store.save.torn_write": (
-        "persist only the first half of a result entry (torn write that "
-        "still lands via os.replace)"
-    ),
     "store.save.corrupt_byte": (
         "flip one byte of a result entry before it lands (bit rot)"
     ),
-    "store.save.wrong_signature": (
-        "persist the entry under a mutated signature (hash collision / "
-        "hand-edited file)"
-    ),
-    "store.enospc": (
-        "raise OSError(ENOSPC) while persisting a result (disk full; must "
-        "surface as DiskFullError, exit 7, resumable)"
-    ),
-    "store.load.io_error": (
-        "raise OSError(EIO) while reading a store entry (transient read "
-        "failure; the loader must degrade to a miss)"
-    ),
-    "checkpoint.write.io_error": (
-        "raise OSError(EIO) mid checkpoint write (previous snapshot must "
-        "survive, temp file must not leak)"
-    ),
-    "checkpoint.write.torn_payload": (
-        "write a checkpoint whose payload is truncated to half (header "
-        "promises more bytes than the file holds)"
-    ),
-    "checkpoint.write.flip_checksum": (
-        "corrupt the checkpoint header's sha256 (reader must reject)"
-    ),
-    "checkpoint.enospc": (
-        "raise OSError(ENOSPC) mid checkpoint write (disk full; previous "
-        "snapshot must survive and DiskFullError must surface)"
-    ),
-    "checkpoint.read.io_error": (
-        "raise OSError(EIO) while reading a checkpoint"
-    ),
     "pool.worker.crash": (
-        "hard-exit the worker process (os._exit) before it simulates — "
-        "an OOM-kill stand-in; the pool must retry"
-    ),
-    "pool.worker.hang": (
-        "sleep inside the worker (args.seconds, default 3600) — the "
-        "pool's per-point timeout must kill and retry it"
+        "hard-exit the worker process (os._exit(17)) before it simulates "
+        "— an OOM-kill stand-in; the pool must retry"
     ),
     "pool.worker.error": (
         "raise InjectedFaultError inside the worker — a deterministic "
         "simulation failure; the pool must fail the point, not retry"
-    ),
-    "pool.worker.lost_result": (
-        "simulate successfully but exit without shipping the result — "
-        "the pool must treat it as a dead worker and retry"
-    ),
-    "trace.record.truncate_thread": (
-        "record a trace with thread 0's address array truncated to half "
-        "(malformed record; the loader must reject it loudly)"
-    ),
-    "trace.load.io_error": (
-        "raise OSError(EIO) while loading a trace file"
     ),
 }
 
@@ -124,19 +61,13 @@ class FaultSpec:
     :meth:`FaultInjector.fire` (e.g. ``{"attempt": 1}`` fires only on a
     point's first attempt — the deterministic way to express "crash
     once, then recover" across worker processes whose trigger counters
-    do not survive the crash).  ``after`` skips the first N matching
-    hits; ``max_triggers`` bounds firings (``None`` = unbounded);
-    ``probability`` < 1 samples from the spec's own seeded stream.
-    ``args`` carries mode-specific knobs (e.g. ``seconds`` for
-    ``pool.worker.hang``, ``exit_code`` for ``pool.worker.crash``).
+    do not survive the crash).  ``max_triggers`` bounds firings
+    (``None`` = unbounded).
     """
 
     point: str
-    probability: float = 1.0
     max_triggers: Optional[int] = 1
-    after: int = 0
     when: Dict[str, object] = field(default_factory=dict)
-    args: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.point not in FAULT_POINTS:
@@ -144,38 +75,32 @@ class FaultSpec:
             raise ConfigError(
                 f"unknown fault point {self.point!r}; known points: {known}"
             )
-        if not 0.0 <= self.probability <= 1.0:
+        if self.max_triggers is not None and (
+            isinstance(self.max_triggers, bool)
+            or not isinstance(self.max_triggers, int)
+            or self.max_triggers < 1
+        ):
             raise ConfigError(
-                f"{self.point}: probability must be in [0, 1], got "
-                f"{self.probability}"
+                f"{self.point}: max_triggers must be an integer >= 1 or "
+                f"null, got {self.max_triggers!r}"
             )
-        if self.max_triggers is not None and self.max_triggers < 1:
+        if not isinstance(self.when, dict):
             raise ConfigError(
-                f"{self.point}: max_triggers must be positive or null, got "
-                f"{self.max_triggers}"
-            )
-        if self.after < 0:
-            raise ConfigError(
-                f"{self.point}: after cannot be negative, got {self.after}"
+                f"{self.point}: when must be an object, got {self.when!r}"
             )
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "point": self.point,
-            "probability": self.probability,
             "max_triggers": self.max_triggers,
-            "after": self.after,
             "when": dict(self.when),
-            "args": dict(self.args),
         }
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "FaultSpec":
         if not isinstance(record, dict):
             raise ConfigError(f"fault spec must be an object, got {record!r}")
-        unknown = set(record) - {
-            "point", "probability", "max_triggers", "after", "when", "args"
-        }
+        unknown = set(record) - {"point", "max_triggers", "when"}
         if unknown:
             raise ConfigError(
                 f"fault spec has unknown field(s): {sorted(unknown)}"
@@ -184,14 +109,8 @@ class FaultSpec:
             raise ConfigError(f"fault spec is missing 'point': {record!r}")
         return cls(
             point=str(record["point"]),
-            probability=float(record.get("probability", 1.0)),
-            max_triggers=(
-                None if record.get("max_triggers", 1) is None
-                else int(record.get("max_triggers", 1))
-            ),
-            after=int(record.get("after", 0)),
-            when=dict(record.get("when", {})),
-            args=dict(record.get("args", {})),
+            max_triggers=record.get("max_triggers", 1),
+            when=record.get("when", {}),
         )
 
 
@@ -200,13 +119,11 @@ class FaultPlan:
     """A declarative, JSON-able set of armed fault specs."""
 
     faults: List[FaultSpec] = field(default_factory=list)
-    seed: int = 0
     name: str = "unnamed"
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
-            "seed": self.seed,
             "faults": [spec.to_dict() for spec in self.faults],
         }
 
@@ -214,7 +131,7 @@ class FaultPlan:
     def from_dict(cls, record: Dict[str, object]) -> "FaultPlan":
         if not isinstance(record, dict):
             raise ConfigError(f"fault plan must be an object, got {record!r}")
-        unknown = set(record) - {"name", "seed", "faults"}
+        unknown = set(record) - {"name", "faults"}
         if unknown:
             raise ConfigError(
                 f"fault plan has unknown field(s): {sorted(unknown)}"
@@ -224,7 +141,6 @@ class FaultPlan:
             raise ConfigError("fault plan 'faults' must be a list")
         return cls(
             faults=[FaultSpec.from_dict(spec) for spec in faults],
-            seed=int(record.get("seed", 0)),
             name=str(record.get("name", "unnamed")),
         )
 
@@ -243,21 +159,6 @@ class FaultPlan:
         if plan.name == "unnamed":
             plan.name = os.path.basename(str(path))
         return plan
-
-
-class _SpecState:
-    """Per-spec runtime state: hit/trigger counters + seeded stream."""
-
-    __slots__ = ("spec", "rng", "hits", "triggers")
-
-    def __init__(self, spec: FaultSpec, plan_seed: int, index: int):
-        self.spec = spec
-        tag = f"repro.fault:{plan_seed}:{index}:{spec.point}".encode("utf-8")
-        self.rng = random.Random(
-            int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
-        )
-        self.hits = 0
-        self.triggers = 0
 
 
 class FaultInjector:
@@ -281,42 +182,27 @@ class FaultInjector:
         self.telemetry = telemetry
         self.log_path = str(log_path) if log_path is not None else None
         self.records: List[Dict[str, object]] = []
-        self._states: Dict[str, List[_SpecState]] = {}
-        for index, spec in enumerate(plan.faults):
-            self._states.setdefault(spec.point, []).append(
-                _SpecState(spec, plan.seed, index)
-            )
+        self._triggers = [0] * len(plan.faults)  # per spec, in plan order
 
     # ------------------------------------------------------------------
-    def fire(self, point: str, **context: object) -> Optional[FaultSpec]:
+    def fire(self, point: str, **context: object) -> bool:
         """Decide whether ``point`` faults now; record it if so.
 
-        Returns the firing :class:`FaultSpec` (the hook site interprets
-        its ``args``) or ``None``.  The first matching spec wins.
+        The first spec for ``point`` whose ``when`` matches ``context``
+        and whose ``max_triggers`` is not used up fires.
         """
-        states = self._states.get(point)
-        if not states:
-            return None
-        for state in states:
-            spec = state.spec
-            if spec.when and any(
+        for index, spec in enumerate(self.plan.faults):
+            if spec.point != point or any(
                 context.get(key) != value for key, value in spec.when.items()
             ):
                 continue
-            state.hits += 1
-            if state.hits <= spec.after:
+            triggers = self._triggers[index]
+            if spec.max_triggers is not None and triggers >= spec.max_triggers:
                 continue
-            if (
-                spec.max_triggers is not None
-                and state.triggers >= spec.max_triggers
-            ):
-                continue
-            if spec.probability < 1.0 and state.rng.random() >= spec.probability:
-                continue
-            state.triggers += 1
-            self._record(point, spec, state.triggers, context)
-            return spec
-        return None
+            self._triggers[index] = triggers + 1
+            self._record(point, triggers + 1, context)
+            return True
+        return False
 
     @property
     def injected(self) -> int:
@@ -324,17 +210,9 @@ class FaultInjector:
         the shared fault log is the cross-process ledger)."""
         return len(self.records)
 
-    def recent(self, count: int = 16) -> List[Dict[str, object]]:
-        """The last ``count`` injection records (newest last)."""
-        return self.records[-count:]
-
     # ------------------------------------------------------------------
     def _record(
-        self,
-        point: str,
-        spec: FaultSpec,
-        trigger: int,
-        context: Dict[str, object],
+        self, point: str, trigger: int, context: Dict[str, object]
     ) -> None:
         record = {
             "point": point,
@@ -373,13 +251,12 @@ def _jsonable(context: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def flip_byte(data: bytes, offset: Optional[int] = None) -> bytes:
-    """``data`` with one byte XOR-flipped (defaults to the middle byte)."""
+def flip_byte(data: bytes) -> bytes:
+    """``data`` with its middle byte XOR-flipped."""
     if not data:
         return data
-    index = (len(data) // 2) if offset is None else (offset % len(data))
     mutated = bytearray(data)
-    mutated[index] ^= 0xFF
+    mutated[len(data) // 2] ^= 0xFF
     return bytes(mutated)
 
 
@@ -412,10 +289,6 @@ def disarm() -> Optional[FaultInjector]:
     return previous
 
 
-def get_active() -> Optional[FaultInjector]:
-    return ACTIVE
-
-
 @contextmanager
 def armed(plan: FaultPlan, telemetry=None, log_path: Optional[str] = None):
     """``with faults.armed(plan): ...`` — scoped arming for tests."""
@@ -424,23 +297,3 @@ def armed(plan: FaultPlan, telemetry=None, log_path: Optional[str] = None):
         yield injector
     finally:
         disarm()
-
-
-def arm_from_env(telemetry=None) -> Optional[FaultInjector]:
-    """Arm from ``REPRO_FAULT_PLAN`` (a plan file path) if set.
-
-    ``REPRO_FAULT_LOG`` names the fault log.  Lets any entry point —
-    including CI driving the plain ``repro report`` CLI — run under a
-    plan without new flags.  No-op (returns the current injector, maybe
-    ``None``) when the variable is unset or something is already armed.
-    """
-    if ACTIVE is not None:
-        return ACTIVE
-    plan_path = os.environ.get(ENV_PLAN)
-    if not plan_path:
-        return None
-    return arm(
-        FaultPlan.from_file(plan_path),
-        telemetry=telemetry,
-        log_path=os.environ.get(ENV_LOG),
-    )

@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Callable, List, Optional, Union
 
 from repro import budget as budget_mod
-from repro import faults
 from repro.errors import ConfigError
 from repro.checkpoint import (
     CheckpointError,
@@ -480,14 +479,6 @@ def run_simulation(
                 # Budget pressure is prime stall context: a run wedged at
                 # 99% RSS died of thrashing, not of a simulator bug.
                 stall_document["budget"] = monitor.to_dict()
-            injector = faults.ACTIVE
-            if injector is not None:
-                # A stall under chaos usually IS the chaos: embed the armed
-                # plan and the most recent injections in the post-mortem.
-                stall_document["chaos"] = {
-                    "fault_plan": injector.plan.to_dict(),
-                    "recent_faults": injector.recent(16),
-                }
             snapshot_path = str(writer.write_stall(executed, stall_document))
         if telemetry is not None:
             telemetry.emit(

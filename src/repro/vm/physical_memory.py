@@ -79,10 +79,6 @@ class FrameAllocator:
         self._used[slot] = True
         return slot
 
-    @property
-    def frames_allocated(self) -> int:
-        return len(self._used) + (self.num_frames - self._next_contig_end)
-
     def state_dict(self) -> dict:
         return {
             "base_frame": self.base_frame,

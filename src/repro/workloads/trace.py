@@ -18,7 +18,6 @@ writing the same npz layout (`thread<N>_addresses`, `thread<N>_writes`).
 
 from __future__ import annotations
 
-import errno
 import itertools
 import pathlib
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ from typing import Dict, Union
 
 import numpy as np
 
-from repro import faults
 from repro.errors import DataError
 from repro.workloads.base import AccessStream, Workload
 
@@ -68,15 +66,6 @@ def record_trace(
             np.array([flag for _, flag in pairs], dtype=bool)
         )
         arrays[f"thread{thread}_length"] = np.array([len(pairs)])
-    # Chaos hook (no-op unless a FaultPlan is armed): drop the back half
-    # of thread 0's address stream without touching its recorded length,
-    # producing exactly the inconsistency ``load_trace`` must reject.
-    injector = faults.ACTIVE
-    if injector is not None and injector.fire(
-        "trace.record.truncate_thread", path=str(path)
-    ):
-        truncated = arrays["thread0_addresses"]
-        arrays["thread0_addresses"] = truncated[: max(1, len(truncated) // 2)]
     np.savez_compressed(str(path), **arrays)
 
 
@@ -97,11 +86,6 @@ def load_trace(path: PathLike) -> Dict[str, np.ndarray]:
     or a per-thread length field that disagrees with the stored data —
     the failure modes of a torn or hand-mangled trace file.
     """
-    injector = faults.ACTIVE
-    if injector is not None and injector.fire(
-        "trace.load.io_error", path=str(path)
-    ):
-        raise OSError(errno.EIO, f"injected I/O error reading {path}")
     data = dict(np.load(str(path)))
     version = int(data.get("version", [0])[0])
     if version != _FORMAT_VERSION:

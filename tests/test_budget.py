@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import budget, faults
+from repro import budget
 from repro.budget import (
     Budget,
     BudgetMonitor,
@@ -39,12 +39,10 @@ TINY = dict(total_accesses=1_500)
 def clean_state():
     runner.clear_cache()
     runner.set_store(None)
-    faults.disarm()
     budget.disarm()
     yield
     runner.clear_cache()
     runner.set_store(None)
-    faults.disarm()
     budget.disarm()
 
 
@@ -282,39 +280,25 @@ class TestDiskLedger:
 # ----------------------------------------------------------------------
 # ENOSPC translation (satellite: actionable taxonomy errors)
 # ----------------------------------------------------------------------
+def full_disk(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestDiskFullTranslation:
-    def test_store_enospc_fault_point(self, tmp_path):
+    def test_store_real_enospc_translated(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "store")
         result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
-        plan = faults.FaultPlan(
-            faults=[faults.FaultSpec(point="store.enospc")],
-            seed=3, name="test",
-        )
-        with faults.armed(plan):
-            with pytest.raises(DiskFullError) as exc_info:
-                store.save(
-                    runner.point_signature("gups", Scheme.POM_TLB, **TINY),
-                    result,
-                )
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(DiskFullError, match="no space left") as exc_info:
+            store.save(
+                runner.point_signature("gups", Scheme.POM_TLB, **TINY),
+                result,
+            )
         error = exc_info.value
         assert error.exit_code == EXIT_BUDGET
         assert error.dimension == "disk"
         assert "--resume" in str(error)
         assert len(store) == 0
-
-    def test_store_real_enospc_translated(self, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path / "store")
-        result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
-
-        def full_disk(*args, **kwargs):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(os, "replace", full_disk)
-        with pytest.raises(DiskFullError, match="no space left"):
-            store.save(
-                runner.point_signature("gups", Scheme.POM_TLB, **TINY),
-                result,
-            )
 
     def test_store_other_oserror_not_swallowed(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "store")
@@ -331,14 +315,11 @@ class TestDiskFullTranslation:
             )
         assert not isinstance(exc_info.value, DiskFullError)
 
-    def test_checkpoint_enospc_fault_point(self, tmp_path):
+    def test_checkpoint_enospc_fault_point(self, tmp_path, monkeypatch):
         writer = CheckpointWriter(tmp_path, keep=3)
         first = writer.write(1000, {"executed": 1000})
-        plan = faults.FaultPlan(
-            faults=[faults.FaultSpec(point="checkpoint.enospc")],
-            seed=3, name="test",
-        )
-        with faults.armed(plan):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", full_disk)
             with pytest.raises(DiskFullError):
                 writer.write(2000, {"executed": 2000})
         # The previous snapshot must have survived the failed write.
@@ -481,13 +462,12 @@ class TestPoolEnforcement:
             )
         assert exc_info.value.summary.skipped == 2
 
-    def test_disk_full_aborts_inline_campaign_resumably(self, tmp_path):
+    def test_disk_full_aborts_inline_campaign_resumably(
+        self, tmp_path, monkeypatch
+    ):
         store = ResultStore(tmp_path / "store")
-        plan = faults.FaultPlan(
-            faults=[faults.FaultSpec(point="store.enospc")],
-            seed=3, name="test",
-        )
-        with faults.armed(plan):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", full_disk)
             with pytest.raises(DiskFullError) as exc_info:
                 run_campaign(self.grid(), store=store)
         # One identical disk-full per point would be noise: the campaign
@@ -497,16 +477,16 @@ class TestPoolEnforcement:
         summary = run_campaign(self.grid(), store=store, resume=True)
         assert summary.ok and len(store) == 2
 
-    def test_disk_full_aborts_parallel_campaign_resumably(self, tmp_path):
+    def test_disk_full_aborts_parallel_campaign_resumably(
+        self, tmp_path, monkeypatch
+    ):
         store = ResultStore(tmp_path / "store")
-        plan = faults.FaultPlan(
-            faults=[faults.FaultSpec(point="store.enospc")],
-            seed=3, name="test",
-        )
-        with faults.armed(plan):
+        with monkeypatch.context() as patch:
+            # Forked workers inherit the patch.
+            patch.setattr(os, "replace", full_disk)
             with pytest.raises(DiskFullError):
                 run_campaign(self.grid(), jobs=2, store=store)
-        faults.disarm()
+        assert len(store) == 0
         runner.clear_cache()
         summary = run_campaign(self.grid(), jobs=2, store=store, resume=True)
         assert summary.ok and len(store) == 2

@@ -29,19 +29,23 @@ def tiny_points():
     return [
         runner.point_signature("gups", Scheme.POM_TLB, **TINY),
         runner.point_signature("canneal", Scheme.POM_TLB, **TINY),
+        runner.point_signature("streamcluster", Scheme.POM_TLB, **TINY),
     ]
 
 
 def smoke_plan():
+    """Mirrors ``benchmarks/chaos_ci_plan.json``: one spec per point."""
     return faults.FaultPlan.from_dict({
         "name": "smoke",
-        "seed": 7,
         "faults": [
             {"point": "pool.worker.crash",
              "when": {"attempt": 1, "mix_name": "gups"},
              "max_triggers": 1},
             {"point": "store.save.corrupt_byte",
              "when": {"mix_name": "canneal"},
+             "max_triggers": 1},
+            {"point": "pool.worker.error",
+             "when": {"mix_name": "streamcluster"},
              "max_triggers": 1},
         ],
     })
@@ -54,10 +58,13 @@ class TestConvergence:
             out_dir=str(tmp_path / "out"),
         )
         assert report.ok, report.problems
-        assert report.injected >= 2        # both specs fired (fault log)
-        assert report.store_entries == 2
+        assert report.injected >= 3        # every spec fired (fault log)
+        assert report.store_entries == 3
         assert report.rounds[-1].converged
         assert report.rounds[0].armed and not report.rounds[-1].armed
+        # The injected error fails streamcluster once, without retry;
+        # the recovery round re-runs it.
+        assert report.rounds[0].failures == 1
         # The fault log is the durable cross-process ledger.
         lines = [
             json.loads(line)
@@ -65,7 +72,8 @@ class TestConvergence:
             .read_text().splitlines()
         ]
         assert {line["point"] for line in lines} == {
-            "pool.worker.crash", "store.save.corrupt_byte",
+            "pool.worker.crash", "pool.worker.error",
+            "store.save.corrupt_byte",
         }
 
     def test_stores_byte_identical_after_convergence(self, tmp_path):
@@ -142,6 +150,29 @@ class TestChaosCli:
             {"faults": [{"point": "not.a.point"}]}
         ))
         assert main(["chaos", "--plan", str(path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "field, value", [("when", "gups"), ("max_triggers", "once")]
+    )
+    def test_mistyped_plan_field_is_usage_error(
+        self, tmp_path, capsys, field, value
+    ):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(
+            {"faults": [{"point": "pool.worker.crash", field: value}]}
+        ))
+        assert main(["chaos", "--plan", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and field in err
+        assert "Traceback" not in err
+
+    def test_retired_point_rejected(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(
+            {"faults": [{"point": "store.enospc"}]}
+        ))
+        assert main(["chaos", "--plan", str(path)]) == EXIT_USAGE
+        assert "unknown fault point" in capsys.readouterr().err
 
     def test_help_mentions_docs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

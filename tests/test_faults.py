@@ -1,7 +1,16 @@
-"""Fault injection: plan parsing, determinism, and every hook site."""
+"""Fault injection: plan parsing, the injector and the three hook sites.
 
+The store, checkpoint and trace failure modes that have no fault point
+are driven directly here instead (a failing ``os.replace``, a directory
+where an entry should be, a missing file, a re-saved damaged trace), so
+every recovery branch stays pinned without an injection hook.
+"""
+
+import errno
 import json
+import os
 
+import numpy as np
 import pytest
 
 from repro import faults
@@ -11,7 +20,7 @@ from repro.checkpoint import (
     write_checkpoint,
 )
 from repro.core.schemes import Scheme
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DiskFullError
 from repro.experiments import runner
 from repro.experiments.pool import run_campaign
 from repro.experiments.store import ResultStore
@@ -36,17 +45,29 @@ def fresh_state():
 
 def plan_for(point, **spec_fields):
     return faults.FaultPlan(
-        faults=[faults.FaultSpec(point=point, **spec_fields)],
-        seed=3, name="test",
+        faults=[faults.FaultSpec(point=point, **spec_fields)], name="test",
     )
+
+
+def failing_replace(code):
+    def replace(*args, **kwargs):
+        raise OSError(code, os.strerror(code))
+
+    return replace
 
 
 # ----------------------------------------------------------------------
 class TestPlanParsing:
     def test_round_trip(self):
-        plan = plan_for("store.save.torn_write", when={"mix_name": "gups"})
+        plan = plan_for("store.save.corrupt_byte", when={"mix_name": "gups"})
         clone = faults.FaultPlan.from_dict(plan.to_dict())
         assert clone.to_dict() == plan.to_dict()
+
+    def test_catalogue_is_the_three_kept_points(self):
+        assert sorted(faults.FAULT_POINTS) == [
+            "pool.worker.crash", "pool.worker.error",
+            "store.save.corrupt_byte",
+        ]
 
     def test_unknown_point_rejected(self):
         with pytest.raises(ConfigError, match="unknown fault point"):
@@ -57,18 +78,43 @@ class TestPlanParsing:
             faults.FaultSpec.from_dict({"point": "pool.worker.crash",
                                         "wen": {}})
 
-    def test_bad_probability_rejected(self):
-        with pytest.raises(ConfigError, match="probability"):
-            faults.FaultSpec(point="pool.worker.crash", probability=1.5)
+    @pytest.mark.parametrize("field", ["probability", "after", "args"])
+    def test_retired_spec_fields_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            faults.FaultSpec.from_dict({"point": "pool.worker.crash",
+                                        field: 1})
+
+    def test_retired_plan_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            faults.FaultPlan.from_dict({"seed": 7, "faults": []})
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"when": "gups"}, "when"),
+            ({"max_triggers": "once"}, "max_triggers"),
+            ({"max_triggers": 0}, "max_triggers"),
+            ({"max_triggers": True}, "max_triggers"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, spec, field):
+        with pytest.raises(ConfigError, match=field):
+            faults.FaultSpec.from_dict(dict(spec, point="pool.worker.crash"))
+
+    def test_unbounded_max_triggers_accepted(self):
+        spec = faults.FaultSpec.from_dict(
+            {"point": "pool.worker.crash", "max_triggers": None}
+        )
+        assert spec.max_triggers is None
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(
-            {"seed": 9, "faults": [{"point": "pool.worker.crash"}]}
+            {"faults": [{"point": "pool.worker.crash"}]}
         ))
         plan = faults.FaultPlan.from_file(path)
-        assert plan.seed == 9
         assert plan.faults[0].point == "pool.worker.crash"
+        assert plan.faults[0].max_triggers == 1
         assert plan.name == "plan.json"  # falls back to the filename
 
     def test_unreadable_file_is_config_error(self, tmp_path):
@@ -79,7 +125,6 @@ class TestPlanParsing:
 class TestInjectorSemantics:
     def test_unarmed_is_inert(self):
         assert faults.ACTIVE is None
-        assert faults.get_active() is None
 
     def test_armed_context_manager_restores(self):
         with faults.armed(plan_for("pool.worker.crash")) as injector:
@@ -91,40 +136,29 @@ class TestInjectorSemantics:
             plan_for("pool.worker.crash", max_triggers=2)
         )
         fired = [injector.fire("pool.worker.crash") for _ in range(5)]
-        assert [spec is not None for spec in fired] == [
-            True, True, False, False, False
-        ]
-
-    def test_after_skips_first_hits(self):
-        injector = faults.FaultInjector(
-            plan_for("pool.worker.crash", after=2, max_triggers=None)
-        )
-        fired = [injector.fire("pool.worker.crash") for _ in range(4)]
-        assert [spec is not None for spec in fired] == [
-            False, False, True, True
-        ]
+        assert fired == [True, True, False, False, False]
 
     def test_when_filters_on_context(self):
         injector = faults.FaultInjector(
             plan_for("pool.worker.crash", when={"attempt": 1})
         )
-        assert injector.fire("pool.worker.crash", attempt=2) is None
-        assert injector.fire("pool.worker.crash", attempt=1) is not None
+        assert injector.fire("pool.worker.crash", attempt=2) is False
+        assert injector.fire("pool.worker.crash", attempt=1) is True
 
-    def test_probability_stream_is_deterministic(self):
-        def pattern():
-            injector = faults.FaultInjector(
-                plan_for("pool.worker.crash", probability=0.5,
-                         max_triggers=None)
-            )
-            return [
-                injector.fire("pool.worker.crash") is not None
-                for _ in range(32)
-            ]
+    def test_specs_for_other_points_never_fire(self):
+        injector = faults.FaultInjector(plan_for("pool.worker.crash"))
+        assert injector.fire("pool.worker.error") is False
+        assert injector.fire("pool.worker.crash") is True
 
-        first, second = pattern(), pattern()
-        assert first == second
-        assert any(first) and not all(first)  # actually samples
+    def test_first_matching_spec_with_triggers_left_wins(self):
+        plan = faults.FaultPlan(faults=[
+            faults.FaultSpec(point="pool.worker.crash", max_triggers=1),
+            faults.FaultSpec(point="pool.worker.crash", max_triggers=1),
+        ])
+        injector = faults.FaultInjector(plan)
+        fired = [injector.fire("pool.worker.crash") for _ in range(3)]
+        assert fired == [True, True, False]
+        assert [r["trigger"] for r in injector.records] == [1, 1]
 
     def test_fault_log_appends_jsonl(self, tmp_path):
         log = tmp_path / "faults.jsonl"
@@ -150,7 +184,7 @@ class TestInjectorSemantics:
         counter = telemetry.metrics.get("faults.pool.worker.crash")
         assert counter is not None and counter.value == 1
         assert injector.injected == 1
-        assert injector.recent()[0]["point"] == "pool.worker.crash"
+        assert injector.records[0]["point"] == "pool.worker.crash"
 
     def test_flip_byte_changes_exactly_one_byte(self):
         data = b"0123456789"
@@ -158,120 +192,82 @@ class TestInjectorSemantics:
         assert len(flipped) == len(data)
         assert sum(a != b for a, b in zip(data, flipped)) == 1
 
-    def test_arm_from_env(self, tmp_path, monkeypatch):
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps(
-            {"faults": [{"point": "pool.worker.crash"}]}
-        ))
-        monkeypatch.setenv(faults.ENV_PLAN, str(path))
-        injector = faults.arm_from_env()
-        assert injector is not None
-        assert faults.ACTIVE is injector
-
 
 # ----------------------------------------------------------------------
 class TestStoreFaultPoints:
-    def _saved(self, tmp_path, plan):
-        store = ResultStore(tmp_path)
-        signature = runner.point_signature("gups", Scheme.POM_TLB, **TINY)
-        result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
-        with faults.armed(plan):
-            path = store.save(signature, result)
-        return store, signature, path
+    """The store's hook (``store.save.corrupt_byte``) and its I/O-error
+    branches, which are driven directly."""
 
-    def test_torn_write_loads_as_miss(self, tmp_path):
-        store, signature, path = self._saved(
-            tmp_path, plan_for("store.save.torn_write")
-        )
-        assert path.exists()
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            assert store.load(signature) is None
+    def _point(self):
+        signature = runner.point_signature("gups", Scheme.POM_TLB, **TINY)
+        return signature, runner.run_point("gups", Scheme.POM_TLB, **TINY)
 
     def test_corrupt_byte_loads_as_miss(self, tmp_path):
-        store, signature, _ = self._saved(
-            tmp_path, plan_for("store.save.corrupt_byte")
-        )
+        store = ResultStore(tmp_path)
+        signature, result = self._point()
+        with faults.armed(plan_for("store.save.corrupt_byte")):
+            store.save(signature, result)
         with pytest.warns(RuntimeWarning):
             assert store.load(signature) is None
 
-    def test_wrong_signature_loads_as_miss(self, tmp_path):
-        store, signature, _ = self._saved(
-            tmp_path, plan_for("store.save.wrong_signature")
-        )
-        with pytest.warns(RuntimeWarning, match="malformed"):
-            assert store.load(signature) is None
-
-    def test_save_io_error_raises_oserror(self, tmp_path):
+    def test_save_io_error_raises_oserror(self, tmp_path, monkeypatch):
+        # The temp file exists when os.replace fails, so the no-orphan
+        # assert checks the sweep in ``save``'s finally clause.
         store = ResultStore(tmp_path)
-        signature = runner.point_signature("gups", Scheme.POM_TLB, **TINY)
-        result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
-        with faults.armed(plan_for("store.save.io_error")):
-            with pytest.raises(OSError, match="injected"):
-                store.save(signature, result)
-        assert not list(tmp_path.glob(".tmp-*"))  # no orphan either way
+        signature, result = self._point()
+        monkeypatch.setattr(os, "replace", failing_replace(errno.EIO))
+        with pytest.raises(OSError) as exc_info:
+            store.save(signature, result)
+        assert exc_info.value.errno == errno.EIO
+        assert not isinstance(exc_info.value, DiskFullError)
+        assert not list(tmp_path.glob(".tmp-*"))
+        assert len(store) == 0
 
     def test_load_io_error_degrades_to_miss(self, tmp_path):
         store = ResultStore(tmp_path)
-        signature = runner.point_signature("gups", Scheme.POM_TLB, **TINY)
-        result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
+        signature, result = self._point()
+        store.path_for(signature).mkdir()  # open() raises IsADirectoryError
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            assert store.load(signature) is None
+        store.path_for(signature).rmdir()
         store.save(signature, result)
-        with faults.armed(plan_for("store.load.io_error")):
-            with pytest.warns(RuntimeWarning, match="unreadable"):
-                assert store.load(signature) is None
-        assert store.load(signature) is not None  # disarmed: entry is fine
+        assert store.load(signature) is not None
 
 
 class TestCheckpointFaultPoints:
-    def test_torn_payload_rejected_on_read(self, tmp_path):
-        path = tmp_path / "snap.ckpt"
-        with faults.armed(plan_for("checkpoint.write.torn_payload")):
-            write_checkpoint(path, {"state": list(range(64))})
-        with pytest.raises(CheckpointError, match="truncated"):
-            read_checkpoint(path)
+    """Checkpoint I/O failures, driven directly."""
 
-    def test_flipped_checksum_rejected_on_read(self, tmp_path):
-        path = tmp_path / "snap.ckpt"
-        with faults.armed(plan_for("checkpoint.write.flip_checksum")):
-            write_checkpoint(path, {"state": list(range(64))})
-        with pytest.raises(CheckpointError, match="checksum"):
-            read_checkpoint(path)
-
-    def test_write_io_error_keeps_previous_and_no_tmp(self, tmp_path):
+    def test_write_io_error_keeps_previous_and_no_tmp(
+        self, tmp_path, monkeypatch
+    ):
         path = tmp_path / "snap.ckpt"
         write_checkpoint(path, {"generation": 1})
-        with faults.armed(plan_for("checkpoint.write.io_error")):
-            with pytest.raises(CheckpointError, match="injected"):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", failing_replace(errno.EIO))
+            with pytest.raises(CheckpointError, match="cannot write"):
                 write_checkpoint(path, {"generation": 2})
         assert not list(tmp_path.glob("*.tmp"))  # single-finally cleanup
         document, _ = read_checkpoint(path)
         assert document == {"generation": 1}  # old snapshot survives
 
     def test_read_io_error_wrapped(self, tmp_path):
-        path = tmp_path / "snap.ckpt"
-        write_checkpoint(path, {"generation": 1})
-        with faults.armed(plan_for("checkpoint.read.io_error")):
-            with pytest.raises(CheckpointError, match="injected"):
-                read_checkpoint(path)
+        with pytest.raises(CheckpointError, match="cannot read"):
+            read_checkpoint(tmp_path / "missing.ckpt")
 
 
 class TestTraceFaultPoints:
-    def test_truncated_record_rejected_by_loader(self, tmp_path):
-        path = tmp_path / "trace.npz"
-        workload = make_program("gups", scale=0.25)
-        with faults.armed(plan_for("trace.record.truncate_thread")):
-            record_trace(workload, path, accesses_per_thread=64,
-                         num_threads=2)
-        with pytest.raises(TraceFormatError, match="truncated"):
-            load_trace(path)
+    """A damaged trace file, written directly."""
 
-    def test_load_io_error(self, tmp_path):
+    def test_truncated_record_rejected_by_loader(self, tmp_path):
         path = tmp_path / "trace.npz"
         record_trace(make_program("gups", scale=0.25), path,
                      accesses_per_thread=64, num_threads=2)
-        with faults.armed(plan_for("trace.load.io_error")):
-            with pytest.raises(OSError, match="injected"):
-                load_trace(path)
-        assert load_trace(path)  # disarmed: the file itself is fine
+        arrays = dict(np.load(str(path)))
+        addresses = arrays["thread0_addresses"]
+        arrays["thread0_addresses"] = addresses[: len(addresses) // 2]
+        np.savez_compressed(str(path), **arrays)
+        with pytest.raises(TraceFormatError, match="truncated"):
+            load_trace(path)
 
 
 # ----------------------------------------------------------------------
@@ -290,19 +286,6 @@ class TestPoolFaultPoints:
         assert summary.simulated == 1
         assert len(store) == 1
 
-    def test_worker_lost_result_retried(self, tmp_path):
-        store = ResultStore(tmp_path)
-        plan = plan_for("pool.worker.lost_result", when={"attempt": 1})
-        with faults.armed(plan):
-            summary = run_campaign(
-                self.grid(), jobs=2, store=store, retries=2,
-            )
-        assert summary.ok
-        # The first worker simulated and persisted before "dying", so the
-        # retry restores from the store or re-simulates; either way the
-        # point completes.
-        assert len(store) == 1
-
     def test_worker_error_fails_point_without_retry(self, tmp_path):
         store = ResultStore(tmp_path)
         with faults.armed(plan_for("pool.worker.error")):
@@ -313,15 +296,28 @@ class TestPoolFaultPoints:
         assert summary.failures[0].attempts == 1  # deterministic: no retry
         assert "InjectedFaultError" in summary.failures[0].error
 
-    def test_worker_hang_killed_by_timeout(self, tmp_path):
-        store = ResultStore(tmp_path)
-        plan = plan_for(
-            "pool.worker.hang", when={"attempt": 1}, args={"seconds": 30},
+    def test_worker_hang_killed_by_timeout(self, tmp_path, monkeypatch):
+        # Hang once: the timeout kills the first worker, the retry
+        # completes the point.  Forked workers inherit the patch; the
+        # marker file is the counter that survives the killed worker.
+        import time as time_module
+
+        marker = tmp_path / "hung-once"
+        real = runner.run_simulation
+
+        def hang_once(config, workloads, **kwargs):
+            if not marker.exists():
+                marker.write_text("x")
+                time_module.sleep(60)
+            return real(config, workloads, **kwargs)
+
+        monkeypatch.setattr(runner, "run_simulation", hang_once)
+        store = ResultStore(tmp_path / "store")
+        summary = run_campaign(
+            self.grid(), jobs=2, store=store, retries=2, timeout=1.0,
+            backoff=0.05,
         )
-        with faults.armed(plan):
-            summary = run_campaign(
-                self.grid(), jobs=2, store=store, retries=2, timeout=1.0,
-                backoff=0.05,
-            )
+        assert marker.exists()
         assert summary.ok
         assert summary.simulated == 1
+        assert len(store) == 1

@@ -173,38 +173,3 @@ class TestPartitionController:
     def test_unit_weights(self):
         assert unit_weights() == (1.0, 1.0)
 
-
-class TestLookaheadPartition:
-    def test_matches_argmax_on_convex_curves(self):
-        from repro.core.partitioning import lookahead_partition
-        data = [50, 30, 20, 10, 5, 2, 1, 0, 100]
-        tlb = [40, 35, 5, 0, 0, 0, 0, 0, 60]
-        assert lookahead_partition(data, tlb, 8) == best_partition(data, tlb, 8)
-
-    def test_idle_streams_split_evenly(self):
-        from repro.core.partitioning import lookahead_partition
-        assert lookahead_partition([0] * 9, [0] * 9, 8) == 4
-
-    def test_dominant_stream_takes_most_ways(self):
-        from repro.core.partitioning import lookahead_partition
-        data = [10] * 8 + [0]
-        tlb = [0] * 9
-        assert lookahead_partition(data, tlb, 8) == 7
-
-    def test_weights_respected(self):
-        from repro.core.partitioning import lookahead_partition
-        data = [10] * 8 + [0]
-        tlb = [9] * 8 + [0]
-        assert lookahead_partition(data, tlb, 8, weight_tlb=10.0) == N_MIN
-
-    @given(counters, counters)
-    @settings(max_examples=100)
-    def test_allocation_in_range_and_near_optimal(self, data, tlb):
-        from repro.core.partitioning import lookahead_partition
-        chosen = lookahead_partition(data, tlb, 8)
-        assert N_MIN <= chosen <= 8 - N_MIN
-        best = max(marginal_utility(data, tlb, n, 8) for n in range(1, 8))
-        achieved = marginal_utility(data, tlb, chosen, 8)
-        # The greedy lookahead is allowed to be suboptimal, but never
-        # worse than half the optimum on these monotone curves.
-        assert achieved >= best / 2

@@ -1,6 +1,8 @@
 """Persistent result store: round trips, atomicity, corruption handling."""
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -236,6 +238,22 @@ class TestRunnerIntegration:
         runner.set_store(store, consult=False)
         runner.run_point("gups", Scheme.POM_TLB, **TINY)
         assert simulated  # fresh mode re-simulates despite the store entry
+
+    def test_persist_failure_warns_and_returns_result(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        runner.set_store(store)
+
+        def failing_replace(*args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.warns(RuntimeWarning, match="could not persist"):
+            result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
+        assert isinstance(result, SimulationResult)
+        assert len(store) == 0
+        assert not list(tmp_path.glob(".tmp-*"))
 
 
 class TestFromDict:
