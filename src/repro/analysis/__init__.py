@@ -1,1 +1,1 @@
-"""repro.analysis subpackage: miss-curve, run-summary and diff tooling."""
+"""repro.analysis subpackage: workload characterization and run diffs."""

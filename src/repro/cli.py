@@ -65,6 +65,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _duration_arg(text: str) -> float:
     """argparse type for wall-clock budgets: '90', '90s', '5m', '2h'."""
     from repro.budget import parse_duration
@@ -134,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="audit every simulator structure each M accesses "
                           "(LRU stacks, partition sums, TLB/page-table "
                           "coherence, counter monotonicity)")
-    run.add_argument("--watchdog-timeout", type=float, default=None,
+    run.add_argument("--watchdog-timeout", type=_positive_float, default=None,
                      metavar="SECONDS",
                      help="declare the run stalled after this many "
                           "wall-clock seconds without forward progress "
@@ -227,8 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "figure7,figure8")
     report.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker processes for the evaluation grid "
-                             "(1 = in-process; >1 adds per-point fault "
-                             "isolation)")
+                             "(1 = in-process, without --timeout or "
+                             "--checkpoint-every; 2 or more add per-point "
+                             "fault isolation)")
     report.add_argument("--store", default=None, metavar="DIR",
                         help="persist every completed point to this "
                              "directory (atomic, content-addressed; see "
@@ -238,17 +253,18 @@ def _build_parser() -> argparse.ArgumentParser:
                              "re-simulating only what is missing")
     report.add_argument("--strict", action="store_true",
                         help="exit nonzero if any exhibit rendered PARTIAL")
-    report.add_argument("--timeout", type=float, default=None,
+    report.add_argument("--timeout", type=_positive_float, default=None,
                         metavar="SECONDS",
-                        help="per-point timeout (only with --jobs > 1); "
+                        help="per-point timeout (needs --jobs 2 or more); "
                              "timed-out points retry with backoff")
-    report.add_argument("--retries", type=int, default=2, metavar="N",
+    report.add_argument("--retries", type=_non_negative_int, default=2,
+                        metavar="N",
                         help="retry budget for transient point failures "
                              "(worker killed, timeout)")
     report.add_argument("--checkpoint-every", type=_positive_int,
                         default=None, metavar="N",
                         help="checkpoint in-flight points every N accesses "
-                             "(only with --jobs > 1 and --store; a killed "
+                             "(needs --jobs 2 or more and --store; a killed "
                              "worker's retry resumes mid-simulation)")
     report.add_argument("--deadline", type=_duration_arg, default=None,
                         metavar="DURATION",
@@ -281,18 +297,21 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated exhibit names whose evaluation "
                             "grids form the campaign (default: figure8)")
     chaos.add_argument("--jobs", type=_positive_int, default=2, metavar="N",
-                       help="worker processes (>1 so worker faults are "
-                            "isolated; default 2)")
+                       help="worker processes (a plan arming a "
+                            "pool.worker.* point needs 2 or more; "
+                            "default 2)")
     chaos.add_argument("--rounds", type=_positive_int, default=3, metavar="N",
                        help="max campaign rounds: 1 armed + N-1 fault-free "
                             "recovery rounds (default 3)")
     chaos.add_argument("--out", default="chaos-out", metavar="DIR",
                        help="working directory: baseline-store/, "
                             "chaos-store/, faults.jsonl")
-    chaos.add_argument("--timeout", type=float, default=None,
+    chaos.add_argument("--timeout", type=_positive_float, default=None,
                        metavar="SECONDS",
-                       help="per-point timeout (kills hung workers)")
-    chaos.add_argument("--retries", type=int, default=2, metavar="N",
+                       help="per-point timeout (kills hung workers; "
+                            "needs --jobs 2 or more)")
+    chaos.add_argument("--retries", type=_non_negative_int, default=2,
+                       metavar="N",
                        help="retry budget for transient point failures")
     chaos.add_argument("--json", action="store_true",
                        help="print the chaos report as JSON")
@@ -651,6 +670,13 @@ def _command_report(args: argparse.Namespace) -> int:
     if args.checkpoint_every is not None and args.store is None:
         print("--checkpoint-every requires --store DIR", file=sys.stderr)
         return 2
+    # --jobs 1 runs points in-process, where nothing times or
+    # checkpoints them: refuse the flags rather than ignore them.
+    for flag, value in (("--timeout", args.timeout),
+                        ("--checkpoint-every", args.checkpoint_every)):
+        if value is not None and args.jobs < 2:
+            print(f"{flag} requires --jobs 2 or more", file=sys.stderr)
+            return 2
     if args.store_quota is not None and args.store is None:
         print("--store-quota requires --store DIR", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """repro.experiments subpackage: the paper's evaluation, runnable.
 
-``figures`` has one ``run_*`` per paper exhibit (plus ``points_*``
-pre-enumerating each exhibit's evaluation grid), ``ablations`` the
+``figures`` has one ``run_*`` per paper exhibit, ``ablations`` the
 design ablations and extensions, ``runner`` the cached per-point
-simulator (memory -> disk -> simulate), ``store`` the persistent
+simulator (memory -> disk -> simulate, or only recording which points
+an exhibit requests), ``store`` the persistent
 content-addressed result store, ``pool`` the fault-isolated campaign
 executor, and ``report`` the all-in-one markdown generator
 (``python -m repro.experiments.report``).

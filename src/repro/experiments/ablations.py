@@ -8,89 +8,18 @@ Sections 3.3-3.4 without plotting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.core.schemes import Scheme
-from repro.experiments.figures import SeriesResult, _geomean_row
-from repro.experiments.runner import point_signature, run_point
+from repro.experiments.figures import (
+    SeriesResult,
+    _geomean_row,
+    _relative_series,
+)
+from repro.experiments.runner import run_point
 
 #: Contended mixes where partitioning decisions matter most.
 ABLATION_MIXES = ("ccomp", "can_ccomp", "canneal", "pagerank")
-
-
-# ----------------------------------------------------------------------
-# Point enumeration (see figures.py: pre-computed grids for the
-# campaign pool; keep each mirror in sync with its run_* loop).
-# ----------------------------------------------------------------------
-def points_static_vs_dynamic(
-    mixes: Sequence[str] = ABLATION_MIXES, **kw
-) -> List[Dict]:
-    schemes = (
-        Scheme.POM_TLB, Scheme.CSALT_STATIC, Scheme.CSALT_D, Scheme.CSALT_CD,
-    )
-    return [
-        point_signature(mix, scheme, contexts=2, **kw)
-        for mix in mixes
-        for scheme in schemes
-    ]
-
-
-def points_pseudo_lru(mixes: Sequence[str] = ABLATION_MIXES, **kw) -> List[Dict]:
-    variants = (
-        ("lru", False), ("nru", True), ("plru", True), ("rrip", True),
-    )
-    return [
-        point_signature(
-            mix, Scheme.CSALT_CD, contexts=2, replacement=replacement,
-            estimate_positions=estimate, **kw,
-        )
-        for mix in mixes
-        for replacement, estimate in variants
-    ]
-
-
-def points_partition_levels(
-    mixes: Sequence[str] = ABLATION_MIXES, **kw
-) -> List[Dict]:
-    variants = (
-        dict(partition_l2_only=True), dict(partition_l3_only=True), dict(),
-    )
-    points = []
-    for mix in mixes:
-        points.append(point_signature(mix, Scheme.POM_TLB, contexts=2, **kw))
-        for options in variants:
-            points.append(
-                point_signature(
-                    mix, Scheme.CSALT_CD, contexts=2, **options, **kw
-                )
-            )
-    return points
-
-
-def points_five_level_paging(
-    mixes: Sequence[str] = ABLATION_MIXES, **kw
-) -> List[Dict]:
-    return [
-        point_signature(
-            mix, scheme, contexts=2, page_table_levels=levels, **kw
-        )
-        for mix in mixes
-        for levels in (4, 5)
-        for scheme in (Scheme.CONVENTIONAL, Scheme.POM_TLB, Scheme.CSALT_CD)
-    ]
-
-
-def points_tlb_prefetch(
-    mixes: Sequence[str] = ("streamcluster", "can_stream", "gups", "ccomp"),
-    **kw,
-) -> List[Dict]:
-    return [
-        point_signature(
-            mix, Scheme.CSALT_CD, contexts=2, tlb_prefetch=prefetch, **kw
-        )
-        for mix in mixes
-        for prefetch in (False, True)
-    ]
 
 
 def run_static_vs_dynamic(
@@ -99,22 +28,11 @@ def run_static_vs_dynamic(
     """Fixed half/half split vs CSALT-D vs CSALT-CD (paper footnote 6:
     no single static split wins across workloads)."""
     schemes = (Scheme.CSALT_STATIC, Scheme.CSALT_D, Scheme.CSALT_CD)
-    rows: List[List[object]] = []
-    columns: List[List[float]] = [[] for _ in schemes]
-    for mix in mixes:
-        baseline = run_point(mix, Scheme.POM_TLB, contexts=2, **run_kwargs)
-        row: List[object] = [mix]
-        for index, scheme in enumerate(schemes):
-            result = run_point(mix, scheme, contexts=2, **run_kwargs)
-            relative = result.speedup_over(baseline)
-            columns[index].append(relative)
-            row.append(relative)
-        rows.append(row)
-    rows.append(_geomean_row("geomean", columns))
-    return SeriesResult(
+    pom = dict(scheme=Scheme.POM_TLB)
+    return _relative_series(
         "Ablation: static vs dynamic partitioning (normalized to POM-TLB)",
-        ["mix", "Static 50/50", "CSALT-D", "CSALT-CD"],
-        rows,
+        ["Static 50/50", "CSALT-D", "CSALT-CD"], mixes,
+        [(dict(scheme=s), pom) for s in schemes], **run_kwargs,
     )
 
 
@@ -130,28 +48,16 @@ def run_pseudo_lru(
         ("plru", True, "BT-PLRU+estimate"),
         ("rrip", True, "SRRIP+estimate"),
     )
-    rows: List[List[object]] = []
-    columns: List[List[float]] = [[] for _ in variants]
-    for mix in mixes:
-        baseline = run_point(
-            mix, Scheme.CSALT_CD, contexts=2, replacement="lru",
-            estimate_positions=False, **run_kwargs,
-        )
-        row: List[object] = [mix]
-        for index, (replacement, estimate, _label) in enumerate(variants):
-            result = run_point(
-                mix, Scheme.CSALT_CD, contexts=2, replacement=replacement,
-                estimate_positions=estimate, **run_kwargs,
-            )
-            relative = result.speedup_over(baseline)
-            columns[index].append(relative)
-            row.append(relative)
-        rows.append(row)
-    rows.append(_geomean_row("geomean", columns))
-    return SeriesResult(
+    true_lru = dict(
+        scheme=Scheme.CSALT_CD, replacement="lru", estimate_positions=False
+    )
+    return _relative_series(
         "Ablation: replacement-policy stack estimates (vs true-LRU CSALT-CD)",
-        ["mix"] + [label for _, _, label in variants],
-        rows,
+        [label for _, _, label in variants], mixes,
+        [(dict(scheme=Scheme.CSALT_CD, replacement=replacement,
+               estimate_positions=estimate), true_lru)
+         for replacement, estimate, _ in variants],
+        **run_kwargs,
     )
 
 
@@ -165,24 +71,13 @@ def run_partition_levels(
         (dict(partition_l3_only=True), "L3 only"),
         (dict(), "L2+L3"),
     )
-    rows: List[List[object]] = []
-    columns: List[List[float]] = [[] for _ in variants]
-    for mix in mixes:
-        baseline = run_point(mix, Scheme.POM_TLB, contexts=2, **run_kwargs)
-        row: List[object] = [mix]
-        for index, (options, _label) in enumerate(variants):
-            result = run_point(
-                mix, Scheme.CSALT_CD, contexts=2, **options, **run_kwargs
-            )
-            relative = result.speedup_over(baseline)
-            columns[index].append(relative)
-            row.append(relative)
-        rows.append(row)
-    rows.append(_geomean_row("geomean", columns))
-    return SeriesResult(
+    pom = dict(scheme=Scheme.POM_TLB)
+    return _relative_series(
         "Ablation: partitioned cache levels (normalized to POM-TLB)",
-        ["mix"] + [label for _, label in variants],
-        rows,
+        [label for _, label in variants], mixes,
+        [(dict(scheme=Scheme.CSALT_CD, **options), pom)
+         for options, _ in variants],
+        **run_kwargs,
     )
 
 
@@ -249,25 +144,10 @@ def run_tlb_prefetch(
     misses are sequential); random-access mixes should be unharmed (the
     stream detector suppresses useless prefetches).
     """
-    rows: List[List[object]] = []
-    columns: List[List[float]] = [[], []]
-    for mix in mixes:
-        baseline = run_point(
-            mix, Scheme.CSALT_CD, contexts=2, tlb_prefetch=False,
-            **run_kwargs,
-        )
-        prefetching = run_point(
-            mix, Scheme.CSALT_CD, contexts=2, tlb_prefetch=True,
-            **run_kwargs,
-        )
-        no_prefetch = 1.0
-        with_prefetch = prefetching.speedup_over(baseline)
-        columns[0].append(no_prefetch)
-        columns[1].append(with_prefetch)
-        rows.append([mix, no_prefetch, with_prefetch])
-    rows.append(_geomean_row("geomean", columns))
-    return SeriesResult(
+    alone = dict(scheme=Scheme.CSALT_CD, tlb_prefetch=False)
+    prefetching = dict(scheme=Scheme.CSALT_CD, tlb_prefetch=True)
+    return _relative_series(
         "Extension: sequential TLB prefetching (vs CSALT-CD alone)",
-        ["mix", "CSALT-CD", "CSALT-CD + prefetch"],
-        rows,
+        ["CSALT-CD", "CSALT-CD + prefetch"], mixes,
+        [(alone, alone), (prefetching, alone)], **run_kwargs,
     )

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import faults
-from repro.errors import ChaosError, ReproError
+from repro.errors import ChaosError, ConfigError, ReproError
 from repro.experiments import report as report_module
 from repro.experiments import runner
 from repro.experiments.pool import run_campaign
@@ -186,7 +186,20 @@ def run_chaos(
     this for tiny grids — report-text comparison is skipped then).
     Returns the :class:`ChaosReport`; call
     :meth:`ChaosReport.raise_if_failed` for the exit-code-4 behavior.
+    Below 2 ``jobs`` points run in-process, so a plan arming a
+    ``pool.worker.*`` point, or a ``timeout``, raises
+    :class:`~repro.errors.ConfigError`.
     """
+    if jobs < 2:
+        # In-process points never enter a worker and are never timed.
+        for spec in plan.faults:
+            if spec.point.startswith("pool.worker."):
+                raise ConfigError(
+                    f"{spec.point} fires only in a worker process; "
+                    "run the plan with jobs 2 or more"
+                )
+        if timeout is not None:
+            raise ConfigError("timeout needs jobs 2 or more")
     note = progress or (lambda message: None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.schemes import Scheme
-from repro.experiments.runner import point_signature, run_point
+from repro.experiments.runner import run_point
 from repro.experiments.tables import format_table
 from repro.sim.stats import geometric_mean
 from repro.workloads.mixes import MIX_NAMES
@@ -45,147 +45,31 @@ def _geomean_row(label: str, columns: List[List[float]]) -> List[object]:
     return [label] + [geometric_mean(col) for col in columns]
 
 
-# ----------------------------------------------------------------------
-# Point enumeration
-#
-# Each ``points_*`` function pre-enumerates every evaluation point the
-# matching ``run_*`` will request, as canonical run signatures (see
-# ``runner.point_signature``).  The campaign pool simulates these across
-# workers — with dedup, persistence and retry — *before* the exhibit
-# renders, so ``run_*`` then only reads warm caches.  Keep each mirror
-# in sync with its loop; ``tests/test_experiments.py`` cross-checks
-# them against the signatures the runners actually simulate.
-# ----------------------------------------------------------------------
-def points_figure1(mixes: Sequence[str] = MIX_NAMES, **kw) -> List[Dict]:
-    from repro.workloads.mixes import MIXES
+def _relative_series(
+    title: str,
+    labels: Sequence[str],
+    mixes: Sequence[str],
+    pairs: Sequence[Tuple[Dict[str, object], Dict[str, object]]],
+    **run_kwargs,
+) -> SeriesResult:
+    """IPC of each ``(point, baseline)`` pair's point over its baseline.
 
-    points = []
+    Both halves of a pair are :func:`run_point` keyword arguments applied
+    to every mix; each pair is one column (headed by ``labels``), and a
+    geomean row closes the table.
+    """
+    rows: List[List[object]] = []
+    columns: List[List[float]] = [[] for _ in pairs]
     for mix in mixes:
-        points.append(point_signature(mix, Scheme.CONVENTIONAL, contexts=2, **kw))
-        for program in sorted(set(MIXES[mix])):
-            points.append(
-                point_signature(program, Scheme.CONVENTIONAL, contexts=1, **kw)
-            )
-    return points
-
-
-def points_table1(programs: Sequence[str] = TABLE1_PROGRAMS, **kw) -> List[Dict]:
-    return [
-        point_signature(
-            program, Scheme.CONVENTIONAL, contexts=1,
-            virtualized=virtualized, **kw,
-        )
-        for program in programs
-        for virtualized in (False, True)
-    ]
-
-
-def points_figure3(programs: Sequence[str] = FIGURE3_PROGRAMS, **kw) -> List[Dict]:
-    return [
-        point_signature(program, Scheme.POM_TLB, contexts=2, **kw)
-        for program in programs
-    ]
-
-
-def points_figure7(
-    mixes: Sequence[str] = MIX_NAMES,
-    schemes: Sequence[Scheme] = FIGURE7_SCHEMES,
-    **kw,
-) -> List[Dict]:
-    points = []
-    for mix in mixes:
-        points.append(point_signature(mix, Scheme.POM_TLB, contexts=2, **kw))
-        for scheme in schemes:
-            points.append(point_signature(mix, scheme, contexts=2, **kw))
-    return points
-
-
-def points_figure8(mixes: Sequence[str] = MIX_NAMES, **kw) -> List[Dict]:
-    return [
-        point_signature(mix, Scheme.POM_TLB, contexts=2, **kw) for mix in mixes
-    ]
-
-
-def points_figure9(mix: str = "ccomp", **kw) -> List[Dict]:
-    return [point_signature(mix, Scheme.CSALT_CD, contexts=2, **kw)]
-
-
-def _points_relative_mpki(mixes: Sequence[str], **kw) -> List[Dict]:
-    return [
-        point_signature(mix, scheme, contexts=2, **kw)
-        for mix in mixes
-        for scheme in (Scheme.POM_TLB, Scheme.CSALT_D, Scheme.CSALT_CD)
-    ]
-
-
-def points_figure10(mixes: Sequence[str] = MIX_NAMES, **kw) -> List[Dict]:
-    return _points_relative_mpki(mixes, **kw)
-
-
-def points_figure11(mixes: Sequence[str] = MIX_NAMES, **kw) -> List[Dict]:
-    return _points_relative_mpki(mixes, **kw)
-
-
-def points_figure12(mixes: Sequence[str] = MIX_NAMES, **kw) -> List[Dict]:
-    return [
-        point_signature(mix, scheme, contexts=2, virtualized=False, **kw)
-        for mix in mixes
-        for scheme in (Scheme.POM_TLB, Scheme.CSALT_CD)
-    ]
-
-
-def points_figure13(mixes: Sequence[str] = MIX_NAMES, **kw) -> List[Dict]:
-    return [
-        point_signature(mix, scheme, contexts=2, **kw)
-        for mix in mixes
-        for scheme in (Scheme.POM_TLB, Scheme.TSB, Scheme.DIP, Scheme.CSALT_CD)
-    ]
-
-
-def points_figure14(
-    mixes: Sequence[str] = MIX_NAMES,
-    context_counts: Sequence[int] = (1, 2, 4),
-    **kw,
-) -> List[Dict]:
-    return [
-        point_signature(mix, scheme, contexts=contexts, **kw)
-        for mix in mixes
-        for contexts in context_counts
-        for scheme in (Scheme.POM_TLB, Scheme.CSALT_CD)
-    ]
-
-
-def points_figure15(
-    mixes: Sequence[str] = MIX_NAMES,
-    epochs: Sequence[int] = (2_000, 4_000, 8_000),
-    **kw,
-) -> List[Dict]:
-    default_epoch = epochs[len(epochs) // 2]
-    wanted = list(epochs)
-    if default_epoch not in wanted:
-        wanted.append(default_epoch)
-    return [
-        point_signature(
-            mix, Scheme.CSALT_CD, contexts=2, epoch_accesses=epoch, **kw
-        )
-        for mix in mixes
-        for epoch in wanted
-    ]
-
-
-def points_figure16(
-    mixes: Sequence[str] = MIX_NAMES,
-    intervals_ms: Sequence[float] = (5.0, 10.0, 30.0),
-    **kw,
-) -> List[Dict]:
-    return [
-        point_signature(
-            mix, scheme, contexts=2, switch_interval_ms=interval, **kw
-        )
-        for mix in mixes
-        for interval in intervals_ms
-        for scheme in (Scheme.POM_TLB, Scheme.CSALT_CD)
-    ]
+        row: List[object] = [mix]
+        for column, (point, baseline) in zip(columns, pairs):
+            base = run_point(mix, **baseline, **run_kwargs)
+            relative = run_point(mix, **point, **run_kwargs).speedup_over(base)
+            column.append(relative)
+            row.append(relative)
+        rows.append(row)
+    rows.append(_geomean_row("geomean", columns))
+    return SeriesResult(title, ["mix", *labels], rows)
 
 
 # ----------------------------------------------------------------------
@@ -300,22 +184,11 @@ def run_figure7(
     Paper: conventional well below 1.0; CSALT-D ~1.11x and CSALT-CD
     ~1.25x geomean, with connectedcomponent the standout (2.24x).
     """
-    rows: List[List[object]] = []
-    columns: Dict[Scheme, List[float]] = {s: [] for s in schemes}
-    for mix in mixes:
-        baseline = run_point(mix, Scheme.POM_TLB, contexts=2, **run_kwargs)
-        row: List[object] = [mix]
-        for scheme in schemes:
-            result = run_point(mix, scheme, contexts=2, **run_kwargs)
-            relative = result.speedup_over(baseline)
-            columns[scheme].append(relative)
-            row.append(relative)
-        rows.append(row)
-    rows.append(_geomean_row("geomean", [columns[s] for s in schemes]))
-    return SeriesResult(
+    pom = dict(scheme=Scheme.POM_TLB)
+    return _relative_series(
         "Figure 7: performance normalized to POM-TLB",
-        ["mix"] + [s.label for s in schemes],
-        rows,
+        [s.label for s in schemes], mixes,
+        [(dict(scheme=s), pom) for s in schemes], **run_kwargs,
     )
 
 
@@ -427,20 +300,12 @@ def run_figure11(mixes: Sequence[str] = MIX_NAMES, **run_kwargs) -> SeriesResult
 def run_figure12(mixes: Sequence[str] = MIX_NAMES, **run_kwargs) -> SeriesResult:
     """CSALT-CD over POM-TLB on native context-switched runs (paper: ~5%
     average, up to ~30% on connectedcomponent)."""
-    rows: List[List[object]] = []
-    for mix in mixes:
-        baseline = run_point(
-            mix, Scheme.POM_TLB, contexts=2, virtualized=False, **run_kwargs
-        )
-        result = run_point(
-            mix, Scheme.CSALT_CD, contexts=2, virtualized=False, **run_kwargs
-        )
-        rows.append([mix, result.speedup_over(baseline)])
-    rows.append(_geomean_row("geomean", [[r[1] for r in rows]]))
-    return SeriesResult(
+    return _relative_series(
         "Figure 12: CSALT-CD performance in the native context (vs POM-TLB)",
-        ["mix", "CSALT-CD"],
-        rows,
+        ["CSALT-CD"], mixes,
+        [(dict(scheme=Scheme.CSALT_CD, virtualized=False),
+          dict(scheme=Scheme.POM_TLB, virtualized=False))],
+        **run_kwargs,
     )
 
 
@@ -454,22 +319,11 @@ def run_figure13(mixes: Sequence[str] = MIX_NAMES, **run_kwargs) -> SeriesResult
     because of its multi-lookup translation path.
     """
     schemes = (Scheme.TSB, Scheme.DIP, Scheme.CSALT_CD)
-    rows: List[List[object]] = []
-    columns: List[List[float]] = [[] for _ in schemes]
-    for mix in mixes:
-        baseline = run_point(mix, Scheme.POM_TLB, contexts=2, **run_kwargs)
-        row: List[object] = [mix]
-        for index, scheme in enumerate(schemes):
-            result = run_point(mix, scheme, contexts=2, **run_kwargs)
-            relative = result.speedup_over(baseline)
-            columns[index].append(relative)
-            row.append(relative)
-        rows.append(row)
-    rows.append(_geomean_row("geomean", columns))
-    return SeriesResult(
+    pom = dict(scheme=Scheme.POM_TLB)
+    return _relative_series(
         "Figure 13: comparison with prior schemes (normalized to POM-TLB)",
-        ["mix", "TSB", "DIP", "CSALT-CD"],
-        rows,
+        [s.label for s in schemes], mixes,
+        [(dict(scheme=s), pom) for s in schemes], **run_kwargs,
     )
 
 
@@ -485,26 +339,12 @@ def run_figure14(
 
     Paper: gains grow with context pressure (4-context geomean ~1.33x).
     """
-    rows: List[List[object]] = []
-    columns: List[List[float]] = [[] for _ in context_counts]
-    for mix in mixes:
-        row: List[object] = [mix]
-        for index, contexts in enumerate(context_counts):
-            baseline = run_point(
-                mix, Scheme.POM_TLB, contexts=contexts, **run_kwargs
-            )
-            result = run_point(
-                mix, Scheme.CSALT_CD, contexts=contexts, **run_kwargs
-            )
-            relative = result.speedup_over(baseline)
-            columns[index].append(relative)
-            row.append(relative)
-        rows.append(row)
-    rows.append(_geomean_row("geomean", columns))
-    return SeriesResult(
+    return _relative_series(
         "Figure 14: CSALT-CD gain vs contexts per core (normalized to POM-TLB)",
-        ["mix"] + [f"{n} context{'s' if n > 1 else ''}" for n in context_counts],
-        rows,
+        [f"{n} context{'s' if n > 1 else ''}" for n in context_counts], mixes,
+        [(dict(scheme=Scheme.CSALT_CD, contexts=n),
+          dict(scheme=Scheme.POM_TLB, contexts=n)) for n in context_counts],
+        **run_kwargs,
     )
 
 
@@ -522,28 +362,13 @@ def run_figure15(
     scaled epochs keep the same 0.5x/1x/2x spread around the default.
     """
     default_epoch = epochs[len(epochs) // 2]
-    rows: List[List[object]] = []
-    columns: List[List[float]] = [[] for _ in epochs]
-    for mix in mixes:
-        baseline = run_point(
-            mix, Scheme.CSALT_CD, contexts=2, epoch_accesses=default_epoch,
-            **run_kwargs,
-        )
-        row: List[object] = [mix]
-        for index, epoch in enumerate(epochs):
-            result = run_point(
-                mix, Scheme.CSALT_CD, contexts=2, epoch_accesses=epoch,
-                **run_kwargs,
-            )
-            relative = result.speedup_over(baseline)
-            columns[index].append(relative)
-            row.append(relative)
-        rows.append(row)
-    rows.append(_geomean_row("geomean", columns))
-    return SeriesResult(
+    default = dict(scheme=Scheme.CSALT_CD, epoch_accesses=default_epoch)
+    return _relative_series(
         "Figure 15: epoch-length sensitivity (normalized to default epoch)",
-        ["mix"] + [f"epoch {e}" for e in epochs],
-        rows,
+        [f"epoch {e}" for e in epochs], mixes,
+        [(dict(scheme=Scheme.CSALT_CD, epoch_accesses=e), default)
+         for e in epochs],
+        **run_kwargs,
     )
 
 
@@ -557,26 +382,11 @@ def run_figure16(
 ) -> SeriesResult:
     """CSALT-CD over POM-TLB at 5 / 10 / 30 ms quanta (paper: steady
     gains, slightly lower at 30 ms)."""
-    rows: List[List[object]] = []
-    columns: List[List[float]] = [[] for _ in intervals_ms]
-    for mix in mixes:
-        row: List[object] = [mix]
-        for index, interval in enumerate(intervals_ms):
-            baseline = run_point(
-                mix, Scheme.POM_TLB, contexts=2,
-                switch_interval_ms=interval, **run_kwargs,
-            )
-            result = run_point(
-                mix, Scheme.CSALT_CD, contexts=2,
-                switch_interval_ms=interval, **run_kwargs,
-            )
-            relative = result.speedup_over(baseline)
-            columns[index].append(relative)
-            row.append(relative)
-        rows.append(row)
-    rows.append(_geomean_row("geomean", columns))
-    return SeriesResult(
+    return _relative_series(
         "Figure 16: context-switch interval sensitivity (vs POM-TLB)",
-        ["mix"] + [f"{ms:g} ms" for ms in intervals_ms],
-        rows,
+        [f"{ms:g} ms" for ms in intervals_ms], mixes,
+        [(dict(scheme=Scheme.CSALT_CD, switch_interval_ms=ms),
+          dict(scheme=Scheme.POM_TLB, switch_interval_ms=ms))
+         for ms in intervals_ms],
+        **run_kwargs,
     )

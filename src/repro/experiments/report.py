@@ -7,7 +7,7 @@ Usage::
     python -m repro.experiments.report out.md     # write to a file
 
 The richer entry point is ``repro report`` (see ``repro.cli``), which
-adds crash-safe campaign execution: ``--jobs N`` fans the pre-enumerated
+adds crash-safe campaign execution: ``--jobs N`` fans the recorded
 evaluation grid out across worker processes, ``--store DIR`` persists
 every completed point, ``--resume`` replays only what is missing after
 an interruption, and a point that keeps failing degrades its exhibit to
@@ -71,32 +71,6 @@ EXPERIMENTS: List = [
     ("extension-prefetch", ablations.run_tlb_prefetch),
 ]
 
-#: Exhibit name -> function enumerating its evaluation points (run
-#: signatures).  The campaign pool pre-simulates these before the
-#: exhibit renders; an exhibit without an enumerator simply simulates
-#: inline when it renders.
-POINT_ENUMERATORS: Dict[str, Callable] = {
-    "figure1": figures.points_figure1,
-    "table1": figures.points_table1,
-    "figure3": figures.points_figure3,
-    "figure7": figures.points_figure7,
-    "figure8": figures.points_figure8,
-    "figure9": figures.points_figure9,
-    "figure10": figures.points_figure10,
-    "figure11": figures.points_figure11,
-    "figure12": figures.points_figure12,
-    "figure13": figures.points_figure13,
-    "figure14": figures.points_figure14,
-    "figure15": figures.points_figure15,
-    "figure16": figures.points_figure16,
-    "ablation-static": ablations.points_static_vs_dynamic,
-    "ablation-pseudo-lru": ablations.points_pseudo_lru,
-    "ablation-partition-levels": ablations.points_partition_levels,
-    "extension-5level": ablations.points_five_level_paging,
-    "extension-prefetch": ablations.points_tlb_prefetch,
-}
-
-
 @dataclass
 class ReportDocument:
     """A rendered report plus per-exhibit status for strict callers."""
@@ -123,12 +97,12 @@ class ReportDocument:
 def enumerate_points(
     experiments: Sequence[Tuple[str, Callable]]
 ) -> List[Dict[str, object]]:
-    """Every run signature the given exhibits will request (with dups)."""
-    points: List[Dict[str, object]] = []
-    for name, _ in experiments:
-        enumerator = POINT_ENUMERATORS.get(name)
-        if enumerator is not None:
-            points.extend(enumerator())
+    """Every run signature the given exhibits will request (with dups),
+    recorded by running each exhibit once under :func:`runner.recording`.
+    """
+    with runner.recording() as points:
+        for _, experiment in experiments:
+            experiment()
     return points
 
 
@@ -147,10 +121,11 @@ def build_report(
     """Generate the report, optionally through a crash-safe campaign.
 
     When a ``store`` is given or ``jobs > 1``, the exhibits' evaluation
-    grids are pre-enumerated and drained by the worker pool first
-    (persistent, deduplicated, fault-isolated); rendering then reads
-    warm caches.  An exhibit whose points failed renders as PARTIAL with
-    the error attached — the rest of the report still completes.
+    grids are recorded (:func:`enumerate_points`) and drained by the
+    worker pool first (persistent, deduplicated, fault-isolated);
+    rendering then reads warm caches.  An exhibit whose points failed
+    renders as PARTIAL with the error attached — the rest of the report
+    still completes.
 
     ``monitor`` runs the campaign under resource budgets: on a hard
     breach the report is *still rendered* from whatever completed

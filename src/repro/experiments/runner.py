@@ -10,7 +10,9 @@ argument.
 Lookup order for a point is **memory -> disk -> simulate**: an attached
 :class:`~repro.experiments.store.ResultStore` (see :func:`set_store`)
 makes completed points durable, so a campaign interrupted hours in
-replays only what is missing on the next run.
+replays only what is missing on the next run.  Under :func:`recording`
+no lookup happens at all: each requested point is only noted, which is
+how a campaign learns an exhibit's grid before it runs.
 
 Environment knobs (read lazily, per call):
 
@@ -21,14 +23,15 @@ Environment knobs (read lazily, per call):
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.schemes import Scheme
 from repro.errors import CampaignError
 from repro.experiments.store import ResultStore
 from repro.sim.config import SMALL_WORKLOAD_SCALE, SystemConfig, small_config
 from repro.sim.engine import run_simulation
-from repro.sim.stats import SimulationResult
+from repro.sim.stats import CoreStats, OccupancySample, SimulationResult
 from repro.workloads.mixes import make_mix
 
 #: Fallback run length / seed when the ``REPRO_*`` variables are unset.
@@ -50,6 +53,29 @@ _failed: Dict[Tuple, str] = {}
 
 _store: Optional[ResultStore] = None
 _consult_store: bool = True
+
+#: Signatures requested under :func:`recording`, or ``None`` outside it.
+_recorded: Optional[List[Dict[str, object]]] = None
+
+#: What ``run_point`` returns under :func:`recording`.  Every metric an
+#: exhibit reads is 1.0 (IPC, every MPKI, walks eliminated, walk cycles,
+#: TLB occupancy), so no exhibit divides by zero and no geomean drops a
+#: value.
+_STAND_IN = SimulationResult(
+    scheme="recording",
+    workload="recording",
+    per_core=[CoreStats(instructions=1000, cycles=1000.0, l2_tlb_misses=1)],
+    l2_cache_misses=1,
+    l2_cache_accesses=1,
+    l3_cache_misses=1,
+    l3_cache_accesses=1,
+    l3_data_hit_rate=1.0,
+    pom_hits=1,
+    pom_misses=0,
+    walk_mean_cycles=1.0,
+    walk_count=1,
+    occupancy_samples=[OccupancySample(0, 1.0, 1.0)],
+)
 
 
 class PointFailedError(CampaignError, RuntimeError):
@@ -145,6 +171,29 @@ def set_store(store: Optional[ResultStore], consult: bool = True) -> None:
 
 
 # ----------------------------------------------------------------------
+# Grid recording
+# ----------------------------------------------------------------------
+@contextmanager
+def recording() -> Iterator[List[Dict[str, object]]]:
+    """Record the points requested inside the block instead of running them.
+
+    Within the block :func:`run_point` appends each signature to the
+    yielded list and returns a fixed stand-in result: it consults no
+    memo, poison list or store, and simulates nothing.  Running an
+    exhibit under it therefore yields exactly the grid its render will
+    request, provided the exhibit chooses its points from its arguments
+    and never from a result it reads (the stand-in's numbers are not a
+    real run's).
+    """
+    global _recorded
+    outer, _recorded = _recorded, []
+    try:
+        yield _recorded
+    finally:
+        _recorded = outer
+
+
+# ----------------------------------------------------------------------
 # Point execution
 # ----------------------------------------------------------------------
 def run_point(
@@ -183,6 +232,9 @@ def run_point(
         partition_l2_only, partition_l3_only, page_table_levels,
         tlb_prefetch, total_accesses, seed,
     )
+    if _recorded is not None:
+        _recorded.append(signature)
+        return _STAND_IN
     key = _cache_key(signature)
     cached = _cache.get(key)
     if cached is not None:

@@ -215,6 +215,8 @@ def run_simulation(
             raise ConfigError("checkpoint_every requires checkpoint_dir")
     if check_invariants is not None and check_invariants < 1:
         raise ConfigError("check_invariants must be positive")
+    if watchdog_timeout is not None and not watchdog_timeout > 0:
+        raise ConfigError("watchdog_timeout must be positive")
     if restore == "auto" and checkpoint_dir is None:
         raise ConfigError('restore="auto" requires checkpoint_dir')
 

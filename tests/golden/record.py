@@ -19,6 +19,11 @@ Each fixture is the host-independent ``SimulationResult.to_dict()`` of one
 Both mixes draw their Zipf tables only with alpha 1.0 and 0.0, so the
 fixtures do not depend on the platform's ``pow``.
 
+``exhibits-gups.json`` holds what every report exhibit renders with the
+gups-only arguments in ``EXHIBIT_ARGS``, at 1,500 accesses and seed 0:
+a series' title, headers and rows, or a timeline's two series, floats
+stored exactly.  ``gups`` draws no Zipf table at all.
+
 Run from the repository root to (re)write every fixture::
 
     PYTHONPATH=src python -m tests.golden.record
@@ -35,6 +40,9 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple
 
 from repro.core.schemes import Scheme
+from repro.experiments.figures import TimelineResult
+from repro.experiments.report import EXPERIMENTS
+from repro.experiments.runner import clear_cache
 from repro.experiments.store import strip_host_fields
 from repro.sim.config import small_config
 from repro.sim.engine import run_simulation
@@ -74,7 +82,35 @@ ESTIMATE: List[Point] = [
 
 POINTS: List[Point] = MATRIX + SWITCHING + ESTIMATE
 
+#: Each report exhibit's arguments restricted to the ``gups`` mix: the
+#: smallest grid on which every exhibit's loop still runs.
+GUPS = ("gups",)
+EXHIBIT_ARGS: Dict[str, Dict[str, object]] = {
+    "figure1": dict(mixes=GUPS),
+    "table1": dict(programs=GUPS),
+    "figure3": dict(programs=GUPS),
+    "figure7": dict(mixes=GUPS),
+    "figure8": dict(mixes=GUPS),
+    "figure9": dict(mix="gups"),
+    "figure10": dict(mixes=GUPS),
+    "figure11": dict(mixes=GUPS),
+    "figure12": dict(mixes=GUPS),
+    "figure13": dict(mixes=GUPS),
+    "figure14": dict(mixes=GUPS, context_counts=(1, 2)),
+    "figure15": dict(mixes=GUPS, epochs=(1_000, 2_000)),
+    "figure16": dict(mixes=GUPS, intervals_ms=(5.0, 10.0)),
+    "ablation-static": dict(mixes=GUPS),
+    "ablation-pseudo-lru": dict(mixes=GUPS),
+    "ablation-partition-levels": dict(mixes=GUPS),
+    "extension-5level": dict(mixes=GUPS),
+    "extension-prefetch": dict(mixes=GUPS),
+}
+
+#: Run length and seed of every point behind the exhibit fixture.
+EXHIBIT_RUN = dict(total_accesses=1_500, seed=0)
+
 FIXTURE_DIR = Path(__file__).resolve().parent
+EXHIBIT_FIXTURE = FIXTURE_DIR / "exhibits-gups.json"
 
 
 def fixture_path(point: Point) -> Path:
@@ -98,12 +134,33 @@ def simulate(point: Point) -> Dict[str, object]:
     return json.loads(json.dumps(strip_host_fields(result.to_dict())))
 
 
+def render_exhibit(name: str) -> Dict[str, object]:
+    """What exhibit ``name`` renders at ``EXHIBIT_ARGS``, as JSON data.
+
+    The runner's memo is cleared first, so every point is simulated
+    afresh rather than read from an earlier caller's results.
+    """
+    clear_cache()
+    result = dict(EXPERIMENTS)[name](**EXHIBIT_ARGS[name], **EXHIBIT_RUN)
+    if isinstance(result, TimelineResult):
+        data = dict(l2_series=result.l2_series, l3_series=result.l3_series)
+    else:
+        data = dict(
+            title=result.title, headers=result.headers, rows=result.rows
+        )
+    return json.loads(json.dumps(data))
+
+
 def main() -> None:
     for point in POINTS:
         path = fixture_path(point)
         text = json.dumps(simulate(point), indent=1, sort_keys=True)
         path.write_text(text + "\n", encoding="utf-8")
         print(f"wrote {path.name}")
+    exhibits = {name: render_exhibit(name) for name, _ in EXPERIMENTS}
+    text = json.dumps(exhibits, indent=1, sort_keys=True)
+    EXHIBIT_FIXTURE.write_text(text + "\n", encoding="utf-8")
+    print(f"wrote {EXHIBIT_FIXTURE.name}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import pytest
 from repro import faults
 from repro.cli import main
 from repro.core.schemes import Scheme
-from repro.errors import EXIT_USAGE, ChaosError
+from repro.errors import EXIT_USAGE, ChaosError, ConfigError
 from repro.experiments import runner
 from repro.experiments.chaos import run_chaos
 
@@ -123,6 +123,17 @@ class TestAssertions:
                 smoke_plan(), exhibits=["figure99"],
                 out_dir=str(tmp_path / "out"),
             )
+
+    def test_timeout_without_workers_rejected(self, tmp_path):
+        plan = faults.FaultPlan.from_dict(
+            {"faults": [{"point": "store.save.corrupt_byte"}]}
+        )
+        with pytest.raises(ConfigError, match="timeout needs jobs 2"):
+            run_chaos(
+                plan, points=tiny_points()[:1], jobs=1, timeout=5.0,
+                out_dir=str(tmp_path / "out"),
+            )
+        assert not (tmp_path / "out").exists()
 
     def test_empty_points_rejected(self, tmp_path):
         with pytest.raises(ChaosError, match="no evaluation points"):

@@ -1,10 +1,12 @@
 """Unit tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.errors import EXIT_USAGE
 from repro.experiments.bench import MICRO_COMPONENTS
 
 
@@ -213,6 +215,59 @@ class TestReport:
         assert code == 0
         runner.clear_cache()
         runner.set_store(None)
+
+
+CI_PLAN = str(Path(__file__).resolve().parents[1] / "benchmarks"
+              / "chaos_ci_plan.json")
+
+
+def exit_code(argv):
+    """What ``repro`` exits with: argparse rejects by ``SystemExit``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestRunControlUsage:
+    """Run-control values a run would misuse or ignore are usage errors,
+    refused before anything is simulated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--accesses", "2000", "--watchdog-timeout", "0"],
+        ["run", "--accesses", "2000", "--watchdog-timeout", "-1"],
+        ["report", "--jobs", "2", "--timeout", "-1"],
+        ["report", "--retries", "-1"],
+        ["chaos", "--plan", CI_PLAN, "--timeout", "-1"],
+        ["chaos", "--plan", CI_PLAN, "--retries", "-1"],
+    ], ids=["watchdog-0", "watchdog-neg", "report-timeout", "report-retries",
+            "chaos-timeout", "chaos-retries"])
+    def test_out_of_range_value(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_TOTAL_ACCESSES", "1000")
+        monkeypatch.chdir(tmp_path)
+        if argv[0] != "run":
+            argv = argv + ["--only", "figure8", "--out", "out"]
+        assert exit_code(argv) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["report", "--jobs", "1", "--timeout", "5"], "--timeout"),
+        (["report", "--jobs", "1", "--checkpoint-every", "500",
+          "--store", "store"], "--checkpoint-every"),
+        (["chaos", "--plan", CI_PLAN, "--jobs", "1"], "pool.worker."),
+    ], ids=["report-timeout", "report-checkpoint-every", "chaos-plan"])
+    def test_refused_with_one_job(
+        self, argv, named, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TOTAL_ACCESSES", "1000")
+        monkeypatch.chdir(tmp_path)
+        argv = argv + ["--only", "figure8", "--out", "out"]
+        assert exit_code(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "store").exists()
 
 
 class TestTrace:

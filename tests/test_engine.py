@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.schemes import Scheme
+from repro.errors import ConfigError
 from repro.sim.config import small_config
 from repro.sim.engine import build_contexts, run_simulation
 from repro.sim.system import System
@@ -34,6 +35,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_simulation(config, make_mix("gups", scale=0.25),
                            total_accesses=100, warmup_fraction=1.0)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_watchdog_timeout_must_be_positive(self, timeout):
+        with pytest.raises(ConfigError, match="watchdog_timeout"):
+            run_simulation(fast_config(), make_mix("gups", scale=0.25),
+                           watchdog_timeout=timeout, **RUN)
 
 
 class TestBuildContexts:

@@ -1,9 +1,11 @@
 """Smoke tests for the experiment harness (tiny runs)."""
 
+import warnings
+
 import pytest
 
 from repro.core.schemes import Scheme
-from repro.experiments import ablations, figures
+from repro.experiments import figures, report
 from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     cache_size,
@@ -15,6 +17,7 @@ from repro.experiments.runner import (
     run_point,
 )
 from repro.experiments.tables import format_table
+from tests.golden.record import EXHIBIT_ARGS
 
 TINY = dict(total_accesses=1_500)
 
@@ -97,55 +100,39 @@ class TestSignatures:
         assert json.loads(json.dumps(signature)) == signature
 
 
-#: (run function, points function, restricted kwargs) for every exhibit.
-ENUMERATOR_CASES = [
-    (figures.run_figure1, figures.points_figure1, dict(mixes=("gups",))),
-    (figures.run_table1, figures.points_table1, dict(programs=("gups",))),
-    (figures.run_figure3, figures.points_figure3, dict(programs=("gups",))),
-    (figures.run_figure7, figures.points_figure7, dict(mixes=("gups",))),
-    (figures.run_figure8, figures.points_figure8, dict(mixes=("gups",))),
-    (figures.run_figure9, figures.points_figure9, dict(mix="gups")),
-    (figures.run_figure10, figures.points_figure10, dict(mixes=("gups",))),
-    (figures.run_figure11, figures.points_figure11, dict(mixes=("gups",))),
-    (figures.run_figure12, figures.points_figure12, dict(mixes=("gups",))),
-    (figures.run_figure13, figures.points_figure13, dict(mixes=("gups",))),
-    (figures.run_figure14, figures.points_figure14,
-     dict(mixes=("gups",), context_counts=(1, 2))),
-    (figures.run_figure15, figures.points_figure15,
-     dict(mixes=("gups",), epochs=(1_000, 2_000))),
-    (figures.run_figure16, figures.points_figure16,
-     dict(mixes=("gups",), intervals_ms=(5.0, 10.0))),
-    (ablations.run_static_vs_dynamic, ablations.points_static_vs_dynamic,
-     dict(mixes=("gups",))),
-    (ablations.run_pseudo_lru, ablations.points_pseudo_lru,
-     dict(mixes=("gups",))),
-    (ablations.run_partition_levels, ablations.points_partition_levels,
-     dict(mixes=("gups",))),
-    (ablations.run_five_level_paging, ablations.points_five_level_paging,
-     dict(mixes=("gups",))),
-    (ablations.run_tlb_prefetch, ablations.points_tlb_prefetch,
-     dict(mixes=("gups",))),
-]
-
-
 class TestPointEnumeration:
-    """The points_* mirrors must match what the run_* loops simulate —
-    otherwise a campaign would silently fall back to inline simulation."""
+    """Recording an exhibit must yield exactly the points its render
+    simulates — otherwise a campaign would silently leave work to the
+    render, or simulate points no exhibit reads."""
 
     @pytest.mark.parametrize(
-        "run_fn,points_fn,kwargs",
-        ENUMERATOR_CASES,
-        ids=[case[0].__name__ for case in ENUMERATOR_CASES],
+        "name,run_fn",
+        report.EXPERIMENTS,
+        ids=[run_fn.__name__ for _, run_fn in report.EXPERIMENTS],
     )
-    def test_enumerated_points_match_simulated(self, run_fn, points_fn, kwargs):
-        enumerated = {
-            runner_module._cache_key(signature)
-            for signature in points_fn(**kwargs, **TINY)
-        }
-        clear_cache()
+    def test_enumerated_points_match_simulated(self, name, run_fn):
+        kwargs = EXHIBIT_ARGS[name]
+        with runner_module.recording() as points:
+            run_fn(**kwargs, **TINY)
+        assert cache_size() == 0  # recording simulates nothing
+        recorded = {runner_module._cache_key(p) for p in points}
         run_fn(**kwargs, **TINY)
-        simulated = set(runner_module._cache)
-        assert simulated == enumerated
+        assert set(runner_module._cache) == recorded
+
+    def test_recording_returns_before_the_poison_list(self):
+        signature = point_signature("gups", Scheme.POM_TLB, **TINY)
+        runner_module.mark_failed(signature, "poisoned")
+        with runner_module.recording() as points:
+            result = run_point("gups", Scheme.POM_TLB, **TINY)
+        assert points == [signature]
+        assert result.scheme == "recording"
+        assert cache_size() == 0
+
+    def test_recording_defaults_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            points = report.enumerate_points(report.EXPERIMENTS)
+        assert points and cache_size() == 0
 
 
 class TestTables:

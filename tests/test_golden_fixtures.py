@@ -9,6 +9,10 @@ regenerate them).  Each test re-simulates its point and requires the
 same parsed JSON, naming the first field that differs.  The fixtures
 are the oracle for every replacement policy, which has no second
 implementation to compare against.
+
+``tests/golden/exhibits-gups.json`` pins the arithmetic of every report
+exhibit the same way: each exhibit renders on the ``gups`` mix and must
+reproduce its recorded rows exactly.
 """
 
 from __future__ import annotations
@@ -18,11 +22,15 @@ from typing import Optional
 
 import pytest
 
+from repro.experiments import runner
+from repro.experiments.report import EXPERIMENTS
 from tests.golden.record import (
     ESTIMATE,
+    EXHIBIT_FIXTURE,
     MATRIX,
     SWITCHING,
     fixture_path,
+    render_exhibit,
     simulate,
 )
 
@@ -79,6 +87,18 @@ def test_switching_run_matches_fixture(point):
 @pytest.mark.parametrize("point", ESTIMATE, ids=lambda point: point.policy)
 def test_estimated_positions_match_fixture(point):
     check_fixture(point)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in EXPERIMENTS])
+def test_exhibit_matches_fixture(name):
+    expected = json.loads(EXHIBIT_FIXTURE.read_text(encoding="utf-8"))
+    assert name in expected, f"{name} has no recorded rendering"
+    runner.set_store(None)
+    try:
+        difference = first_difference(expected[name], render_exhibit(name), name)
+    finally:
+        runner.clear_cache()
+    assert difference is None, f"{EXHIBIT_FIXTURE.name}: {difference}"
 
 
 def test_first_difference_names_the_field():
