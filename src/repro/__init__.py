@@ -33,7 +33,6 @@ from repro.telemetry import (
     CpiStack,
     CycleAccountant,
     EventTracer,
-    MetricsRegistry,
     Telemetry,
     TraceEvent,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "CacheConfig",
     "EventTracer",
     "LineKind",
-    "MetricsRegistry",
     "Telemetry",
     "TraceEvent",
     "MIXES",

@@ -279,7 +279,6 @@ class BudgetMonitor(HeartbeatDaemon):
         self._disk_scanned = 0
         self._disk_charged = 0
         self._next_disk_scan = 0.0
-        self._register_gauges()
 
     # ------------------------------------------------------------------
     # Disk ledger
@@ -406,28 +405,12 @@ class BudgetMonitor(HeartbeatDaemon):
     # Accounting
     # ------------------------------------------------------------------
     def _note_hard(self, status: BudgetStatus) -> None:
-        if self.telemetry is None:
-            return
-        if getattr(self.telemetry, "metrics", None) is not None:
-            self.telemetry.metrics.counter("budget.hard_stops").inc()
         if getattr(self.telemetry, "tracer", None) is not None:
             self.telemetry.emit(
                 "budget.exceeded", 0.0, dimension=status.dimension,
                 used=status.used, limit=status.limit,
                 heartbeat=_jsonable(self._value),
             )
-
-    def _register_gauges(self) -> None:
-        metrics = getattr(self.telemetry, "metrics", None)
-        if metrics is None:
-            return
-        metrics.gauge("budget.elapsed_seconds", fn=self.elapsed_seconds)
-        metrics.gauge("budget.disk_bytes", fn=lambda: float(self.disk_used))
-        metrics.gauge("budget.rss_bytes", fn=lambda: float(rss_bytes() or 0))
-        metrics.gauge(
-            "budget.hard_breached",
-            fn=lambda: 1.0 if self.hard_breach is not None else 0.0,
-        )
 
     # ------------------------------------------------------------------
     # Thread + reporting

@@ -4,10 +4,9 @@ Commands:
 
 * ``run``    — simulate one evaluation point and print a summary
                (optionally with a POM-TLB baseline comparison); can
-               export a telemetry event trace (``--trace-out``), a
-               metrics JSON (``--metrics-out``), machine-readable
-               results (``--json``), a CPI waterfall (``--cpi``) and
-               live progress (``--progress``);
+               export a telemetry event trace (``--trace-out``),
+               machine-readable results (``--json``), a CPI waterfall
+               (``--cpi``) and live progress (``--progress``);
 * ``stats``  — summarize a JSONL telemetry trace *or* a stored result
                JSON (``repro run --json`` output / store entry), with
                ``--format table|csv|markdown`` rendering and optional
@@ -47,12 +46,7 @@ from repro.mem.replacement import POLICY_BY_NAME
 from repro.sim.config import small_config
 from repro.sim.engine import run_simulation
 from repro.sim.stats import SimulationResult
-from repro.telemetry import (
-    DEFAULT_TRACE_CAPACITY,
-    EventTracer,
-    MetricsRegistry,
-    Telemetry,
-)
+from repro.telemetry import DEFAULT_TRACE_CAPACITY, EventTracer, Telemetry
 from repro.workloads.mixes import MIXES, MIX_NAMES, PROGRAMS, make_mix
 
 _SCHEME_BY_NAME = {scheme.value: scheme for scheme in Scheme}
@@ -108,6 +102,8 @@ def _size_arg(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.pool import DEFAULT_RETRIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CSALT (MICRO 2017) reproduction toolkit",
@@ -174,9 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace-capacity", type=_positive_int,
                      default=DEFAULT_TRACE_CAPACITY, metavar="N",
                      help="event ring-buffer capacity (oldest dropped)")
-    run.add_argument("--metrics-out", default=None, metavar="PATH",
-                     help="write the metrics registry (counters, gauges, "
-                          "latency histograms) as JSON")
     run.add_argument("--progress", action="store_true",
                      help="live progress on stderr")
     run.add_argument("--cpi", action="store_true",
@@ -241,9 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "figure7,figure8")
     report.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker processes for the evaluation grid "
-                             "(1 = in-process, without --timeout or "
-                             "--checkpoint-every; 2 or more add per-point "
-                             "fault isolation)")
+                             "(1 = in-process, without --timeout, --retries "
+                             "or --checkpoint-every; 2 or more add "
+                             "per-point fault isolation)")
     report.add_argument("--store", default=None, metavar="DIR",
                         help="persist every completed point to this "
                              "directory (atomic, content-addressed; see "
@@ -257,10 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="per-point timeout (needs --jobs 2 or more); "
                              "timed-out points retry with backoff")
-    report.add_argument("--retries", type=_non_negative_int, default=2,
+    report.add_argument("--retries", type=_non_negative_int, default=None,
                         metavar="N",
                         help="retry budget for transient point failures "
-                             "(worker killed, timeout)")
+                             "(worker killed, timeout; needs --jobs 2 or "
+                             f"more; default {DEFAULT_RETRIES})")
     report.add_argument("--checkpoint-every", type=_positive_int,
                         default=None, metavar="N",
                         help="checkpoint in-flight points every N accesses "
@@ -298,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "grids form the campaign (default: figure8)")
     chaos.add_argument("--jobs", type=_positive_int, default=2, metavar="N",
                        help="worker processes (a plan arming a "
-                            "pool.worker.* point needs 2 or more; "
-                            "default 2)")
+                            "pool.worker.* point, --timeout and --retries "
+                            "need 2 or more; default 2)")
     chaos.add_argument("--rounds", type=_positive_int, default=3, metavar="N",
                        help="max campaign rounds: 1 armed + N-1 fault-free "
                             "recovery rounds (default 3)")
@@ -310,9 +304,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="per-point timeout (kills hung workers; "
                             "needs --jobs 2 or more)")
-    chaos.add_argument("--retries", type=_non_negative_int, default=2,
+    chaos.add_argument("--retries", type=_non_negative_int, default=None,
                        metavar="N",
-                       help="retry budget for transient point failures")
+                       help="retry budget for transient point failures "
+                            "(needs --jobs 2 or more; default "
+                            f"{DEFAULT_RETRIES})")
     chaos.add_argument("--json", action="store_true",
                        help="print the chaos report as JSON")
 
@@ -390,18 +386,6 @@ def _print_result(result: SimulationResult,
     print(f"context switches  : {switches}")
 
 
-def _build_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
-    """A Telemetry bundle holding exactly the sinks the flags asked for."""
-    want_trace = args.trace_out is not None
-    want_metrics = args.metrics_out is not None
-    if not (want_trace or want_metrics):
-        return None
-    return Telemetry(
-        tracer=EventTracer(args.trace_capacity) if want_trace else None,
-        metrics=MetricsRegistry() if want_metrics else None,
-    )
-
-
 def _render_rows(rows, fmt: str) -> str:
     """Render flat (metric, value) rows as table / csv / markdown."""
     if fmt == "csv":
@@ -442,7 +426,9 @@ def _command_run(args: argparse.Namespace) -> int:
         replacement=args.replacement,
     )
     workloads = make_mix(args.mix, contexts=args.contexts, scale=0.25)
-    telemetry = _build_telemetry(args)
+    telemetry = None
+    if args.trace_out is not None:
+        telemetry = Telemetry(tracer=EventTracer(args.trace_capacity))
     run_budget = None
     if args.deadline is not None or args.max_rss is not None:
         from repro.budget import Budget
@@ -497,17 +483,6 @@ def _command_run(args: argparse.Namespace) -> int:
         )
         print(f"wrote {written} events to {args.trace_out}{note}",
               file=sys.stderr)
-    if args.metrics_out:
-        extra = {
-            "run": {
-                "mix": args.mix,
-                "scheme": args.scheme,
-                "accesses": args.accesses,
-                "seed": args.seed,
-            }
-        }
-        telemetry.metrics.write_json(args.metrics_out, extra=extra)
-        print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
 
     if args.json:
         document = {
@@ -670,9 +645,10 @@ def _command_report(args: argparse.Namespace) -> int:
     if args.checkpoint_every is not None and args.store is None:
         print("--checkpoint-every requires --store DIR", file=sys.stderr)
         return 2
-    # --jobs 1 runs points in-process, where nothing times or
+    # --jobs 1 runs points in-process, where nothing times, retries or
     # checkpoints them: refuse the flags rather than ignore them.
     for flag, value in (("--timeout", args.timeout),
+                        ("--retries", args.retries),
                         ("--checkpoint-every", args.checkpoint_every)):
         if value is not None and args.jobs < 2:
             print(f"{flag} requires --jobs 2 or more", file=sys.stderr)

@@ -157,16 +157,6 @@ class PartitionController:
         self._clock = clock
         self.label = label or cache.name
         self._core_id = core_id
-        self._decision_counter = None
-        self._tlb_fraction_gauge = None
-        if telemetry is not None and telemetry.metrics is not None:
-            self._decision_counter = telemetry.metrics.counter(
-                "partition.decisions"
-            )
-            self._tlb_fraction_gauge = telemetry.metrics.gauge(
-                f"partition.{self.label}.tlb_fraction",
-                lambda: self.timeline[-1].tlb_fraction if self.timeline else 0.0,
-            )
         start = initial_data_ways if initial_data_ways is not None else cache.ways // 2
         cache.set_partition(start)
         self._record_decision(start, 1.0, 1.0)
@@ -221,12 +211,12 @@ class PartitionController:
         )
         self.timeline.append(decision)
         tel = self._telemetry
-        if tel is not None:
+        if tel is not None and tel.tracer is not None:
             cycles = (
                 self._clock() if self._clock is not None
                 else float(self.total_accesses)
             )
-            tel.emit(
+            tel.tracer.emit(
                 EVENT_PARTITION,
                 cycles,
                 self._core_id,
@@ -237,8 +227,6 @@ class PartitionController:
                 weight_data=weight_data,
                 weight_tlb=weight_tlb,
             )
-            if self._decision_counter is not None:
-                self._decision_counter.inc()
 
     @property
     def accesses_in_epoch(self) -> int:

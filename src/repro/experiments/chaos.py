@@ -40,7 +40,7 @@ from repro.experiments import report as report_module
 from repro.experiments import runner
 from repro.experiments.pool import run_campaign
 from repro.experiments.store import ResultStore
-from repro.telemetry import EventTracer, MetricsRegistry, Telemetry
+from repro.telemetry import EVENT_FAULT, EventTracer, Telemetry
 
 Progress = Callable[[str], None]
 
@@ -175,7 +175,7 @@ def run_chaos(
     rounds: int = DEFAULT_ROUNDS,
     out_dir: str = "chaos-out",
     timeout: Optional[float] = None,
-    retries: int = 2,
+    retries: Optional[int] = None,
     progress: Optional[Progress] = None,
 ) -> ChaosReport:
     """Run the baseline + chaos + recovery sequence; see module docstring.
@@ -187,11 +187,12 @@ def run_chaos(
     Returns the :class:`ChaosReport`; call
     :meth:`ChaosReport.raise_if_failed` for the exit-code-4 behavior.
     Below 2 ``jobs`` points run in-process, so a plan arming a
-    ``pool.worker.*`` point, or a ``timeout``, raises
+    ``pool.worker.*`` point, a ``timeout`` or ``retries`` raises
     :class:`~repro.errors.ConfigError`.
     """
     if jobs < 2:
-        # In-process points never enter a worker and are never timed.
+        # In-process points never enter a worker and are never timed
+        # or retried.
         for spec in plan.faults:
             if spec.point.startswith("pool.worker."):
                 raise ConfigError(
@@ -200,6 +201,8 @@ def run_chaos(
                 )
         if timeout is not None:
             raise ConfigError("timeout needs jobs 2 or more")
+        if retries is not None:
+            raise ConfigError("retries needs jobs 2 or more")
     note = progress or (lambda message: None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -242,7 +245,7 @@ def run_chaos(
         )
 
     # Phase 2: armed round + recovery rounds ---------------------------
-    telemetry = Telemetry(tracer=EventTracer(), metrics=MetricsRegistry())
+    telemetry = Telemetry(tracer=EventTracer())
     chaos_store = ResultStore(chaos_root, telemetry=telemetry)
     converged = False
     for number in range(1, max(1, rounds) + 1):
@@ -303,15 +306,11 @@ def run_chaos(
         report.problems.extend(_store_problems(baseline_root, chaos_root))
     if report.parent_injected:
         # Parent-side injections must be visible in telemetry too.
-        counters = {
-            name: telemetry.metrics.get(name).value
-            for name in telemetry.metrics.names()
-            if name.startswith("faults.")
-        }
-        if sum(counters.values()) != report.parent_injected:
+        traced = telemetry.tracer.counts_by_name().get(EVENT_FAULT, 0)
+        if traced != report.parent_injected:
             report.problems.append(
-                "telemetry counters disagree with parent-side injections "
-                f"({counters} vs {report.parent_injected})"
+                "traced fault events disagree with parent-side injections "
+                f"({traced} vs {report.parent_injected})"
             )
     if converged and selected is not None:
         baseline_text = _render_text(selected, baseline_store, jobs, note)

@@ -287,7 +287,7 @@ def run_campaign(
     store: Optional[ResultStore] = None,
     resume: bool = True,
     timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
+    retries: Optional[int] = None,
     backoff: float = DEFAULT_BACKOFF_SECONDS,
     progress: Optional[Progress] = None,
     checkpoint_every: Optional[int] = None,
@@ -299,7 +299,8 @@ def run_campaign(
     is recorded as its failure; the rest of the campaign continues).
     With ``jobs > 1`` each point runs in its own worker process with an
     optional per-point ``timeout``; killed or timed-out workers are
-    retried with exponential backoff, exceptions raised *inside* the
+    retried with exponential backoff (at most ``retries`` times,
+    :data:`DEFAULT_RETRIES` when unset), exceptions raised *inside* the
     simulation are deterministic and fail the point immediately.
 
     ``checkpoint_every`` (needs ``store``, effective with ``jobs > 1``)
@@ -351,7 +352,8 @@ def run_campaign(
                 _run_parallel(
                     todo, summary, latch, note,
                     jobs=jobs, store=store, timeout=timeout,
-                    retries=retries, backoff=backoff,
+                    retries=DEFAULT_RETRIES if retries is None else retries,
+                    backoff=backoff,
                     checkpoint_every=checkpoint_every, monitor=monitor,
                 )
         except BudgetExceededError as exc:

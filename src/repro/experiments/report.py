@@ -114,7 +114,7 @@ def build_report(
     store: Optional[ResultStore] = None,
     resume: bool = False,
     timeout: Optional[float] = None,
-    retries: int = 2,
+    retries: Optional[int] = None,
     checkpoint_every: Optional[int] = None,
     monitor: Optional[BudgetMonitor] = None,
 ) -> ReportDocument:

@@ -66,10 +66,9 @@ class ResultStore:
     """Directory of ``<sha256>.json`` result files, one per run signature.
 
     ``telemetry`` (optional) makes corruption tolerance observable: every
-    skipped (unreadable/malformed) entry increments the
-    ``store.corrupt_skipped`` counter and emits a ``store.skip`` trace
+    skipped (unreadable/malformed) entry emits a ``store.skip`` trace
     event, so a store quietly degrading to re-simulation shows up in the
-    metrics instead of only in warnings.
+    trace instead of only in warnings.
     """
 
     def __init__(self, root: os.PathLike, telemetry=None) -> None:
@@ -189,15 +188,13 @@ class ResultStore:
             return None
 
     def _skip(self, path: Path, reason: str, exc: Exception) -> None:
-        """Account one corruption-tolerant miss (warn + count + event)."""
+        """Account one corruption-tolerant miss (warn + event)."""
         warnings.warn(
             f"ignoring {reason} store entry {path.name}: {exc}",
             RuntimeWarning,
             stacklevel=3,
         )
         if self.telemetry is not None:
-            if self.telemetry.metrics is not None:
-                self.telemetry.metrics.counter("store.corrupt_skipped").inc()
             self.telemetry.emit(
                 EVENT_STORE_SKIP, 0.0, entry=path.name, reason=reason,
                 error=f"{type(exc).__name__}: {exc}",

@@ -21,9 +21,9 @@ Design rules:
   failure would (a hard ``os._exit``, a flipped byte on disk), so the
   recovery path exercised is exactly the production one;
 * **accounted** — every injected fault is recorded in the injector, in
-  the telemetry event trace / metrics registry (when attached), and in
-  a durable append-only JSONL *fault log* that survives worker crashes
-  (children fork the armed injector and append to the same file).
+  the telemetry event trace (when attached), and in a durable
+  append-only JSONL *fault log* that survives worker crashes (children
+  fork the armed injector and append to the same file).
 """
 
 from __future__ import annotations
@@ -222,14 +222,11 @@ class FaultInjector:
             "context": _jsonable(context),
         }
         self.records.append(record)
-        if self.telemetry is not None:
-            if self.telemetry.tracer is not None:
-                self.telemetry.emit(
-                    EVENT_FAULT, 0.0, point=point, trigger=trigger,
-                    **_jsonable(context),
-                )
-            if self.telemetry.metrics is not None:
-                self.telemetry.metrics.counter(f"faults.{point}").inc()
+        if self.telemetry is not None and self.telemetry.tracer is not None:
+            self.telemetry.tracer.emit(
+                EVENT_FAULT, 0.0, point=point, trigger=trigger,
+                **_jsonable(context),
+            )
         if self.log_path is not None:
             try:
                 with open(self.log_path, "a") as handle:

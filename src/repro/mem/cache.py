@@ -69,10 +69,6 @@ class CacheStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 @dataclass
 class DipDueler:
@@ -360,31 +356,6 @@ class Cache:
             LineKind.DATA: data_count / total,
             LineKind.TLB: tlb_count / total,
         }
-
-    def register_metrics(self, registry, prefix: str) -> None:
-        """Expose this cache's counters as callback gauges under ``prefix``.
-
-        Callbacks read ``self.stats`` lazily (the stats object is replaced
-        on ``reset_stats``) and the occupancy scan runs only at registry
-        export time, so the datapath pays nothing.
-        """
-        registry.gauge(f"{prefix}.hits", lambda: self.stats.hits)
-        registry.gauge(f"{prefix}.misses", lambda: self.stats.misses)
-        registry.gauge(f"{prefix}.miss_rate", lambda: self.stats.miss_rate)
-        registry.gauge(f"{prefix}.data_hits", lambda: self.stats.data_hits)
-        registry.gauge(f"{prefix}.data_misses", lambda: self.stats.data_misses)
-        registry.gauge(f"{prefix}.tlb_hits", lambda: self.stats.tlb_hits)
-        registry.gauge(f"{prefix}.tlb_misses", lambda: self.stats.tlb_misses)
-        registry.gauge(f"{prefix}.writebacks", lambda: self.stats.writebacks)
-        registry.gauge(f"{prefix}.fills", lambda: self.stats.fills)
-        registry.gauge(
-            f"{prefix}.tlb_occupancy",
-            lambda: self.occupancy_by_kind(sample_shift=3)[LineKind.TLB],
-        )
-        registry.gauge(
-            f"{prefix}.data_ways",
-            lambda: -1 if self._data_ways is None else self._data_ways,
-        )
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()

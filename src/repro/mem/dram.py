@@ -126,13 +126,6 @@ class DramChannel:
         expected = row_hit_fraction * hit + (1 - row_hit_fraction) * miss
         return t.device_to_cpu(expected)
 
-    def register_metrics(self, registry, prefix: str) -> None:
-        """Expose channel counters as callback gauges under ``prefix``."""
-        registry.gauge(f"{prefix}.accesses", lambda: self.stats.accesses)
-        registry.gauge(f"{prefix}.row_hits", lambda: self.stats.row_hits)
-        registry.gauge(f"{prefix}.row_misses", lambda: self.stats.row_misses)
-        registry.gauge(f"{prefix}.row_hit_rate", lambda: self.stats.row_hit_rate)
-
     def reset_stats(self) -> None:
         """Zero the counters without disturbing open-row state."""
         self.stats = DramStats()

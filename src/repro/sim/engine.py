@@ -162,8 +162,8 @@ def run_simulation(
     individual structures.
 
     ``telemetry`` wires a :class:`~repro.telemetry.Telemetry` sink bundle
-    through the whole machine (event trace, metrics registry, cycle
-    ledger); ``None`` (the default) leaves every hook a no-op.
+    through the whole machine (event trace, cycle ledger); ``None`` (the
+    default) leaves every hook a no-op.
     ``progress`` is invoked with a
     :class:`~repro.telemetry.ProgressUpdate` every ``progress_every``
     accesses (default: ~5% of the run) and once more at completion.
@@ -245,13 +245,6 @@ def run_simulation(
     if checkpoint_dir is not None:
         writer = CheckpointWriter(checkpoint_dir, keep=checkpoint_keep)
 
-    metrics = telemetry.metrics if telemetry is not None else None
-    checkpoint_counter = metrics.counter("checkpoint.writes") if metrics else None
-    checkpoint_hist = (
-        metrics.histogram("checkpoint.write_ms") if metrics else None
-    )
-    watchdog_counter = metrics.counter("watchdog.trips") if metrics else None
-
     def snapshot_document() -> dict:
         return {
             "identity": identity,
@@ -315,7 +308,7 @@ def run_simulation(
 
     checker: Optional[InvariantChecker] = None
     if check_invariants is not None or restored_from is not None:
-        checker = InvariantChecker(system, scheduler, telemetry=telemetry)
+        checker = InvariantChecker(system, scheduler)
     if restored_from is not None and checker is not None:
         # A corrupt snapshot must fail loudly here, not as wrong numbers.
         checker.check(executed=executed)
@@ -422,12 +415,6 @@ def run_simulation(
             # ``next_sample`` a batch late and sample different contents.
             if next_checkpoint is not None and executed >= next_checkpoint:
                 path = writer.write(executed, snapshot_document())
-                if checkpoint_counter is not None:
-                    checkpoint_counter.inc()
-                if checkpoint_hist is not None:
-                    checkpoint_hist.record(
-                        int(writer.last_write_seconds * 1000)
-                    )
                 if telemetry is not None:
                     telemetry.emit(
                         EVENT_CHECKPOINT,
@@ -469,8 +456,6 @@ def run_simulation(
         if watchdog is None or not watchdog.tripped:
             raise  # a real Ctrl-C, not ours
         watchdog.stop()
-        if watchdog_counter is not None:
-            watchdog_counter.inc()
         snapshot_path: Optional[str] = None
         if writer is not None:
             # We are back on the sole simulating thread, so the state is

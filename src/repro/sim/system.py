@@ -100,7 +100,7 @@ class System:
         self.config = config
         self.scheme = config.scheme
         #: Optional telemetry sink bundle; ``None`` keeps every tracer
-        #: and metrics hook a single ``is None`` check.
+        #: hook a single ``is None`` check.
         self.telemetry = telemetry
         #: The cycle-accounting ledger: the bundle's when it carries one,
         #: else the machine's own.  Reset here, so a reused Telemetry
@@ -109,8 +109,6 @@ class System:
         supplied = telemetry.accounting if telemetry is not None else None
         self.accounting = supplied or CycleAccountant()
         self.accounting.reset()
-        self._walk_hist = None
-        self._pom_hit_hist = None
         self.host_memory = HostPhysicalMemory(
             num_vms=config.num_vms,
             vm_bytes=config.vm_bytes,
@@ -170,8 +168,6 @@ class System:
         self._last_walk_latency = 0
         # Which level served TLB-kind references (probe locality analysis).
         self.tlb_ref_levels = {"l2": 0, "l3": 0, "dram": 0}
-        if telemetry is not None and telemetry.metrics is not None:
-            self._register_metrics(telemetry.metrics)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -266,41 +262,6 @@ class System:
     def _max_cycles(self) -> float:
         """System-wide timestamp: the furthest-ahead core clock."""
         return max(core.stats.cycles for core in self.cores)
-
-    # ------------------------------------------------------------------
-    # Telemetry wiring
-    # ------------------------------------------------------------------
-    def _register_metrics(self, metrics) -> None:
-        """Register this machine's instruments into the metrics registry."""
-        self._walk_hist = metrics.histogram("walker.latency_cycles")
-        if self.pom is not None:
-            self._pom_hit_hist = metrics.histogram("pom.hit_latency_cycles")
-            self.pom.register_metrics(metrics, "pom")
-        self.l3.register_metrics(metrics, "cache.l3")
-        self.ddr.register_metrics(metrics, "dram.ddr")
-        self.die_stacked.register_metrics(metrics, "dram.die_stacked")
-        for core in self.cores:
-            prefix = f"core{core.core_id}"
-            core.l1d.register_metrics(metrics, f"{prefix}.l1d")
-            core.l2.register_metrics(metrics, f"{prefix}.l2")
-            core.walker.register_metrics(metrics, f"{prefix}.walker")
-            # Bind through the CoreState: ``core.stats`` is replaced on
-            # reset_stats, so the callbacks must dereference lazily.
-            metrics.gauge(
-                f"{prefix}.instructions", lambda _c=core: _c.stats.instructions
-            )
-            metrics.gauge(f"{prefix}.cycles", lambda _c=core: _c.stats.cycles)
-            metrics.gauge(
-                f"{prefix}.l1_tlb_misses",
-                lambda _c=core: _c.stats.l1_tlb_misses,
-            )
-            metrics.gauge(
-                f"{prefix}.l2_tlb_misses",
-                lambda _c=core: _c.stats.l2_tlb_misses,
-            )
-            metrics.gauge(
-                f"{prefix}.page_walks", lambda _c=core: _c.stats.page_walks
-            )
 
     def _apply_static_partition(self) -> None:
         if self.scheme.partition_mode is not PartitionMode.STATIC:
@@ -491,18 +452,15 @@ class System:
             result = core.walker.walk_virtualized(asid, vm, virtual_address)
         acct._names = saved
         tel = self.telemetry
-        if tel is not None:
-            if tel.tracer is not None:
-                tel.tracer.emit(
-                    EVENT_WALK,
-                    core.stats.cycles,
-                    core.core_id,
-                    duration=float(result.latency),
-                    refs=result.memory_refs,
-                    virtualized=not vm.native,
-                )
-            if self._walk_hist is not None:
-                self._walk_hist.record(result.latency)
+        if tel is not None and tel.tracer is not None:
+            tel.tracer.emit(
+                EVENT_WALK,
+                core.stats.cycles,
+                core.core_id,
+                duration=float(result.latency),
+                refs=result.memory_refs,
+                virtualized=not vm.native,
+            )
         self._last_walk_latency = result.latency
         return result.translation
 
@@ -534,19 +492,15 @@ class System:
                 break
         pom.record_outcome(asid, entry is not None, hit_bits, probes)
         tel = self.telemetry
-        if tel is not None:
-            hit = entry is not None
-            if tel.tracer is not None:
-                tel.tracer.emit(
-                    EVENT_POM_LOOKUP,
-                    core.stats.cycles,
-                    core.core_id,
-                    hit=hit,
-                    probes=probes,
-                    latency=latency,
-                )
-            if hit and self._pom_hit_hist is not None:
-                self._pom_hit_hist.record(latency)
+        if tel is not None and tel.tracer is not None:
+            tel.tracer.emit(
+                EVENT_POM_LOOKUP,
+                core.stats.cycles,
+                core.core_id,
+                hit=entry is not None,
+                probes=probes,
+                latency=latency,
+            )
         if entry is not None:
             acct._names = saved
             if core.prefetcher is not None:
@@ -917,11 +871,6 @@ class System:
         self.tlb_ref_levels = {"l2": 0, "l3": 0, "dram": 0}
         # Warmup boundary: drop warmup-era events so the exported trace
         # covers the measured region with monotone per-core timestamps.
-        # Metric counters/histograms are deliberately NOT reset: page
-        # walks concentrate in warmup (steady state mostly hits the
-        # POM-TLB), and the walk/POM latency distributions are machine
-        # properties worth keeping.  Callback gauges read the component
-        # stats live, so they reflect the measured region regardless.
         tel = self.telemetry
         if tel is not None and tel.tracer is not None:
             tel.tracer.clear()

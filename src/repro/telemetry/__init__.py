@@ -1,20 +1,23 @@
-"""Telemetry: event tracing, metrics, cycle accounting.
+"""Telemetry: event tracing and cycle accounting.
 
-The subsystem has three independent sinks bundled by :class:`Telemetry`:
+The subsystem has two independent sinks bundled by :class:`Telemetry`:
 
 * an :class:`~repro.telemetry.events.EventTracer` — bounded ring of
   typed, cycle-stamped simulator events (JSONL / chrome://tracing);
-* a :class:`~repro.telemetry.metrics.MetricsRegistry` — hierarchical
-  counters, gauges and log-scale histograms components register into;
 * a :class:`~repro.telemetry.accounting.CycleAccountant` — per-(core,
   VM) ledger attributing every simulated cycle to a named component
   (surfaced as ``SimulationResult.cpi_stack``).  The ledger is not
   optional: a System without one in its bundle builds its own.
 
-Design rule: **disabled telemetry costs one ``is None`` check** at each
+Each question a run answers has one record: counts live in the
+:class:`~repro.sim.stats.SimulationResult`, the timeline (walks,
+POM-TLB lookups, partition decisions, switches) in the event trace, and
+where the simulated cycles went in the CPI stack.
+
+Design rule: **disabled tracing costs one ``is None`` check** at each
 hook site.  Components hold ``telemetry=None`` by default and guard
-every tracer and metrics hook with a single ``if``; no such sink
-objects exist unless asked for.
+every tracer hook with a single ``if``; no tracer exists unless asked
+for.
 
 Where *host* time goes is not a telemetry sink: ``perf/trace.py``
 splits it across the simulator's layers from the outside
@@ -22,14 +25,13 @@ splits it across the simulator's layers from the outside
 
 Usage::
 
-    from repro.telemetry import Telemetry
+    from repro.telemetry import EventTracer, Telemetry
 
-    telemetry = Telemetry.enabled()
+    telemetry = Telemetry(tracer=EventTracer())
     result = run_simulation(config, workloads, telemetry=telemetry)
     telemetry.tracer.write_jsonl("run.trace.jsonl")
-    telemetry.metrics.write_json("metrics.json")
 
-See ``docs/observability.md`` for the event schema and metric names.
+See ``docs/observability.md`` for the event schema.
 """
 
 from __future__ import annotations
@@ -60,13 +62,11 @@ from repro.telemetry.events import (
     read_events,
     write_chrome_trace,
 )
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.progress import ProgressUpdate
 from repro.telemetry.summary import TraceSummary, summarize_events
 
 __all__ = [
     "CYCLE_QUANTUM",
-    "Counter",
     "CpiStack",
     "CycleAccountant",
     "DEFAULT_TRACE_CAPACITY",
@@ -80,9 +80,6 @@ __all__ = [
     "EVENT_TLB_MISS",
     "EVENT_WALK",
     "EventTracer",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "ProgressUpdate",
     "SYSTEM_CORE",
     "Telemetry",
@@ -99,37 +96,20 @@ __all__ = [
 class Telemetry:
     """The sink bundle components are wired with.
 
-    Any of the three sinks may be ``None``; hook sites check the sink
-    they need, and a System given no ``accounting`` builds its own
-    ledger.  Construct directly for fine control or use :meth:`enabled`
-    for the common all-on case.
+    Either sink may be ``None``; hook sites check the sink they need,
+    and a System given no ``accounting`` builds its own ledger.
     """
 
-    __slots__ = ("tracer", "metrics", "accounting")
+    __slots__ = ("tracer", "accounting")
 
     def __init__(
         self,
         tracer: Optional[EventTracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
         accounting: Optional[CycleAccountant] = None,
     ):
         self.tracer = tracer
-        self.metrics = metrics
         self.accounting = accounting
 
-    @classmethod
-    def enabled(
-        cls,
-        trace: bool = True,
-        metrics: bool = True,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
-    ) -> "Telemetry":
-        return cls(
-            tracer=EventTracer(trace_capacity) if trace else None,
-            metrics=MetricsRegistry() if metrics else None,
-        )
-
-    # ------------------------------------------------------------------
     def emit(
         self,
         name: str,
@@ -141,12 +121,3 @@ class Telemetry:
         """Emit a trace event if tracing is on (no-op otherwise)."""
         if self.tracer is not None:
             self.tracer.emit(name, cycles, core, duration, **args)
-
-    def reset(self) -> None:
-        """Clear all sinks (warmup boundary: see ``System.reset_stats``)."""
-        if self.tracer is not None:
-            self.tracer.clear()
-        if self.metrics is not None:
-            self.metrics.reset()
-        if self.accounting is not None:
-            self.accounting.reset()

@@ -150,13 +150,6 @@ class EventTracer:
                 count += 1
         return count
 
-    def to_chrome(self) -> Dict[str, object]:
-        return chrome_trace(self._events)
-
-    def write_chrome(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_chrome(), handle)
-
 
 def read_events(path: str) -> List[TraceEvent]:
     """Load a JSONL trace written by :meth:`EventTracer.write_jsonl`."""

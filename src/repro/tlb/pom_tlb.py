@@ -244,22 +244,3 @@ class PomTlb:
         }
         self.predictor.load_state(state["predictor"])
         self.stats = replace(state["stats"])
-
-    def register_metrics(self, registry, prefix: str = "pom") -> None:
-        """Expose POM-TLB counters as callback gauges under ``prefix``.
-
-        Callbacks read through ``self.stats`` lazily (the stats object is
-        replaced on ``System.reset_stats``) and cost nothing until the
-        registry is exported.
-        """
-        registry.gauge(f"{prefix}.hits", lambda: self.stats.hits)
-        registry.gauge(f"{prefix}.misses", lambda: self.stats.misses)
-        registry.gauge(f"{prefix}.hit_rate", lambda: self.stats.hit_rate)
-        registry.gauge(
-            f"{prefix}.first_probe_hits", lambda: self.stats.first_probe_hits
-        )
-        registry.gauge(
-            f"{prefix}.second_probes", lambda: self.stats.second_probes
-        )
-        registry.gauge(f"{prefix}.insertions", lambda: self.stats.insertions)
-        registry.gauge(f"{prefix}.occupancy", self.occupancy)

@@ -54,7 +54,6 @@ from repro.tlb.tlb import Tlb
 if TYPE_CHECKING:
     from repro.sim.scheduler import ContextScheduler
     from repro.sim.system import System
-    from repro.telemetry import Telemetry
     from repro.tlb.pom_tlb import PomTlb
     from repro.vm.walker import PageWalker
 
@@ -631,20 +630,12 @@ class InvariantChecker:
         self,
         system: "System",
         scheduler: Optional["ContextScheduler"] = None,
-        telemetry: Optional["Telemetry"] = None,
     ):
         self.system = system
         self.scheduler = scheduler
         self.checks_run = 0
         self.violations_found = 0
         self._baseline = counter_snapshot(system)
-        self._check_counter = None
-        self._violation_counter = None
-        if telemetry is not None and telemetry.metrics is not None:
-            self._check_counter = telemetry.metrics.counter("validate.checks")
-            self._violation_counter = telemetry.metrics.counter(
-                "validate.violations"
-            )
 
     def reset_baseline(self) -> None:
         self._baseline = counter_snapshot(self.system)
@@ -688,14 +679,10 @@ class InvariantChecker:
     def check(self, executed: Optional[int] = None) -> None:
         """One audit pass; raises on the first violation (others attached)."""
         self.checks_run += 1
-        if self._check_counter is not None:
-            self._check_counter.inc()
         found = self.sweep()
         if not found:
             return
         self.violations_found += len(found)
-        if self._violation_counter is not None:
-            self._violation_counter.inc(len(found))
         first = found[0]
         first.others = found[1:]
         if executed is not None:

@@ -63,23 +63,6 @@ class WalkerStats:
     def mean_latency(self) -> float:
         return self.total_latency / self.walks if self.walks else 0.0
 
-    @property
-    def mean_refs(self) -> float:
-        return self.total_refs / self.walks if self.walks else 0.0
-
-
-def register_walker_metrics(walker: "PageWalker", registry, prefix: str) -> None:
-    """Register a walker's counters as callback gauges under ``prefix``.
-
-    Callbacks dereference ``walker.stats`` lazily because the stats
-    object is replaced wholesale on ``System.reset_stats``.
-    """
-    registry.gauge(f"{prefix}.walks", lambda: walker.stats.walks)
-    registry.gauge(f"{prefix}.total_refs", lambda: walker.stats.total_refs)
-    registry.gauge(
-        f"{prefix}.mean_latency_cycles", lambda: walker.stats.mean_latency
-    )
-    registry.gauge(f"{prefix}.mean_refs", lambda: walker.stats.mean_refs)
 
 
 class VirtualMachine:
@@ -247,10 +230,6 @@ class PageWalker:
         #: restores them — the System brackets each walk and puts the
         #: caller's context back.
         self.accountant = accountant
-
-    def register_metrics(self, registry, prefix: str) -> None:
-        """Expose walk counters in a telemetry metrics registry."""
-        register_walker_metrics(self, registry, prefix)
 
     def state_dict(self) -> dict:
         """The accessor callback is wiring, not state — only the caches

@@ -29,7 +29,7 @@ from repro.experiments.pool import _responsive_sleep, run_campaign
 from repro.experiments.store import ResultStore
 from repro.sim.config import small_config
 from repro.sim.engine import run_simulation
-from repro.telemetry import EventTracer, MetricsRegistry, Telemetry
+from repro.telemetry import EventTracer, Telemetry
 from repro.workloads.mixes import make_mix
 
 TINY = dict(total_accesses=1_500)
@@ -150,9 +150,7 @@ class TestMonitor:
         assert monitor.hard_breach is breach
 
     def test_breach_recorded_in_telemetry(self):
-        telemetry = Telemetry(
-            tracer=EventTracer(), metrics=MetricsRegistry()
-        )
+        telemetry = Telemetry(tracer=EventTracer())
         monitor = BudgetMonitor(
             Budget(disk_quota_bytes=10), telemetry=telemetry
         )
@@ -161,7 +159,6 @@ class TestMonitor:
         monitor.sample()            # latched: recorded once
         names = [event.name for event in telemetry.tracer]
         assert names.count("budget.exceeded") == 1
-        assert telemetry.metrics.counter("budget.hard_stops").value == 1
 
     def test_build_error_carries_exit_code_and_dimension(self):
         monitor = breached_monitor()

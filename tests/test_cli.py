@@ -76,21 +76,14 @@ class TestRunTelemetry:
         assert document["baseline"]["scheme"] == "pom-tlb"
         assert document["speedup_over_baseline"] > 0.0
 
-    def test_trace_and_metrics_out(self, tmp_path, capsys):
+    def test_trace_out(self, tmp_path, capsys):
         trace_path = tmp_path / "run.trace.jsonl"
-        metrics_path = tmp_path / "metrics.json"
         code = main([
             "run", "--mix", "gups", "--scheme", "csalt-cd",
-            "--accesses", "6000",
-            "--trace-out", str(trace_path),
-            "--metrics-out", str(metrics_path),
+            "--accesses", "6000", "--trace-out", str(trace_path),
         ])
         assert code == 0
-        assert trace_path.exists() and metrics_path.exists()
-        with open(metrics_path) as handle:
-            metrics = json.load(handle)
-        assert "buckets" in metrics["walker"]["latency_cycles"]
-        assert metrics["run"]["scheme"] == "csalt-cd"
+        assert trace_path.exists()
         err = capsys.readouterr().err
         assert f"events to {trace_path}" in err
 
@@ -219,6 +212,9 @@ class TestReport:
 
 CI_PLAN = str(Path(__file__).resolve().parents[1] / "benchmarks"
               / "chaos_ci_plan.json")
+#: A plan arming no ``pool.worker.*`` point: it runs with ``--jobs 1``.
+#: Written into the test's working directory under this name.
+PARENT_ONLY_PLAN = "parent-only-plan.json"
 
 
 def exit_code(argv):
@@ -255,13 +251,21 @@ class TestRunControlUsage:
         (["report", "--jobs", "1", "--timeout", "5"], "--timeout"),
         (["report", "--jobs", "1", "--checkpoint-every", "500",
           "--store", "store"], "--checkpoint-every"),
+        (["report", "--jobs", "1", "--retries", "3"], "--retries"),
         (["chaos", "--plan", CI_PLAN, "--jobs", "1"], "pool.worker."),
-    ], ids=["report-timeout", "report-checkpoint-every", "chaos-plan"])
+        (["chaos", "--plan", PARENT_ONLY_PLAN, "--jobs", "1",
+          "--retries", "3"], "retries"),
+    ], ids=["report-timeout", "report-checkpoint-every", "report-retries",
+            "chaos-plan", "chaos-retries"])
     def test_refused_with_one_job(
         self, argv, named, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv("REPRO_TOTAL_ACCESSES", "1000")
         monkeypatch.chdir(tmp_path)
+        (tmp_path / PARENT_ONLY_PLAN).write_text(json.dumps({
+            "name": "parent-only",
+            "faults": [{"point": "store.save.corrupt_byte"}],
+        }))
         argv = argv + ["--only", "figure8", "--out", "out"]
         assert exit_code(argv) == EXIT_USAGE
         err = capsys.readouterr().err

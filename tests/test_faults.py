@@ -24,7 +24,7 @@ from repro.errors import ConfigError, DiskFullError
 from repro.experiments import runner
 from repro.experiments.pool import run_campaign
 from repro.experiments.store import ResultStore
-from repro.telemetry import EventTracer, MetricsRegistry, Telemetry
+from repro.telemetry import EventTracer, Telemetry
 from repro.telemetry.events import EVENT_FAULT
 from repro.workloads.mixes import make_program
 from repro.workloads.trace import TraceFormatError, load_trace, record_trace
@@ -173,16 +173,15 @@ class TestInjectorSemantics:
         assert lines[1]["trigger"] == 2
         assert lines[0]["context"]["attempt"] == 1
 
-    def test_telemetry_event_and_counter(self):
-        telemetry = Telemetry(tracer=EventTracer(), metrics=MetricsRegistry())
+    def test_telemetry_event(self):
+        telemetry = Telemetry(tracer=EventTracer())
         injector = faults.FaultInjector(
             plan_for("pool.worker.crash"), telemetry=telemetry
         )
         injector.fire("pool.worker.crash", attempt=1)
         events = [e for e in telemetry.tracer if e.name == EVENT_FAULT]
         assert len(events) == 1
-        counter = telemetry.metrics.get("faults.pool.worker.crash")
-        assert counter is not None and counter.value == 1
+        assert events[0].args["point"] == "pool.worker.crash"
         assert injector.injected == 1
         assert injector.records[0]["point"] == "pool.worker.crash"
 

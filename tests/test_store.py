@@ -14,7 +14,7 @@ from repro.experiments.store import (
     strip_host_fields,
 )
 from repro.sim.stats import SimulationResult
-from repro.telemetry import EventTracer, MetricsRegistry, Telemetry
+from repro.telemetry import EventTracer, Telemetry
 from repro.telemetry.events import EVENT_STORE_SKIP
 
 TINY = dict(total_accesses=1_500)
@@ -141,18 +141,17 @@ class TestRobustness:
 
 class TestCorruptionClasses:
     """Every corruption class tolerated as a miss, and each skip counted
-    in telemetry (``store.corrupt_skipped`` + a ``store.skip`` event)."""
+    in telemetry (one ``store.skip`` event)."""
 
     def _store(self, tmp_path):
-        telemetry = Telemetry(tracer=EventTracer(), metrics=MetricsRegistry())
+        telemetry = Telemetry(tracer=EventTracer())
         store = ResultStore(tmp_path, telemetry=telemetry)
         signature, result = tiny_point()
         path = store.save(signature, result)
         return store, signature, path, telemetry
 
     def _skipped(self, telemetry):
-        counter = telemetry.metrics.get("store.corrupt_skipped")
-        return counter.value if counter is not None else 0
+        return telemetry.tracer.counts_by_name().get(EVENT_STORE_SKIP, 0)
 
     def corrupt(self, path, how):
         if how == "truncated-json":
@@ -181,9 +180,8 @@ class TestCorruptionClasses:
         with pytest.warns(RuntimeWarning):
             assert store.load(signature) is None
         assert self._skipped(telemetry) == 1
-        skips = [e for e in telemetry.tracer if e.name == EVENT_STORE_SKIP]
-        assert len(skips) == 1
-        assert skips[0].args["entry"] == path.name
+        skip = next(e for e in telemetry.tracer if e.name == EVENT_STORE_SKIP)
+        assert skip.args["entry"] == path.name
 
     def test_counter_increments_per_skip(self, tmp_path):
         store, signature, path, telemetry = self._store(tmp_path)

@@ -1,4 +1,4 @@
-"""Tests for the telemetry subsystem: tracer, metrics, wiring."""
+"""Tests for the telemetry subsystem: tracer, wiring, summaries."""
 
 import json
 
@@ -16,7 +16,6 @@ from repro.telemetry import (
     EVENT_TLB_MISS,
     EVENT_WALK,
     EventTracer,
-    MetricsRegistry,
     Telemetry,
     TraceEvent,
     chrome_trace,
@@ -93,7 +92,7 @@ class TestEventTracer:
         tracer = EventTracer()
         tracer.emit("walk", 10.0, core=1, duration=42.0)
         tracer.emit("tlb.shootdown", 99.0, dropped=2)
-        document = tracer.to_chrome()
+        document = chrome_trace(tracer)
         assert "traceEvents" in document
         slices = [e for e in document["traceEvents"] if e.get("ph") == "X"]
         instants = [e for e in document["traceEvents"] if e.get("ph") == "i"]
@@ -102,7 +101,7 @@ class TestEventTracer:
         assert len(instants) == 1
         assert {m["args"]["name"] for m in names} == {"core 1", "system"}
         path = str(tmp_path / "c.json")
-        tracer.write_chrome(path)
+        write_chrome_trace(tracer, path)
         with open(path) as handle:
             assert json.load(handle) == json.loads(json.dumps(document))
 
@@ -144,95 +143,10 @@ class TestEventTracerDropAccounting:
 
 
 # ----------------------------------------------------------------------
-# MetricsRegistry
-# ----------------------------------------------------------------------
-class TestMetrics:
-    def test_counter(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("a.b")
-        counter.inc()
-        counter.inc(4)
-        assert registry.counter("a.b") is counter
-        assert registry.to_dict() == {"a": {"b": 5}}
-
-    def test_gauge_set_and_callback(self):
-        registry = MetricsRegistry()
-        registry.gauge("g").set(3.5)
-        backing = {"v": 7}
-        registry.gauge("cb", lambda: backing["v"])
-        snapshot = registry.to_dict()
-        assert snapshot["g"] == 3.5
-        assert snapshot["cb"] == 7.0
-        backing["v"] = 8
-        assert registry.to_dict()["cb"] == 8.0
-
-    def test_callback_gauge_rejects_set(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("cb", lambda: 1.0)
-        with pytest.raises(RuntimeError):
-            gauge.set(2.0)
-
-    def test_histogram_log_buckets(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat")
-        for value in (1, 2, 3, 100, 1000):
-            hist.record(value)
-        snapshot = hist.snapshot()
-        assert snapshot["count"] == 5
-        assert snapshot["min"] == 1
-        assert snapshot["max"] == 1000
-        assert snapshot["mean"] == pytest.approx(1106 / 5)
-        # 1 -> le_1; 2 -> le_2; 3 -> le_4; 100 -> le_128; 1000 -> le_1024
-        assert snapshot["buckets"] == {
-            "le_1": 1, "le_2": 1, "le_4": 1, "le_128": 1, "le_1024": 1,
-        }
-        assert hist.percentile(0.5) <= hist.percentile(0.99)
-
-    def test_histogram_empty(self):
-        hist = MetricsRegistry().histogram("h")
-        snapshot = hist.snapshot()
-        assert snapshot["count"] == 0
-        assert snapshot["p95"] == 0.0
-
-    def test_type_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.histogram("x")
-
-    def test_prefix_collision_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("a.b")
-        with pytest.raises(ValueError, match="collides"):
-            registry.counter("a.b.c")
-
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        registry.histogram("h").record(5)
-        registry.gauge("live", lambda: 42)
-        registry.reset()
-        snapshot = registry.to_dict()
-        assert snapshot["c"] == 0
-        assert snapshot["h"]["count"] == 0
-        assert snapshot["live"] == 42.0  # callback gauges stay live
-
-    def test_write_json(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("runs").inc()
-        path = str(tmp_path / "m.json")
-        registry.write_json(path, extra={"run": {"mix": "gups"}})
-        with open(path) as handle:
-            document = json.load(handle)
-        assert document["runs"] == 1
-        assert document["run"]["mix"] == "gups"
-
-
-# ----------------------------------------------------------------------
 # Simulation wiring
 # ----------------------------------------------------------------------
 def run_traced(scheme=Scheme.CSALT_CD, accesses=12_000, **kwargs):
-    telemetry = Telemetry.enabled()
+    telemetry = Telemetry(tracer=EventTracer())
     config = small_config(scheme=scheme, **kwargs)
     result = run_simulation(
         config, make_mix("gups"), total_accesses=accesses, telemetry=telemetry,
@@ -252,27 +166,14 @@ class TestSimulationTelemetry:
         assert walk.args["refs"] >= 1
         assert 0 <= walk.core < 8
 
-    def test_walk_histogram_recorded(self):
+    def test_pom_lookup_events_match_result(self):
         telemetry, result = run_traced()
-        hist = telemetry.metrics.get("walker.latency_cycles")
-        # Cumulative over the whole run, including warmup-era walks.
-        assert hist.count >= result.page_walks
-        assert hist.count > 0
-        assert hist.buckets()
-
-    def test_pom_metrics_registered(self):
-        telemetry, result = run_traced()
-        snapshot = telemetry.metrics.to_dict()
-        assert snapshot["pom"]["hits"] == result.pom_hits
-        assert snapshot["pom"]["hit_latency_cycles"]["count"] >= result.pom_hits
-        assert 0.0 <= snapshot["pom"]["occupancy"] <= 1.0
-
-    def test_cache_and_dram_metrics(self):
-        telemetry, _ = run_traced()
-        snapshot = telemetry.metrics.to_dict()
-        assert snapshot["cache"]["l3"]["hits"] >= 0
-        assert snapshot["core0"]["l2"]["tlb_occupancy"] >= 0.0
-        assert snapshot["dram"]["ddr"]["accesses"] > 0
+        assert telemetry.tracer.dropped == 0
+        hits = sum(
+            1 for e in telemetry.tracer
+            if e.name == EVENT_POM_LOOKUP and e.args["hit"]
+        )
+        assert hits == result.pom_hits > 0
 
     def test_partition_decisions_traced(self):
         # Tiny epoch so both L2 and L3 controllers repartition after warmup.
@@ -286,7 +187,6 @@ class TestSimulationTelemetry:
         event = partition_events[0]
         assert event.args["data_ways"] + event.args["tlb_ways"] > 0
         assert 0.0 <= event.args["tlb_fraction"] <= 1.0
-        assert telemetry.metrics.to_dict()["partition"]["decisions"] > 0
 
     def test_context_switch_events(self):
         telemetry, result = run_traced(
@@ -300,7 +200,7 @@ class TestSimulationTelemetry:
     def test_shootdown_event(self):
         from repro.mem.address import Asid
 
-        telemetry = Telemetry.enabled()
+        telemetry = Telemetry(tracer=EventTracer())
         system = System(small_config(scheme=Scheme.POM_TLB), telemetry=telemetry)
         asid = Asid(0, 0)
         system.vms[0].ensure_mapped(0, 0x1000)
@@ -310,22 +210,16 @@ class TestSimulationTelemetry:
         assert len(events) == 1
         assert events[0].args["dropped"] >= 1
 
-    def test_warmup_clears_trace_but_not_histograms(self):
-        telemetry = Telemetry.enabled()
+    def test_warmup_clears_trace(self):
+        telemetry = Telemetry(tracer=EventTracer())
         config = small_config(scheme=Scheme.CSALT_CD)
         result = run_simulation(
             config, make_mix("gups"), total_accesses=8_000,
             telemetry=telemetry, warmup_fraction=0.5,
         )
-        # Trace covers the measured region only...
+        # The trace covers the measured region only.
         walks = [e for e in telemetry.tracer if e.name == EVENT_WALK]
         assert len(walks) == result.page_walks
-        # ...but histograms keep the warmup-era walks (steady state may
-        # have none at all once the POM-TLB is hot).
-        hist = telemetry.metrics.get("walker.latency_cycles")
-        assert hist.count >= result.page_walks
-        assert hist.count > 0
-        assert hist.buckets()
 
     def test_progress_callback(self):
         updates = []
@@ -343,7 +237,7 @@ class TestSimulationTelemetry:
     def test_disabled_telemetry_changes_nothing(self):
         config = small_config(scheme=Scheme.CSALT_CD)
         plain = run_simulation(config, make_mix("gups"), total_accesses=6_000)
-        traced_tel = Telemetry.enabled()
+        traced_tel = Telemetry(tracer=EventTracer())
         traced = run_simulation(
             small_config(scheme=Scheme.CSALT_CD), make_mix("gups"),
             total_accesses=6_000, telemetry=traced_tel,
@@ -392,34 +286,6 @@ class TestSummarize:
             document = json.load(handle)
         phases = {e["ph"] for e in document["traceEvents"]}
         assert {"X", "i", "M"} <= phases
-
-
-# ----------------------------------------------------------------------
-# Histogram edge cases (empty distributions)
-# ----------------------------------------------------------------------
-class TestHistogramEmpty:
-    def test_mean_of_empty_is_zero(self):
-        hist = MetricsRegistry().histogram("empty")
-        assert hist.mean == 0.0
-
-    def test_percentile_of_empty_is_zero(self):
-        hist = MetricsRegistry().histogram("empty")
-        for fraction in (0.0, 0.5, 0.95, 1.0):
-            assert hist.percentile(fraction) == 0.0
-
-    def test_percentile_still_validates_fraction(self):
-        hist = MetricsRegistry().histogram("empty")
-        with pytest.raises(ValueError):
-            hist.percentile(1.5)
-        with pytest.raises(ValueError):
-            hist.percentile(-0.1)
-
-    def test_reset_restores_empty_behaviour(self):
-        hist = MetricsRegistry().histogram("h")
-        hist.record(42)
-        hist.reset()
-        assert hist.mean == 0.0
-        assert hist.percentile(0.99) == 0.0
 
 
 class TestSummaryRows:
