@@ -3,15 +3,16 @@
 The repo's pytest "benchmarks" validate paper *numbers*; ``repro bench``
 times the simulator's hot-path primitives in isolation — a cache hit
 probe, a cache miss-fill (victim selection included) with clean and with
-dirty victims, L1 and unified L2 TLB probes, a POM-TLB probe, a
-partition-controller observation, a first-touch page mapping, native /
-virtualized page walks, a DRAM access and an MSHR observation — so a
-change that slows one layer shows up as one moved number.  Each point is named
-``<layer>.<operation>`` after the layer ``perf/trace.py`` books that
-primitive's time to.  Inputs are fully deterministic (fixed address
-strides, no RNG), so run-to-run variance is host jitter only.  The
-document is written as ``BENCH_<timestamp>.json`` and is informational:
-whole-run speed is judged by the ``perf/`` benchmark, not here.
+dirty victims and in one partition of a tree-PLRU cache, L1 and unified
+L2 TLB probes, a POM-TLB probe, a partition-controller observation, a
+first-touch page mapping, native / virtualized page walks, a DRAM access
+and an MSHR observation — so a change that slows one layer shows up as
+one moved number.  Each point is named ``<layer>.<operation>`` after
+the layer ``perf/trace.py`` books that primitive's time to.  Inputs are
+fully deterministic (fixed address strides, no RNG), so run-to-run
+variance is host jitter only.  The document is written as
+``BENCH_<timestamp>.json`` and is informational: whole-run speed is
+judged by the ``perf/`` benchmark, not here.
 """
 
 from __future__ import annotations
@@ -53,18 +54,31 @@ def _micro_cache_lookup(operations: int) -> Callable[[], float]:
     return timed
 
 
-def _micro_cache_fill(operations: int, dirty: bool) -> Callable[[], float]:
-    """Miss-path (probe-miss then fill with victim selection): a
-    2x-capacity working set keeps the LRU reuse distance (16 tags/set)
-    above the associativity (8 ways), so steady state is ~100% fills.
+def _micro_cache_fill(
+    operations: int, dirty: bool, size: int = 1 << 15, ways: int = 8,
+    policy: str = "lru", data_ways: Optional[int] = None,
+) -> Callable[[], float]:
+    """Miss-path (probe-miss then fill with victim selection) of a 32 KB
+    / 8-way LRU cache by default: a 2x-capacity working set keeps the
+    reuse distance (16 tags/set) above the associativity (8 ways), so
+    steady state is ~100% fills.
     With ``dirty`` every line is filled dirty, so every victim is dirty
-    and comes back for a write-back; otherwise every victim is clean."""
+    and comes back for a write-back; otherwise every victim is clean.
+    With ``data_ways`` the cache is split as under CSALT and its
+    translation ways are filled first, with lines outside the working
+    set: every data fill then picks its victim among the data ways, and
+    once those are full no fill scans for a free way."""
     from repro.mem.address import CACHE_LINE_BYTES
     from repro.mem.cache import Cache, LineKind
 
-    cache = Cache("micro-l2", 1 << 15, ways=8, latency=10, policy="lru")
-    lines = (1 << 15) // CACHE_LINE_BYTES
+    cache = Cache("micro-l2", size, ways=ways, latency=10, policy=policy)
+    lines = size // CACHE_LINE_BYTES
     span = lines * 2
+    if data_ways is not None:
+        cache.set_partition(data_ways)
+        sets = lines // ways
+        for line in range(span, span + sets * (ways - data_ways)):
+            cache.fill(line * CACHE_LINE_BYTES, LineKind.TLB)
     kind = LineKind.DATA
     addresses = [((i * 7) % span) * CACHE_LINE_BYTES
                  for i in range(operations)]
@@ -318,6 +332,11 @@ MICRO_COMPONENTS: List[tuple] = [
      lambda operations: _micro_cache_fill(operations, False)),
     ("cache.l2.fill_dirty",
      lambda operations: _micro_cache_fill(operations, True)),
+    # A 64 KB / 16-way tree-PLRU cache split 8 data / 8 translation ways.
+    ("cache.l3.fill_plru_split",
+     lambda operations: _micro_cache_fill(
+         operations, False, size=1 << 16, ways=16, policy="plru",
+         data_ways=8)),
     ("tlb.l1.lookup", _micro_tlb_lookup),
     ("tlb.l2.lookup", _micro_l2_tlb_lookup),
     ("pom.probe", _micro_pom_probe),

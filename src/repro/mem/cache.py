@@ -238,11 +238,12 @@ class Cache:
     ) -> Optional[Tuple[int, LineKind]]:
         """Install ``address`` after a miss; return a dirty victim.
 
-        The victim is the LRU line among the ways owned by ``kind``'s
-        partition (paper Section 3.1, Cache Replacement).  Only a dirty
-        victim needs a write-back, so only a dirty victim is returned,
-        as its ``(address, kind)``; a clean or invalid one gives
-        ``None``, and :meth:`probe` tells which line left.
+        The line takes the first free way owned by ``kind``'s partition,
+        else the replacement policy's victim among those ways (paper
+        Section 3.1, Cache Replacement).  Only a dirty victim needs a
+        write-back, so only a dirty victim is returned, as its
+        ``(address, kind)``; a clean or invalid one gives ``None``, and
+        :meth:`probe` tells which line left.
         """
         line = address >> self._line_shift
         set_index = line & self._set_mask

@@ -52,10 +52,6 @@ class MshrModel:
         """Currently achieved memory-level parallelism estimate."""
         return _achieved_mlp(self.entries, self.workload_mlp, self._miss_rate)
 
-    @property
-    def miss_rate(self) -> float:
-        return self._miss_rate
-
     def observe(self, miss_latency: float) -> float:
         """Fold one data access into the miss-density estimate and return
         its effective pipeline stall.

@@ -32,8 +32,9 @@ class ReplacementPolicy:
     * ``hit_update(state, way) -> position`` records an access to
       ``way`` and returns its estimated LRU-stack position *before* the
       access (0 = MRU, ways-1 = LRU);
-    * ``victim(state, lo, hi)`` returns the least-recently-used way in
-      ``lo..hi-1``, the partition that owns the incoming line;
+    * ``victim(state, lo, hi)`` returns the policy's victim in
+      ``lo..hi-1``, the partition that owns the incoming line (the
+      least-recently-used way there under true LRU);
     * ``insert(state, way, at_mru)`` places a filled ``way`` at the MRU
       or, for DIP's BIP-style insertion, the LRU position.  Policies
       without a meaningful LRU insertion point treat both as a plain
@@ -154,7 +155,11 @@ class TreePLRU(ReplacementPolicy):
     estimate from the paper's Section 3.4: each tree level on the path to
     a way contributes half the remaining stack range when it points
     *toward* the way (the way looks old at that level).  The victim is
-    the oldest candidate by that estimate, the lowest way on a tie.
+    the oldest candidate by that estimate.  Each level's span is larger
+    than all the spans below it together, so no two ways share an age,
+    and the oldest candidate is found in one root-to-leaf descent that
+    follows the tree bits and turns only away from a subtree holding no
+    candidate.
     """
 
     def __init__(self, ways: int):
@@ -168,7 +173,8 @@ class TreePLRU(ReplacementPolicy):
     def operations(self):
         ways = self.ways
         levels = ways.bit_length() - 1
-        last = ways - 1
+        # Child subtree sizes from the root down: ways/2, ways/4, ..., 1.
+        halves = tuple(ways >> depth for depth in range(1, levels + 1))
 
         def hit_update(state: List[int], way: int) -> int:
             # Reads each path node before overwriting it, so the position
@@ -183,39 +189,24 @@ class TreePLRU(ReplacementPolicy):
                     position += span
                 state[node] = 0 if went_right else 1
                 node = 2 * node + 1 + went_right
-            return position if position < last else last
-
-        def age_of(state: List[int], way: int) -> int:
-            position = 0
-            span = ways
-            node = 0
-            for level in range(levels - 1, -1, -1):
-                went_right = (way >> level) & 1
-                span >>= 1
-                if state[node] == went_right:
-                    position += span
-                node = 2 * node + 1 + went_right
             return position
 
         def victim(state: List[int], lo: int, hi: int) -> int:
-            if hi - lo == ways:
-                # Unpartitioned: the leaf every tree bit points toward is
-                # the unique way at age ways-1, the argmax of ``age_of``.
-                way = 0
-                node = 0
-                for level in range(levels - 1, -1, -1):
-                    went_right = state[node]
-                    way |= went_right << level
-                    node = 2 * node + 1 + went_right
-                return way
-            best_way = lo
-            best_age = -1
-            for way in range(lo, hi):
-                age = age_of(state, way)
-                if age > best_age:
-                    best_age = age
-                    best_way = way
-            return best_way
+            # Follow each bit (1: the right half is older) unless that half
+            # holds no way in ``lo..hi-1``.  The subtree at ``node``, ways
+            # ``way..way+2*half-1``, always holds one, so its right half
+            # is empty exactly when ``middle >= hi``, its left exactly
+            # when ``middle <= lo``.
+            way = 0
+            node = 0
+            for half in halves:
+                middle = way + half
+                if (middle < hi) if state[node] else (middle <= lo):
+                    way = middle
+                    node = 2 * node + 2
+                else:
+                    node = 2 * node + 1
+            return way
 
         def insert(state: List[int], way: int, at_mru: bool) -> None:
             node = 0

@@ -213,10 +213,6 @@ class PomTlb:
                 dropped += 1
         return dropped
 
-    def occupancy(self) -> float:
-        held = sum(len(s) for s in self._contents.values())
-        return held / (2 * self.sets_per_size * self.entries_per_set)
-
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------

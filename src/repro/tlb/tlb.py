@@ -39,10 +39,6 @@ class TlbStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class Tlb:
     """A set-associative, ASID-tagged TLB with LRU replacement.
@@ -143,10 +139,6 @@ class Tlb:
                 del tlb_set[key]
                 dropped += 1
         return dropped
-
-    def occupancy(self) -> float:
-        held = sum(len(tlb_set) for tlb_set in self._sets)
-        return held / self.entries
 
     def reset_stats(self) -> None:
         self.stats = TlbStats()

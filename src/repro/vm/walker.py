@@ -59,11 +59,6 @@ class WalkerStats:
     total_latency: int = 0
     total_refs: int = 0
 
-    @property
-    def mean_latency(self) -> float:
-        return self.total_latency / self.walks if self.walks else 0.0
-
-
 
 class VirtualMachine:
     """Page tables and allocators for one guest VM (or native process group).

@@ -31,9 +31,9 @@ class TestMicroBench:
         assert names == [name for name, _ in MICRO_COMPONENTS]
         # Named <layer>.<operation> after the perf/trace.py layers.
         assert {"cache.l2.lookup", "cache.l2.fill", "cache.l2.fill_dirty",
-                "tlb.l1.lookup", "tlb.l2.lookup", "pom.probe",
-                "partition.observe", "vm.map.first_touch", "walker.native",
-                "walker.virtualized", "dram.access",
+                "cache.l3.fill_plru_split", "tlb.l1.lookup", "tlb.l2.lookup",
+                "pom.probe", "partition.observe", "vm.map.first_touch",
+                "walker.native", "walker.virtualized", "dram.access",
                 "system.access.mshr_observe"} == set(names)
 
     def test_point_fields(self, micro_document):

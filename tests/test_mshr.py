@@ -87,7 +87,7 @@ class TestStalls:
     def test_hit_stalls_nothing(self):
         model = MshrModel()
         assert model.observe(0) == 0.0
-        assert model.miss_rate == 0.0
+        assert model.mlp == 1.0
 
     def test_data_stall_divided_by_mlp(self):
         model = MshrModel(entries=10, workload_mlp=4.0)

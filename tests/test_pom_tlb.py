@@ -61,12 +61,6 @@ class TestContents:
         assert pom.probe(A, colliding[0] << PAGE_4K_BITS, PAGE_4K_BITS) is None
         assert pom.probe(A, colliding[2] << PAGE_4K_BITS, PAGE_4K_BITS) is not None
 
-    def test_occupancy(self):
-        pom = PomTlb(size_bytes=1 << 20)
-        assert pom.occupancy() == 0.0
-        pom.insert(A, 0x1000, TlbEntry(42, PAGE_4K_BITS))
-        assert pom.occupancy() > 0
-
 
 class TestPredictor:
     def test_learns_huge_pages(self):

@@ -6,6 +6,8 @@ binds.  A stack position is read by calling ``hit_update`` on a copy of
 the state, which leaves the state itself untouched.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,30 @@ from repro.mem.replacement import NRU, TreePLRU, TrueLRU, make_policy
 def position(hit_update, state, way):
     """Estimated LRU-stack position of ``way`` in ``state``."""
     return hit_update(list(state), way)
+
+
+def oldest_by_age(state, lo, hi):
+    """Reference tree-PLRU victim: score every way in ``lo..hi-1`` with
+    the Section 3.4 age estimate (each level whose bit points toward the
+    way adds that level's span) and keep the first of the oldest."""
+    levels = len(state).bit_length()
+    best_way, best_age = lo, -1
+    for way in range(lo, hi):
+        age = 0
+        node = 0
+        for level in range(levels - 1, -1, -1):
+            went_right = (way >> level) & 1
+            if state[node] == went_right:
+                age += 1 << level
+            node = 2 * node + 1 + went_right
+        if age > best_age:
+            best_way, best_age = way, age
+    return best_way
+
+
+def way_ranges(ways):
+    """Every non-empty candidate range ``(lo, hi)`` of a ``ways``-way set."""
+    return [(lo, hi) for lo in range(ways) for hi in range(lo + 1, ways + 1)]
 
 
 class TestMakePolicy:
@@ -221,6 +247,34 @@ class TestTreePLRU:
         for way in touches:
             hit_update(state, way)
         assert victim(state, 2, 6) in range(2, 6)
+
+    @pytest.mark.parametrize("ways", [2, 4, 8])
+    def test_positions_are_a_permutation(self, ways):
+        # Distinct ages in 0..ways-1 for every tree state: the victim
+        # never ties, and no position needs clamping to ways-1.
+        hit_update, _, _ = TreePLRU(ways).operations()
+        for state in itertools.product((0, 1), repeat=ways - 1):
+            positions = sorted(
+                position(hit_update, state, w) for w in range(ways)
+            )
+            assert positions == list(range(ways))
+
+    @pytest.mark.parametrize("ways", [2, 4, 8])
+    def test_victim_matches_age_scan(self, ways):
+        # Every tree state and every partition: 6, 80 and 4,608 cases.
+        _, victim, _ = TreePLRU(ways).operations()
+        for state in itertools.product((0, 1), repeat=ways - 1):
+            for lo, hi in way_ranges(ways):
+                assert victim(list(state), lo, hi) == oldest_by_age(
+                    state, lo, hi
+                ), (state, lo, hi)
+
+    @given(st.lists(st.integers(min_value=0, max_value=1),
+                    min_size=15, max_size=15))
+    def test_victim_matches_age_scan_16_ways(self, state):
+        _, victim, _ = TreePLRU(16).operations()
+        for lo, hi in way_ranges(16):
+            assert victim(state, lo, hi) == oldest_by_age(state, lo, hi)
 
 
 class TestRrip:

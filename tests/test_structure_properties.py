@@ -29,13 +29,6 @@ class TestPomTlbProperties:
         found = pom.probe(asid, va, bits)
         assert found is not None and found.frame_base == 1234
 
-    @given(st.lists(st.tuples(asids, addresses, page_bits), max_size=60))
-    def test_occupancy_bounded(self, inserts):
-        pom = PomTlb(size_bytes=1 << 20)
-        for asid, va, bits in inserts:
-            pom.insert(asid, va, TlbEntry(1, bits))
-        assert 0.0 <= pom.occupancy() <= 1.0
-
     @given(asids, addresses)
     def test_same_page_same_set_line(self, asid, va):
         pom = PomTlb(size_bytes=1 << 20)

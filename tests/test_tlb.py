@@ -72,12 +72,6 @@ class TestTlb:
         assert tlb.lookup(A, 0x1000) is None
         assert tlb.lookup(B, 0x1000) is not None
 
-    def test_occupancy(self):
-        tlb = Tlb("t", 8, 4, 1)
-        assert tlb.occupancy() == 0
-        tlb.insert(A, 0x1000, entry_4k())
-        assert tlb.occupancy() == pytest.approx(1 / 8)
-
     def test_stats(self):
         tlb = Tlb("t", 8, 4, 1)
         tlb.lookup(A, 0)
@@ -85,7 +79,7 @@ class TestTlb:
         tlb.lookup(A, 0)
         assert tlb.stats.hits == 1
         assert tlb.stats.misses == 1
-        assert tlb.stats.miss_rate == pytest.approx(0.5)
+        assert tlb.stats.accesses == 2
         tlb.reset_stats()
         assert tlb.stats.accesses == 0
 
@@ -95,8 +89,10 @@ class TestL1TlbPair:
         pair = L1TlbPair()
         pair.insert(A, 0x1000, entry_4k())
         pair.insert(A, 0x40_0000, entry_2m(frame=1024))
-        assert pair.tlb_4k.occupancy() > 0
-        assert pair.tlb_2m.occupancy() > 0
+        assert pair.tlb_4k.probe(A, 0x1000) is not None
+        assert pair.tlb_2m.probe(A, 0x40_0000) is not None
+        assert pair.tlb_4k.probe(A, 0x40_0000) is None
+        assert pair.tlb_2m.probe(A, 0x1000) is None
 
     def test_lookup_checks_both(self):
         pair = L1TlbPair()
