@@ -5,12 +5,13 @@ times the simulator's hot-path primitives in isolation — a cache hit
 probe, a cache miss-fill (victim selection included) with clean and with
 dirty victims and in one partition of a tree-PLRU cache, L1 and unified
 L2 TLB probes, a POM-TLB probe, a partition-controller observation, a
-first-touch page mapping, native / virtualized page walks, a DRAM access
-and an MSHR observation — so a change that slows one layer shows up as
-one moved number.  Each point is named ``<layer>.<operation>`` after
-the layer ``perf/trace.py`` books that primitive's time to.  Inputs are
-fully deterministic (fixed address strides, no RNG), so run-to-run
-variance is host jitter only.  The document is written as
+first-touch page mapping, native / virtualized page walks, a DRAM access,
+an MSHR observation and a Zipf draw — so a change that slows one layer
+shows up as one moved number.  Each point is named
+``<layer>.<operation>`` after the layer ``perf/trace.py`` books that
+primitive's time to.  Inputs are fully deterministic (fixed address
+strides; a seeded generator for the Zipf draws), so run-to-run variance
+is host jitter only.  The document is written as
 ``BENCH_<timestamp>.json`` and is informational: whole-run speed is
 judged by the ``perf/`` benchmark, not here.
 """
@@ -324,6 +325,29 @@ def _micro_mshr_observe(operations: int) -> Callable[[], float]:
     return timed
 
 
+def _micro_zipf_sample(operations: int) -> Callable[[], float]:
+    """Draws from a permuted Zipf(0.7) sampler over 6,553,600 ranks
+    (pagerank's vertex table at quarter scale), in blocks of ``BATCH``
+    as a stream generates them; one operation is one draw.  The table
+    and the permutation are built before the timed region."""
+    import numpy as np
+
+    from repro.workloads.base import BATCH, zipf_page_sampler
+
+    sample = zipf_page_sampler(np.random.default_rng(0), 6_553_600, 0.7)
+    blocks = [BATCH] * (operations // BATCH)
+    if operations % BATCH:
+        blocks.append(operations % BATCH)
+
+    def timed() -> float:
+        start = time.perf_counter()
+        for count in blocks:
+            sample(count)
+        return time.perf_counter() - start
+
+    return timed
+
+
 #: Ordered (component name, builder) pairs; builders do all setup outside
 #: the timed region and return a zero-arg callable yielding host seconds.
 MICRO_COMPONENTS: List[tuple] = [
@@ -350,6 +374,7 @@ MICRO_COMPONENTS: List[tuple] = [
     # The MSHR model has no boundary of its own: its time is
     # ``system.access`` self time.
     ("system.access.mshr_observe", _micro_mshr_observe),
+    ("workload.zipf_sample", _micro_zipf_sample),
 ]
 
 

@@ -15,12 +15,13 @@ replacement policy lets the two streams thrash each other (paper Section
   simulator to produce Figure 3;
 * optional DIP set-dueling insertion (the Figure 13 comparison scheme).
 
-Internally each set is a ``{tag: way}`` dict plus *flat* preallocated
-tag/dirty/kind arrays indexed ``set_index * ways + way``; this is the
-simulator's hottest structure, so it avoids per-line objects, per-set
-sublists and tuple-returning index helpers on the datapath.  Replacement
-bookkeeping runs through the three closures the policy's
-``operations()`` returns, bound once at construction.
+Internally each set is a ``{tag: way}`` dict and a bitmask of its free
+ways, plus *flat* preallocated tag/dirty/kind arrays indexed
+``set_index * ways + way``; this is the simulator's hottest structure,
+so it avoids per-line objects, per-set sublists and tuple-returning
+index helpers on the datapath.  Replacement bookkeeping runs through the
+three closures the policy's ``operations()`` returns, bound once at
+construction.
 
 ``LineKind`` is an ``IntEnum`` so the datapath can use a kind directly as
 an index and a truth value (``DATA`` is falsy, ``TLB`` truthy) without
@@ -50,6 +51,11 @@ class LineKind(IntEnum):
 _KINDS = (LineKind.DATA, LineKind.TLB)
 
 _INVALID = -1
+
+
+def _free_mask_of(way_tags: List[int]) -> int:
+    """Bitmask of the invalid ways among one set's way tags."""
+    return sum(1 << way for way, tag in enumerate(way_tags) if tag == _INVALID)
 
 
 @dataclass
@@ -147,7 +153,8 @@ class Cache:
         # Kinds stored as plain ints (LineKind is an IntEnum) for speed.
         self._way_kind: List[int] = [0] * lines
         self._recency = [self.policy.new_set_state() for _ in range(sets)]
-        self._free_count: List[int] = [ways] * sets
+        # Per set, a bitmask of its invalid ways (bit ``way`` set = free).
+        self._free_mask: List[int] = [(1 << ways) - 1] * sets
         self.stats = CacheStats()
         # Partition: number of ways reserved for DATA lines; None = unpartitioned.
         self._data_ways: Optional[int] = None
@@ -253,14 +260,15 @@ class Cache:
         ways = self.ways
         base = set_index * ways
         lo, hi = self._partition_bounds[kind]
-        victim_way = None
-        if self._free_count[set_index]:
-            for way in range(lo, hi):
-                if way_tag[base + way] == _INVALID:
-                    victim_way = way
-                    self._free_count[set_index] -= 1
-                    break
-        if victim_way is None:
+        free = self._free_mask[set_index]
+        if free:
+            # Only the free ways that ``kind``'s partition owns.
+            free &= (1 << hi) - (1 << lo)
+        if free:
+            free &= -free
+            self._free_mask[set_index] ^= free
+            victim_way = free.bit_length() - 1
+        else:
             victim_way = self._select_victim(self._recency[set_index], lo, hi)
         victim = None
         slot = base + victim_way
@@ -316,7 +324,7 @@ class Cache:
         slot = set_index * self.ways + way
         self._way_tag[slot] = _INVALID
         self._way_dirty[slot] = False
-        self._free_count[set_index] += 1
+        self._free_mask[set_index] |= 1 << way
         return True
 
     def kind_at(self, address: int) -> Optional[LineKind]:
@@ -390,7 +398,7 @@ class Cache:
                 for base in range(0, self.num_sets * ways, ways)
             ],
             "recency": [list(state) for state in self._recency],
-            "free_count": list(self._free_count),
+            "free_count": [mask.bit_count() for mask in self._free_mask],
             "data_ways": self._data_ways,
             "dip": (
                 None if self.dip is None
@@ -419,7 +427,7 @@ class Cache:
         self._way_dirty = list(chain.from_iterable(state["way_dirty"]))
         self._way_kind = [int(kind) for kind in chain.from_iterable(state["way_kind"])]
         self._recency = [list(recency) for recency in state["recency"]]
-        self._free_count = list(state["free_count"])
+        self._free_mask = [_free_mask_of(tags) for tags in way_tag]
         self.set_partition(state["data_ways"])
         if self.dip is not None:
             self.dip.psel = state["dip"]["psel"]

@@ -17,8 +17,8 @@ Algorithms 1-3 rely on into mechanical checks:
 * **MSA profiler sanity** (Eq. 1/2 inputs) — K+1 non-negative counters,
   shadow stacks of at most K distinct tags;
 * **tag-store consistency** — the ``{tag: way}`` index and the per-way
-  tag array are inverse maps, and the free-way count matches the number
-  of invalid ways;
+  tag array are inverse maps, and the free-way mask names exactly the
+  invalid ways;
 * **translation coherence** — every TLB/POM-TLB entry agrees with the
   page tables it was filled from (frame and page size);
 * **translation-structure geometry** — no POM-TLB set holds more than
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.core.partitioning import N_MIN, PartitionController
 from repro.errors import SimulationError
-from repro.mem.cache import Cache, _INVALID
+from repro.mem.cache import Cache, _INVALID, _free_mask_of
 from repro.mem.dram import DramChannel
 from repro.mem.mshr import MshrModel
 from repro.mem.replacement import NRU, Rrip, TreePLRU, TrueLRU
@@ -89,7 +89,7 @@ class InvariantViolation(SimulationError, RuntimeError):
 # Per-structure checks (generators: a sweep aggregates everything found)
 # ----------------------------------------------------------------------
 def check_cache(cache: Cache) -> Iterator[InvariantViolation]:
-    """Tag-store bijection, free count, recency state, partition split."""
+    """Tag-store bijection, free mask, recency state, partition split."""
     name = f"cache:{cache.name}"
     ways = cache.ways
     for set_index in range(cache.num_sets):
@@ -113,12 +113,13 @@ def check_cache(cache: Cache) -> Iterator[InvariantViolation]:
                     f"{way_tag[way] if 0 <= way < ways else 'out-of-range'}",
                     set_index=set_index, tag=tag, way=way,
                 )
-        free = ways - len(valid)
-        if cache._free_count[set_index] != free:
+        free = _free_mask_of(way_tag)
+        if cache._free_mask[set_index] != free:
             yield InvariantViolation(
                 name, "free-count",
-                f"set {set_index}: free_count says "
-                f"{cache._free_count[set_index]}, {free} ways are invalid",
+                f"set {set_index}: free mask says "
+                f"{cache._free_mask[set_index]:#b}, invalid ways are "
+                f"{free:#b}",
                 set_index=set_index,
             )
         yield from _check_recency(name, cache, set_index)

@@ -32,6 +32,13 @@ REGION_4K_BASE = 1 << 33
 #: How many random numbers each generator draws per numpy call.
 BATCH = 2048
 
+#: Ranks per chunk of a Zipf table: the table keeps two numbers per
+#: chunk, and a draw rebuilds the one chunk it lands in.
+ZIPF_CHUNK = 16
+
+#: Ranks per step of a Zipf table's build (a multiple of ZIPF_CHUNK).
+_ZIPF_BUILD_STEP = 65_536
+
 AccessStream = Iterator[Tuple[int, bool]]
 
 
@@ -135,21 +142,58 @@ class Workload(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-@lru_cache(maxsize=16)
-def _zipf_cdf(num_items: int, alpha: float) -> np.ndarray:
-    """Cumulative Zipf(alpha) distribution over ``num_items`` ranks, cached.
+def _running_sums(ranks: np.ndarray, alpha: float, carried) -> np.ndarray:
+    """Turn float64 ``ranks`` in place into running sums of
+    ``rank ** -alpha`` along the last axis, each row starting from its
+    ``carried`` sum.  The table build and the sampler's chunk rebuild
+    both go through here, so the same ufuncs run in the same order and
+    their sums agree to the bit.  Both pass contiguous arrays, so both
+    take the same ``power`` loop: numpy's SIMD loop and its scalar
+    fallback (libm's ``pow``) differ in the last bit for about one value
+    in twenty on an AVX-512 host."""
+    ranks **= -alpha
+    ranks[..., 0] += carried
+    return np.cumsum(ranks, axis=-1, out=ranks)
 
-    The CDF depends on neither the seed nor the thread, so every VM and
-    thread of a process shares one read-only copy.  It is built in place
-    (one full-size buffer), with the same ufuncs as
-    ``cumsum(ranks ** -alpha) / total``, so the bits are the same.
+
+@lru_cache(maxsize=16)
+def _zipf_cdf(num_items: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Two-level Zipf(alpha) CDF over ``num_items`` ranks, cached.
+
+    The full CDF is ``cumsum(ranks ** -alpha) / total``.  This table
+    keeps one entry per chunk of :data:`ZIPF_CHUNK` ranks instead:
+    ``sums[c]`` is the unnormalized running sum before chunk ``c``
+    (``sums[-1]`` is the total) and ``ends[c]`` the normalized CDF value
+    at the chunk's last rank.  :func:`zipf_page_sampler` rebuilds a
+    drawn chunk from ``sums`` through the same :func:`_running_sums`,
+    so every rebuilt value is bit-identical to the full CDF's.  It is
+    built in :data:`_ZIPF_BUILD_STEP`-rank steps, each carrying the
+    running sum into its first element, so no full-size buffer is ever
+    allocated.
+
+    The table depends on neither the seed nor the thread, so every VM
+    and thread of a process shares one read-only copy.
     """
-    cumulative = np.arange(1, num_items + 1, dtype=np.float64)
-    cumulative **= -alpha
-    np.cumsum(cumulative, out=cumulative)
-    cumulative /= cumulative[-1]
-    cumulative.flags.writeable = False
-    return cumulative
+    chunks = -(-num_items // ZIPF_CHUNK)
+    sums = np.empty(chunks + 1)
+    sums[0] = 0.0
+    carried = 0.0
+    for start in range(0, num_items, _ZIPF_BUILD_STEP):
+        ranks = np.arange(
+            start + 1, min(start + _ZIPF_BUILD_STEP, num_items) + 1,
+            dtype=np.float64,
+        )
+        step = _running_sums(ranks, alpha, carried)
+        carried = step[-1]
+        chunk_ends = step[ZIPF_CHUNK - 1::ZIPF_CHUNK]
+        first = start // ZIPF_CHUNK + 1
+        sums[first:first + len(chunk_ends)] = chunk_ends
+    # A partial last chunk ends at the last rank.
+    sums[-1] = carried
+    ends = sums[1:] / carried
+    sums.flags.writeable = False
+    ends.flags.writeable = False
+    return sums, ends
 
 
 @lru_cache(maxsize=16)
@@ -187,17 +231,28 @@ def zipf_page_sampler(
     low vertex ids of an RMAT graph, so page-level aggregation preserves
     the skew.
     """
-    cumulative = _zipf_cdf(num_items, alpha)
+    sums, ends = _zipf_cdf(num_items, alpha)
+    before, total = sums[:-1], sums[-1]
+    offsets = np.arange(1.0, ZIPF_CHUNK + 1)
+
+    def ranks(count: int) -> np.ndarray:
+        # The first rank whose CDF value is >= u, as
+        # ``searchsorted(full_cdf, u)``: find u's chunk by its end, then
+        # rebuild that chunk's values exactly as _zipf_cdf built them.
+        u = rng.random(count)
+        chunk = np.searchsorted(ends, u)
+        base = chunk * ZIPF_CHUNK
+        values = _running_sums(base[:, None] + offsets, alpha, before[chunk])
+        values /= total
+        # Ranks past num_items in a partial last chunk sum to at least
+        # the total, so their values are >= 1 > u and never counted.
+        return base + (values < u[:, None]).sum(axis=1)
 
     if permute:
         permutation = _zipf_permutation(num_items, perm_seed)
 
         def sample(count: int) -> np.ndarray:
-            picks = np.searchsorted(cumulative, rng.random(count))
-            return permutation[picks].astype(np.int64)
-    else:
-        def sample(count: int) -> np.ndarray:
-            return np.searchsorted(cumulative, rng.random(count))
+            return permutation[ranks(count)].astype(np.int64)
 
-    return sample
-
+        return sample
+    return ranks

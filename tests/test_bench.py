@@ -34,7 +34,8 @@ class TestMicroBench:
                 "cache.l3.fill_plru_split", "tlb.l1.lookup", "tlb.l2.lookup",
                 "pom.probe", "partition.observe", "vm.map.first_touch",
                 "walker.native", "walker.virtualized", "dram.access",
-                "system.access.mshr_observe"} == set(names)
+                "system.access.mshr_observe",
+                "workload.zipf_sample"} == set(names)
 
     def test_point_fields(self, micro_document):
         assert micro_document["micro"] is True

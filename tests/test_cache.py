@@ -186,6 +186,23 @@ class TestPartition:
         assert not cache.probe(0x0)
         assert cache.probe(0x40)
 
+    def test_full_partition_evicts_while_other_has_free_ways(self):
+        cache = small_cache(ways=16, sets=1)
+        cache.set_partition(8)
+        for line in range(8):
+            cache.fill(line * 64, LineKind.TLB)
+        assert cache._way_tag[8:] == list(range(8))
+        # The translation ways are full and the data ways free: a ninth
+        # translation line takes the LRU victim, way 8 (line 0).
+        cache.fill(8 * 64, LineKind.TLB)
+        assert not cache.probe(0) and cache.probe(8 * 64)
+        assert cache._way_tag[8] == 8
+        assert cache._way_tag[:8] == [-1] * 8
+        assert cache._free_mask[0] == 0xFF
+        cache.fill(9 * 64, LineKind.DATA)
+        assert cache._way_tag[0] == 9
+        assert cache._free_mask[0] == 0xFE
+
 
 class TestDip:
     def test_leader_roles(self):

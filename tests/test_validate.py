@@ -98,6 +98,19 @@ class TestInjectedCorruption:
         found = list(check_cache(cache))
         assert [v.invariant for v in found] == ["partition-bounds"]
 
+    def test_free_mask_mismatch_caught(self):
+        _, system, _ = exercised("lru")
+        cache = system.l3
+        set_index = next(
+            i for i in range(cache.num_sets) if cache._tag_to_way[i]
+        )
+        way = next(iter(cache._tag_to_way[set_index].values()))
+        # Mark a valid way free, as a lost fill bookkeeping update would.
+        cache._free_mask[set_index] |= 1 << way
+        found = list(check_cache(cache))
+        assert [v.invariant for v in found] == ["free-count"]
+        assert found[0].context["set_index"] == set_index
+
     def test_tag_index_mismatch_caught(self):
         _, system, _ = exercised("lru")
         cache = system.l3

@@ -130,43 +130,85 @@ class TestSharedHotSets:
 
 
 def reference_zipf_tables(num_items, alpha, perm_seed):
-    """Tables from the plain formula: out-of-place CDF, int64 permutation."""
+    """Tables from the plain formula: out-of-place running sums, the CDF,
+    and an int64 permutation."""
     weights = np.arange(1, num_items + 1, dtype=np.float64) ** (-alpha)
-    cumulative = np.cumsum(weights)
-    cumulative = cumulative / cumulative[-1]
+    sums = np.cumsum(weights)
+    cumulative = sums / sums[-1]
     permutation = np.random.default_rng((perm_seed, num_items)).permutation(
         num_items
     )
-    return cumulative, permutation
+    return sums, cumulative, permutation
+
+
+class FixedDraws:
+    """Stands in for a sampler's generator: ``random(count)`` returns the
+    next ``count`` of the given uniform values."""
+
+    def __init__(self, values):
+        self.values = values
+        self.position = 0
+
+    def random(self, count):
+        start, self.position = self.position, self.position + count
+        return self.values[start:self.position]
 
 
 class TestZipfSampler:
     @pytest.mark.parametrize("permute", [True, False])
-    @pytest.mark.parametrize("num_items", [1, 512, 16384, 2**20 + 3])
+    @pytest.mark.parametrize(
+        "num_items", [1, 15, 16, 17, 512, 16384, 2**20 + 3]
+    )
     @pytest.mark.parametrize("alpha", [0.0, 0.55, 0.7, 0.95, 1.0])
     def test_matches_reference_formula(self, alpha, num_items, permute):
-        cumulative, permutation = reference_zipf_tables(num_items, alpha, 5)
-        # Bit-equal tables, not only equal draws: a last-bit change in the
-        # CDF would flip a draw only rarely.
-        np.testing.assert_array_equal(
-            base._zipf_cdf(num_items, alpha), cumulative
+        sums, cumulative, permutation = reference_zipf_tables(
+            num_items, alpha, 5
         )
+        # The table is bit-equal to the full sums and CDF at each chunk's
+        # last rank (the last chunk may be partial).
+        last_ranks = np.r_[
+            base.ZIPF_CHUNK - 1:num_items - 1:base.ZIPF_CHUNK, num_items - 1
+        ]
+        table_sums, table_ends = base._zipf_cdf(num_items, alpha)
+        np.testing.assert_array_equal(table_sums, np.r_[0.0, sums[last_ranks]])
+        np.testing.assert_array_equal(table_ends, cumulative[last_ranks])
         if permute:
             np.testing.assert_array_equal(
                 base._zipf_permutation(num_items, 5), permutation
             )
+        else:
+            permutation = np.arange(num_items)
+        # u equal to a CDF value catches a rebuilt value lower than the
+        # full CDF's, u one double above it catches a higher one: equal
+        # draws on these edges mean every rebuilt value is bit-equal.
+        below_one = cumulative[cumulative < 1.0]
+        edges = np.concatenate([
+            cumulative, np.nextafter(cumulative, 0.0),
+            np.nextafter(below_one, 1.0), [0.0],
+        ])
+        sampler = zipf_page_sampler(
+            FixedDraws(edges), num_items, alpha, perm_seed=5, permute=permute,
+        )
+        for start in range(0, len(edges), 1 << 16):
+            draws = edges[start:start + (1 << 16)]
+            expected = permutation[np.searchsorted(cumulative, draws)]
+            np.testing.assert_array_equal(sampler(len(draws)), expected)
         sampler = zipf_page_sampler(
             np.random.default_rng(11), num_items, alpha,
             perm_seed=5, permute=permute,
         )
         rng = np.random.default_rng(11)
         for _ in range(4):
-            expected = np.searchsorted(cumulative, rng.random(BATCH))
-            if permute:
-                expected = permutation[expected]
+            expected = permutation[
+                np.searchsorted(cumulative, rng.random(BATCH))
+            ]
             picks = sampler(BATCH)
             assert picks.dtype == np.int64
             np.testing.assert_array_equal(picks, expected)
+
+    def test_table_is_a_fraction_of_the_full_cdf(self):
+        sums, ends = base._zipf_cdf(2**22, 0.7)
+        assert sums.nbytes + ends.nbytes <= 2**22 * 8 // 4
 
     def test_tables_shared_lazy_and_read_only(self):
         base._zipf_cdf.cache_clear()
@@ -174,19 +216,18 @@ class TestZipfSampler:
         rng = np.random.default_rng(0)
         zipf_page_sampler(rng, 4096, 0.7, perm_seed=1)
         zipf_page_sampler(rng, 4096, 0.7, perm_seed=2)
-        # One CDF for both seeds: the second sampler hits the cache.
+        # One table for both seeds: the second sampler hits the cache.
         assert base._zipf_cdf.cache_info().misses == 1
         assert base._zipf_cdf.cache_info().hits == 1
         assert base._zipf_permutation.cache_info().misses == 2
         # An unpermuted sampler never builds a permutation.
         zipf_page_sampler(rng, 4096, 1.0, perm_seed=3, permute=False)
         assert base._zipf_permutation.cache_info().misses == 2
-        cumulative = base._zipf_cdf(4096, 0.7)
+        sums, ends = base._zipf_cdf(4096, 0.7)
         permutation = base._zipf_permutation(4096, 1)
-        with pytest.raises(ValueError):
-            cumulative[0] = 0.5
-        with pytest.raises(ValueError):
-            permutation[0] = 1
+        for table in (sums, ends, permutation):
+            with pytest.raises(ValueError):
+                table[0] = 1
 
 
 #: SHA-256 of ``repr`` of the first ``3 * BATCH`` pairs of each stream,
