@@ -9,12 +9,17 @@ three cooperating pieces:
   ``magic line + JSON header + pickled payload``.  The header carries a
   format version, the payload length and its SHA-256, so a torn or
   bit-rotted file is rejected loudly (:class:`CheckpointError`) instead
-  of resuming a half-written state.  Writes are atomic: a temp file in
-  the target directory is fsynced and ``os.replace``d into place, so a
-  crash mid-write leaves the previous checkpoint intact;
+  of resuming a half-written state.  The payload is pickled straight
+  into an unnamed spool file beside the target, hashed and counted on
+  the way, so no copy of it is held in memory.  Writes are atomic: a
+  temp file in the target directory is fsynced and ``os.replace``d into
+  place, so a crash mid-write leaves the previous checkpoint intact;
 * a :class:`CheckpointWriter` — names snapshots by their access count
-  (``ckpt-000000120000.ckpt``), prunes old ones, and tracks write
-  latency for telemetry;
+  (``ckpt-000000120000.ckpt``), prunes old ones, and times each write
+  for telemetry.  It takes the document as a zero-argument callable and
+  builds it inside the write, so the build counts as checkpoint time,
+  and the document, a view of live containers that components'
+  ``state_dict()`` hand out, is pickled before the next access;
 * a :class:`StallWatchdog` — a daemon thread fed a heartbeat
   (the engine's access counter) that trips when the counter stops
   advancing for ``timeout_seconds`` of wall-clock time.  The watchdog
@@ -33,12 +38,13 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import tempfile
 import threading
 import time
 import _thread
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -91,6 +97,20 @@ class SimulationStalled(SimulationError, RuntimeError):
 # ----------------------------------------------------------------------
 # Envelope
 # ----------------------------------------------------------------------
+class _Tap:
+    """Write-through sink that hashes and counts the bytes it passes on."""
+
+    def __init__(self, sink):
+        self._sink = sink
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        self.size += len(data)
+        return self._sink.write(data)
+
+
 def write_checkpoint(
     path: os.PathLike,
     document: object,
@@ -103,70 +123,86 @@ def write_checkpoint(
     the executed-access count there so tools can rank checkpoints
     without unpickling the payload.
 
+    The payload is pickled straight into an unnamed spool file in the
+    target directory, through a tap that hashes and counts it: the
+    header needs its length and SHA-256 before the payload, and spooling
+    keeps the pickle's bytes out of memory.  The checkpoint file is then
+    written as magic, header and the spooled payload, whose bytes are
+    those ``pickle.dumps`` would return.
+
     Budget-aware: with a process-wide
     :class:`~repro.budget.BudgetMonitor` armed, the write is pre-checked
-    against the disk quota and charged to the ledger; ``enforce_quota=
-    False`` skips the precheck (the engine's *breach* snapshot — the one
-    that makes a budget-killed run resumable — must never itself be
-    refused by the budget that killed the run).  A real ``ENOSPC``/
-    ``EDQUOT`` surfaces as :class:`~repro.errors.DiskFullError` with a
-    resume hint, not a raw ``OSError``.
+    against the disk quota (after spooling, with the known size, before
+    the checkpoint file is created) and charged to the ledger;
+    ``enforce_quota=False`` skips the precheck (the engine's *breach*
+    snapshot — the one that makes a budget-killed run resumable — must
+    never itself be refused by the budget that killed the run).  A real
+    ``ENOSPC``/``EDQUOT`` surfaces as :class:`~repro.errors.DiskFullError`
+    with a resume hint, not a raw ``OSError``.
     """
     from repro import budget as _budget
 
     target = Path(path)
-    try:
-        payload = pickle.dumps(document, protocol=_PICKLE_PROTOCOL)
-    except Exception as exc:  # unpicklable state is a programming error
-        raise CheckpointError(f"cannot serialize checkpoint: {exc}") from exc
-    header = {
-        "format": FORMAT_VERSION,
-        "payload_bytes": len(payload),
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    if meta:
-        header.update(meta)
-    header_line = json.dumps(header, sort_keys=True).encode("utf-8")
-    total_bytes = len(MAGIC) + 1 + len(header_line) + 1 + len(payload)
-    monitor = _budget.ACTIVE
-    previous_size = 0
-    if monitor is not None:
-        try:
-            previous_size = target.stat().st_size
-        except OSError:
-            previous_size = 0
-        if enforce_quota:
-            monitor.check_disk(
-                total_bytes - previous_size, f"checkpoint {target.name}"
-            )
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=target.name + ".", suffix=".tmp", dir=target.parent
-    )
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(MAGIC + b"\n")
-            handle.write(header_line + b"\n")
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, target)
+        with tempfile.TemporaryFile(dir=target.parent) as spool:
+            tap = _Tap(spool)
+            try:
+                pickle.Pickler(tap, protocol=_PICKLE_PROTOCOL).dump(document)
+            except OSError:
+                raise  # the spool's write failed: handled below
+            except Exception as exc:  # unpicklable state is a programming error
+                raise CheckpointError(
+                    f"cannot serialize checkpoint: {exc}"
+                ) from exc
+            header = {
+                "format": FORMAT_VERSION,
+                "payload_bytes": tap.size,
+                "sha256": tap.sha256.hexdigest(),
+            }
+            if meta:
+                header.update(meta)
+            header_line = json.dumps(header, sort_keys=True).encode("utf-8")
+            total_bytes = len(MAGIC) + 1 + len(header_line) + 1 + tap.size
+            monitor = _budget.ACTIVE
+            previous_size = 0
+            if monitor is not None:
+                try:
+                    previous_size = target.stat().st_size
+                except OSError:
+                    previous_size = 0
+                if enforce_quota:
+                    monitor.check_disk(
+                        total_bytes - previous_size, f"checkpoint {target.name}"
+                    )
+            fd, tmp_name = tempfile.mkstemp(
+                prefix=target.name + ".", suffix=".tmp", dir=target.parent
+            )
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(MAGIC + b"\n")
+                    handle.write(header_line + b"\n")
+                    spool.seek(0)
+                    shutil.copyfileobj(spool, handle)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(tmp_name, target)
+            finally:
+                # One cleanup for every exit path: after a successful
+                # replace the temp name is gone and the unlink is a no-op;
+                # on any failure, interrupts included, it sweeps the
+                # orphan.  (A crash between mkstemp and here still strands
+                # one; ``repro doctor`` sweeps those.)
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
     except OSError as exc:
         if _budget.is_disk_full_error(exc):
             raise _budget.translate_disk_error(
                 exc, f"writing checkpoint {target.name}"
             ) from exc
         raise CheckpointError(f"cannot write checkpoint {target}: {exc}") from exc
-    finally:
-        # One cleanup for every exit path: after a successful replace the
-        # temp name is gone and the unlink is a no-op; on any failure —
-        # including interrupts the old except clause missed — it sweeps
-        # the orphan.  (A crash between mkstemp and here still strands
-        # one; ``repro doctor`` sweeps those.)
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
     try:  # make the rename itself durable; best-effort on odd filesystems
         dir_fd = os.open(target.parent, os.O_RDONLY)
         try:
@@ -276,15 +312,25 @@ class CheckpointWriter:
         self.enforce_quota = True
 
     def write(
-        self, executed: int, document: object, meta: Optional[Dict] = None
+        self,
+        executed: int,
+        snapshot: Callable[[], object],
+        meta: Optional[Dict] = None,
     ) -> Path:
+        """Build the document with ``snapshot()`` and write it.
+
+        The build runs inside the timing, so :attr:`last_write_seconds`
+        is the whole cost of the checkpoint, and inside the write, so a
+        document that is a view of live state is pickled before the
+        caller can change it.
+        """
         started = time.perf_counter()
         merged = {"executed": executed}
         if meta:
             merged.update(meta)
         path = write_checkpoint(
             self.directory / checkpoint_name(executed),
-            document,
+            snapshot(),
             meta=merged,
             enforce_quota=self.enforce_quota,
         )
@@ -293,14 +339,17 @@ class CheckpointWriter:
         self._prune()
         return path
 
-    def write_stall(self, executed: int, document: object) -> Path:
+    def write_stall(
+        self, executed: int, snapshot: Callable[[], object]
+    ) -> Path:
         """Post-mortem snapshot of a stalled run (never pruned, may be
-        mid-access and is marked as such in the header).  Exempt from
-        quota enforcement — the evidence must land."""
+        mid-access and is marked as such in the header), built with
+        ``snapshot()`` as in :meth:`write`.  Exempt from quota
+        enforcement — the evidence must land."""
         name = f"{_STALL_PREFIX}{executed:012d}{_CHECKPOINT_SUFFIX}"
         return write_checkpoint(
             self.directory / name,
-            document,
+            snapshot(),
             meta={"executed": executed, "stalled": True, "consistent": False},
             enforce_quota=False,
         )

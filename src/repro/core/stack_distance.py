@@ -110,10 +110,9 @@ class StackDistanceProfiler:
         self._shadow.clear()
 
     def state_dict(self) -> dict:
-        return {
-            "counters": list(self.counters),
-            "shadow": {index: list(stack) for index, stack in self._shadow.items()},
-        }
+        """A view, valid until the next observation: the live counters
+        and shadow stacks."""
+        return {"counters": self.counters, "shadow": self._shadow}
 
     def load_state(self, state: dict) -> None:
         counters = state["counters"]

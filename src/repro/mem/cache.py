@@ -375,16 +375,19 @@ class Cache:
     def state_dict(self) -> dict:
         """Plain-data snapshot: tags, recency stacks, partition, stats.
 
-        The snapshot keeps the *nested* per-set layout the pre-flat-array
-        format used (``way_tag[set_index][way]``), so snapshots and stores
-        written before the flat-array datapath stay loadable and new
-        snapshots stay byte-compatible with old readers.  Geometry
-        (sets/ways/policy) is construction state and is *not* serialized —
-        ``load_state`` verifies it.
+        A view, valid until the next access: the ``{tag: way}`` dicts and
+        the recency lists are handed out as they are.  Built are the
+        *nested* per-set rows of the flat arrays (``way_tag[set_index]
+        [way]``, the pre-flat-array layout, so older snapshots stay
+        loadable and new ones byte-compatible), the free counts, and a
+        ``replace()`` copy of the stats, because pickling a live dataclass
+        materializes its ``__dict__`` and slows every later counter
+        update.  Geometry (sets/ways/policy) is construction state and is
+        *not* serialized — ``load_state`` verifies it.
         """
         ways = self.ways
         return {
-            "tag_to_way": [dict(tags) for tags in self._tag_to_way],
+            "tag_to_way": self._tag_to_way,
             "way_tag": [
                 self._way_tag[base:base + ways]
                 for base in range(0, self.num_sets * ways, ways)
@@ -397,7 +400,7 @@ class Cache:
                 self._way_kind[base:base + ways]
                 for base in range(0, self.num_sets * ways, ways)
             ],
-            "recency": [list(state) for state in self._recency],
+            "recency": self._recency,
             "free_count": [mask.bit_count() for mask in self._free_mask],
             "data_ways": self._data_ways,
             "dip": (
@@ -409,7 +412,8 @@ class Cache:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot onto this (same-shaped) cache."""
+        """Restore a :meth:`state_dict` snapshot onto this (same-shaped)
+        cache, copying every container it takes from ``state``."""
         way_tag = state["way_tag"]
         if len(way_tag) != self.num_sets or any(
             len(tags) != self.ways for tags in way_tag

@@ -135,7 +135,10 @@ class DramChannel:
         self._open_rows.clear()
 
     def state_dict(self) -> dict:
-        return {"stats": replace(self.stats), "open_rows": dict(self._open_rows)}
+        """A view, valid until the next access: the live open-row table,
+        and a ``replace()`` copy of the stats (pickling the live instance
+        would materialize its ``__dict__``)."""
+        return {"stats": replace(self.stats), "open_rows": self._open_rows}
 
     def load_state(self, state: dict) -> None:
         for bank in state["open_rows"]:

@@ -414,7 +414,7 @@ def run_simulation(
             # to capture post-sampling state, or a resume would re-reach
             # ``next_sample`` a batch late and sample different contents.
             if next_checkpoint is not None and executed >= next_checkpoint:
-                path = writer.write(executed, snapshot_document())
+                path = writer.write(executed, snapshot_document)
                 if telemetry is not None:
                     telemetry.emit(
                         EVENT_CHECKPOINT,
@@ -443,7 +443,7 @@ def run_simulation(
                     breach_snapshot = str(
                         writer.write(
                             executed,
-                            snapshot_document(),
+                            snapshot_document,
                             meta={"budget_breach": True},
                         )
                     )
@@ -461,11 +461,13 @@ def run_simulation(
             # We are back on the sole simulating thread, so the state is
             # consistent *between* accesses at worst mid-batch; the stall
             # header marks it as a post-mortem artifact, not a resume point.
-            stall_document = snapshot_document()
+            stall_document = snapshot_document
             if monitor is not None:
                 # Budget pressure is prime stall context: a run wedged at
                 # 99% RSS died of thrashing, not of a simulator bug.
-                stall_document["budget"] = monitor.to_dict()
+                stall_document = lambda: {
+                    **snapshot_document(), "budget": monitor.to_dict()
+                }
             snapshot_path = str(writer.write_stall(executed, stall_document))
         if telemetry is not None:
             telemetry.emit(

@@ -52,6 +52,9 @@ class Context:
         self._mapped.add(key)
 
     def state_dict(self) -> dict:
+        """``mapped`` is a copy: a live set can iterate, and so pickle, in
+        another order than a copy of it, and snapshots hold the copy's
+        order."""
         return {"consumed": self.consumed, "mapped": set(self._mapped)}
 
     def load_state(self, state: dict) -> None:
@@ -108,10 +111,11 @@ class ContextScheduler:
 
     def state_dict(self) -> dict:
         """Context contents are snapshotted by the engine (per context);
-        this covers only the rotation state."""
+        this covers only the rotation state.  A view, valid until the
+        next switch check: the live cursor lists."""
         return {
-            "active": list(self._active),
-            "next_switch": list(self._next_switch),
+            "active": self._active,
+            "next_switch": self._next_switch,
             "switches": self.switches,
         }
 

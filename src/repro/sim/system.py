@@ -969,6 +969,12 @@ class System:
     def state_dict(self) -> dict:
         """Plain-data snapshot of every stateful structure in the machine.
 
+        A view, valid until the next access: wherever a component's own
+        dict or list already has the snapshot's layout, it is handed out,
+        not copied (see ``docs/robustness.md``); ``load_state`` copies
+        whatever it takes.  Pickle memoizes by identity, so no live
+        container may appear twice in the document.
+
         Closures (walker accessors, controller clocks, telemetry hooks)
         are wiring, not state: a restore applies this snapshot to a
         *freshly built* System whose wiring is identical by construction.
@@ -1017,7 +1023,7 @@ class System:
             ],
             "total_accesses": self._total_accesses,
             "last_walk_latency": self._last_walk_latency,
-            "tlb_ref_levels": dict(self.tlb_ref_levels),
+            "tlb_ref_levels": self.tlb_ref_levels,
             "accounting": self.accounting.state_dict(),
         }
 

@@ -302,9 +302,11 @@ class CycleAccountant:
     # Checkpoint support
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
+        """A view, valid until the next charge: each live stack under a
+        built ``"core:vm"`` string key (the live keys are tuples)."""
         return {
             "stacks": {
-                f"{core_id}:{vm_id}": dict(stack)
+                f"{core_id}:{vm_id}": stack
                 for (core_id, vm_id), stack in self._stacks.items()
             },
             "charged": self.charged,

@@ -69,7 +69,8 @@ class PageSizePredictor:
         self._counters[asid] = counter
 
     def state_dict(self) -> dict:
-        return {"counters": dict(self._counters)}
+        """A view, valid until the next update: the live counters."""
+        return {"counters": self._counters}
 
     def load_state(self, state: dict) -> None:
         self._counters = dict(state["counters"])
@@ -217,6 +218,9 @@ class PomTlb:
     # Checkpoint support
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
+        """Each set's entries as a built ``(key, entry)`` list in LRU
+        order (the live sets are OrderedDicts), and a ``replace()`` copy
+        of the stats."""
         return {
             "contents": {
                 index: list(pom_set.items())

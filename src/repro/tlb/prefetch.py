@@ -70,10 +70,12 @@ class SequentialTlbPrefetcher:
         self.stats.useful += 1
 
     def state_dict(self) -> dict:
+        """A view, valid until the next miss: the live stream tables, and
+        a ``replace()`` copy of the stats."""
         return {
             "stats": replace(self.stats),
-            "last_vpn": dict(self._last_vpn),
-            "confidence": dict(self._confidence),
+            "last_vpn": self._last_vpn,
+            "confidence": self._confidence,
         }
 
     def load_state(self, state: dict) -> None:

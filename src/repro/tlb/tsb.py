@@ -125,13 +125,14 @@ class Tsb:
     def state_dict(self) -> dict:
         """Geometry is included: TSBs are created lazily per (vm, process),
         so a restore may need to rebuild one that the fresh system has not
-        allocated yet (see :meth:`from_state`)."""
+        allocated yet (see :meth:`from_state`).  A view, valid until the
+        next insertion: ``slots`` is the live table."""
         return {
             "name": self.name,
             "base_address": self.base_address,
             "num_entries": self.num_entries,
             "entry_bytes": self.entry_bytes,
-            "slots": dict(self._slots),
+            "slots": self._slots,
             "stats": replace(self.stats),
         }
 

@@ -283,7 +283,12 @@ class PageTable:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Plain-data snapshot of the radix tree (recursion depth is the
-        table's level count, at most :data:`MAX_RADIX_LEVELS`)."""
+        table's level count, at most :data:`MAX_RADIX_LEVELS`).
+
+        A view, valid until the next mapping: each node's ``leaves`` dict
+        is handed out as it is; the node dicts and ``children`` dicts are
+        built, because the live nodes are ``PageTableNode`` objects.
+        """
         return {
             "levels": self.levels,
             "root": _node_state(self.root),
@@ -292,7 +297,7 @@ class PageTable:
         }
 
     def load_state(self, state: dict) -> None:
-        """Replace this table's tree with the snapshot's.
+        """Replace this table's tree with a copy of the snapshot's.
 
         The frames the restored nodes sit in were handed out by the
         allocator whose own state is restored alongside, so no frames are
@@ -334,7 +339,7 @@ def _node_state(node: PageTableNode) -> dict:
     return {
         "level": node.level,
         "base_address": node.base_address,
-        "leaves": dict(node.leaves),
+        "leaves": node.leaves,
         "children": {
             index: _node_state(child) for index, child in node.children.items()
         },

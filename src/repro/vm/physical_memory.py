@@ -80,12 +80,14 @@ class FrameAllocator:
         return slot
 
     def state_dict(self) -> dict:
+        """A view, valid until the next allocation: ``used`` is the live
+        table."""
         return {
             "base_frame": self.base_frame,
             "num_frames": self.num_frames,
             "next_single": self._next_single,
             "next_contig_end": self._next_contig_end,
-            "used": dict(self._used),
+            "used": self._used,
         }
 
     def load_state(self, state: dict) -> None:

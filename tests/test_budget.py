@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import budget
+from repro import budget, checkpoint
 from repro.budget import (
     Budget,
     BudgetMonitor,
@@ -266,9 +266,13 @@ class TestDiskLedger:
         monitor.track_directory(tmp_path)
         with budget.armed(monitor):
             writer = CheckpointWriter(tmp_path, keep=1)
-            writer.write(1000, {"executed": 1000, "payload": "a" * 100})
+            writer.write(
+                1000, lambda: {"executed": 1000, "payload": "a" * 100}
+            )
             after_first = monitor.disk_used
-            writer.write(2000, {"executed": 2000, "payload": "b" * 100})
+            writer.write(
+                2000, lambda: {"executed": 2000, "payload": "b" * 100}
+            )
         # Keep=1 pruned the first snapshot: its bytes must be credited
         # back, leaving roughly one snapshot's worth on the ledger.
         assert monitor.disk_used < after_first * 1.5
@@ -314,15 +318,26 @@ class TestDiskFullTranslation:
 
     def test_checkpoint_enospc_fault_point(self, tmp_path, monkeypatch):
         writer = CheckpointWriter(tmp_path, keep=3)
-        first = writer.write(1000, {"executed": 1000})
+        first = writer.write(1000, lambda: {"executed": 1000})
         with monkeypatch.context() as patch:
             patch.setattr(os, "replace", full_disk)
             with pytest.raises(DiskFullError):
-                writer.write(2000, {"executed": 2000})
+                writer.write(2000, lambda: {"executed": 2000})
         # The previous snapshot must have survived the failed write.
         document, header = read_checkpoint(first)
         assert document["executed"] == 1000
         assert not list(Path(tmp_path).glob("*.tmp"))
+
+    def test_checkpoint_enospc_while_spooling(self, tmp_path, monkeypatch):
+        # The payload is pickled into a spool file before the checkpoint
+        # file exists; a full disk there is a disk-full stop as well.
+        writer = CheckpointWriter(tmp_path, keep=3)
+        first = writer.write(1000, lambda: {"executed": 1000})
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint._Tap, "write", full_disk)
+            with pytest.raises(DiskFullError, match="no space left"):
+                writer.write(2000, lambda: {"executed": 2000})
+        assert sorted(Path(tmp_path).iterdir()) == [first]
 
 
 # ----------------------------------------------------------------------

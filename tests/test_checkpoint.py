@@ -1,12 +1,14 @@
-"""Checkpoint envelope, writer pruning, watchdog, and the determinism
-oracle: restore-and-continue must be bit-identical to an uninterrupted
-run."""
+"""Checkpoint envelope, writer pruning, watchdog, snapshot views, and the
+determinism oracle: restore-and-continue must be bit-identical to an
+uninterrupted run."""
 
 import json
+import pickle
 import time
 
 import pytest
 
+from repro import checkpoint as checkpoint_module
 from repro.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -23,8 +25,11 @@ from repro.core.schemes import Scheme
 from repro.experiments.store import strip_host_fields
 from repro.sim.config import small_config
 from repro.sim.engine import derive_stream_seed, run_simulation
+from repro.sim.scheduler import Context
+from repro.sim.system import System
 from repro.workloads.base import Workload
 from repro.workloads.mixes import make_mix
+from tests.test_state_roundtrip import drive, exercised_system
 
 TOTAL = 4_000
 
@@ -86,6 +91,23 @@ class TestEnvelope:
     def test_unserializable_document_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="serialize"):
             write_checkpoint(tmp_path / "bad.ckpt", lambda: None)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_streamed_payload_equals_dumps(self, tmp_path):
+        # Many 64 KB frames, a shared object, and a bytes and a str large
+        # enough for the pickler to write them outside its frames.
+        shared = ("shared", 7)
+        document = {
+            "rows": [[index, shared, float(index)] for index in range(40_000)],
+            "blob": bytes(range(256)) * 1_024,
+            "text": "x" * 200_000,
+        }
+        path = write_checkpoint(tmp_path / "snap.ckpt", document)
+        raw = path.read_bytes()
+        payload = raw.split(b"\n", 2)[2]
+        assert payload == pickle.dumps(document, protocol=4)
+        _, header = read_checkpoint(path)
+        assert header["payload_bytes"] == len(payload)
 
 
 class TestWriterAndListing:
@@ -96,7 +118,7 @@ class TestWriterAndListing:
     def test_writer_prunes_to_keep(self, tmp_path):
         writer = CheckpointWriter(tmp_path, keep=2)
         for executed in (100, 200, 300, 400):
-            writer.write(executed, {"executed": executed})
+            writer.write(executed, lambda: {"executed": executed})
         remaining = list_checkpoints(tmp_path)
         assert [p.name for p in remaining] == [
             checkpoint_name(300), checkpoint_name(400)
@@ -106,9 +128,9 @@ class TestWriterAndListing:
 
     def test_stall_snapshots_excluded_and_never_pruned(self, tmp_path):
         writer = CheckpointWriter(tmp_path, keep=1)
-        stall = writer.write_stall(150, {"wedged": True})
+        stall = writer.write_stall(150, lambda: {"wedged": True})
         for executed in (100, 200):
-            writer.write(executed, {})
+            writer.write(executed, lambda: {})
         assert stall.exists()
         assert latest_checkpoint(tmp_path).name == checkpoint_name(200)
         _, header = read_checkpoint(stall)
@@ -118,6 +140,136 @@ class TestWriterAndListing:
     def test_latest_of_empty_dir_is_none(self, tmp_path):
         assert latest_checkpoint(tmp_path) is None
         assert latest_checkpoint(tmp_path / "missing") is None
+
+
+# ----------------------------------------------------------------------
+# Snapshots are views of live state
+# ----------------------------------------------------------------------
+#: Configurations whose snapshots hold every kind of component state:
+#: partition controllers, TSBs, the POM-TLB and its predictor, the TLB
+#: prefetcher, DIP duelers, all four policies' recency state, and a
+#: native machine's aliased allocator.
+SNAPSHOT_CONFIGS = {
+    "csalt-cd-plru": dict(replacement="plru"),
+    "tsb": dict(scheme=Scheme.TSB),
+    "pom-tlb-nru-prefetch": dict(
+        scheme=Scheme.POM_TLB, replacement="nru", tlb_prefetch=True
+    ),
+    "dip-rrip": dict(scheme=Scheme.DIP, replacement="rrip"),
+    "native-conventional": dict(
+        scheme=Scheme.CONVENTIONAL, virtualized=False
+    ),
+}
+
+
+def fresh_containers(value):
+    """``value`` with every dict and list rebuilt once per reference
+    (order kept) and every set copied with ``set(s)``; everything else
+    is shared.
+
+    Pickle memoizes by identity, so a document pickles to the bytes of
+    this copy only if no container appears in it twice and each of its
+    sets iterates as its copy does: exactly what a snapshot built from
+    live containers needs to pickle as one built from copies.
+    """
+    kind = type(value)
+    if kind is dict:
+        return {key: fresh_containers(item) for key, item in value.items()}
+    if kind is list:
+        return [fresh_containers(item) for item in value]
+    if kind is set:
+        return set(value)
+    return value
+
+
+def empty_containers(value) -> None:
+    """Empty every dict, list and set reachable through dicts and lists."""
+    kind = type(value)
+    if kind is dict:
+        for item in value.values():
+            empty_containers(item)
+    elif kind is list:
+        for item in value:
+            empty_containers(item)
+    if kind in (dict, list, set):
+        value.clear()
+
+
+def pickles_as_fresh_copy(document) -> bool:
+    return pickle.dumps(document, protocol=4) == pickle.dumps(
+        fresh_containers(document), protocol=4
+    )
+
+
+def engine_documents_pickle_as_fresh_copies(tmp_path, monkeypatch):
+    """One verdict of :func:`pickles_as_fresh_copy` per document the
+    engine hands its checkpoint writer."""
+    verdicts = []
+    write = checkpoint_module.write_checkpoint
+
+    def judge_then_write(path, document, **kwargs):
+        verdicts.append(pickles_as_fresh_copy(document))
+        return write(path, document, **kwargs)
+
+    monkeypatch.setattr(checkpoint_module, "write_checkpoint", judge_then_write)
+    config = tiny_config()
+    run_simulation(
+        config, tiny_mix(config), total_accesses=TOTAL, seed=3,
+        checkpoint_every=1_000, checkpoint_dir=tmp_path,
+    )
+    return verdicts
+
+
+class TestSnapshotViews:
+    @pytest.mark.parametrize("name", sorted(SNAPSHOT_CONFIGS))
+    def test_system_snapshot_pickles_as_fresh_copy(self, name):
+        _, system, _ = exercised_system(**SNAPSHOT_CONFIGS[name])
+        assert pickles_as_fresh_copy(system.state_dict())
+
+    def test_engine_document_pickles_as_fresh_copy(
+        self, tmp_path, monkeypatch
+    ):
+        verdicts = engine_documents_pickle_as_fresh_copies(
+            tmp_path, monkeypatch
+        )
+        assert verdicts == [True] * 4
+
+    def test_aliased_live_list_is_caught(self):
+        _, system, _ = exercised_system()
+        document = system.state_dict()
+        recency = document["cores"][0]["l2"]["recency"]
+        assert recency is system.cores[0].l2._recency
+        document["again"] = recency
+        assert not pickles_as_fresh_copy(document)
+
+    def test_handed_out_live_set_is_caught(self, tmp_path, monkeypatch):
+        # A live set can iterate in another order than its copy (here
+        # some contexts' page sets do at the second snapshot), which is
+        # why contexts snapshot a copy.
+        monkeypatch.setattr(
+            Context, "state_dict",
+            lambda self: {"consumed": self.consumed, "mapped": self._mapped},
+        )
+        verdicts = engine_documents_pickle_as_fresh_copies(
+            tmp_path, monkeypatch
+        )
+        assert False in verdicts
+
+    @pytest.mark.parametrize("name", sorted(SNAPSHOT_CONFIGS))
+    def test_load_state_never_adopts(self, name):
+        config, source, scheduler = exercised_system(**SNAPSHOT_CONFIGS[name])
+        state = source.state_dict()
+        clone = System(config)
+        clone.load_state(state)
+        loaded = pickle.dumps(clone.state_dict(), protocol=4)
+        drive(source, scheduler, 1_200)
+        assert pickle.dumps(source.state_dict(), protocol=4) != loaded
+        assert pickle.dumps(clone.state_dict(), protocol=4) == loaded
+        # Driving leaves some containers as they were (a saturated
+        # page-size predictor, say); emptying them must not reach the
+        # clone either.
+        empty_containers(state)
+        assert pickle.dumps(clone.state_dict(), protocol=4) == loaded
 
 
 # ----------------------------------------------------------------------

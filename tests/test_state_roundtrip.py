@@ -29,20 +29,29 @@ asids = st.builds(Asid, st.integers(0, 3), st.integers(0, 3))
 REPLACEMENTS = ["lru", "nru", "plru", "rrip"]
 
 
-def exercised_system(replacement="lru", accesses=1_200, seed=3):
-    """A small system with real traffic through every structure."""
-    config = small_config(
+def exercised_system(replacement="lru", accesses=1_200, seed=3, **overrides):
+    """A small system with real traffic through every structure
+    (CSALT-CD, 2 cores x 2 contexts, unless ``overrides`` say otherwise)."""
+    settings = dict(
         scheme=Scheme.CSALT_CD, cores=2, contexts_per_core=2,
         replacement=replacement,
     )
+    settings.update(overrides)
+    config = small_config(**settings)
     system = System(config)
     per_core = build_contexts(
         system, make_mix("gups", config.num_vms, scale=0.25), seed=seed
     )
     scheduler = ContextScheduler(per_core, config.switch_interval_cycles)
+    drive(system, scheduler, accesses)
+    return config, system, scheduler
+
+
+def drive(system, scheduler, accesses):
+    """Run ``accesses`` more accesses, four per core per round."""
     executed = 0
     while executed < accesses:
-        for core_id in range(config.cores):
+        for core_id in range(scheduler.num_cores):
             context = scheduler.current(core_id)
             for _ in range(4):
                 va, is_write = next(context.stream)
@@ -52,8 +61,7 @@ def exercised_system(replacement="lru", accesses=1_200, seed=3):
             scheduler.maybe_switch(
                 core_id, system.cores[core_id].stats.cycles
             )
-        executed += 4 * config.cores
-    return config, system, scheduler
+        executed += 4 * scheduler.num_cores
 
 
 class TestSystemRoundtrip:
