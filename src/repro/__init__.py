@@ -40,7 +40,6 @@ from repro.tlb.pom_tlb import PomTlb
 from repro.tlb.tlb import Tlb, TlbEntry
 from repro.workloads.base import Workload
 from repro.workloads.mixes import MIX_NAMES, MIXES, make_mix, make_program
-from repro.workloads.trace import TraceWorkload, record_trace, trace_info
 
 __version__ = "1.0.0"
 
@@ -64,15 +63,12 @@ __all__ = [
     "Tlb",
     "TlbConfig",
     "TlbEntry",
-    "TraceWorkload",
     "Workload",
     "best_partition",
     "geometric_mean",
     "make_mix",
     "make_program",
     "marginal_utility",
-    "record_trace",
     "run_simulation",
     "small_config",
-    "trace_info",
 ]

@@ -26,9 +26,7 @@ Commands:
                cleans what it safely can);
 * ``mixes``  — list the paper's programs and VM pairings;
 * ``characterize`` — profile workloads' memory behaviour without
-               simulating (footprint, page sizes, reuse);
-* ``trace``  — record a workload to a trace file, inspect one, or run a
-               recorded trace through the simulator.
+               simulating (footprint, page sizes, reuse).
 """
 
 from __future__ import annotations
@@ -348,22 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     characterize.add_argument("--accesses", type=int, default=50_000)
     characterize.add_argument("--scale", type=float, default=0.25)
 
-    trace = commands.add_parser("trace", help="trace tooling")
-    trace_commands = trace.add_subparsers(dest="trace_command", required=True)
-    record = trace_commands.add_parser("record", help="record a program")
-    record.add_argument("program", choices=sorted(PROGRAMS))
-    record.add_argument("path", help="output .npz file")
-    record.add_argument("--accesses", type=int, default=100_000,
-                        help="accesses per thread")
-    record.add_argument("--scale", type=float, default=0.25)
-    record.add_argument("--seed", type=int, default=0)
-    info = trace_commands.add_parser("info", help="inspect a trace")
-    info.add_argument("path")
-    replay = trace_commands.add_parser("run", help="simulate a trace")
-    replay.add_argument("path")
-    replay.add_argument("--scheme", default="csalt-cd",
-                        choices=sorted(_SCHEME_BY_NAME))
-    replay.add_argument("--accesses", type=int, default=240_000)
     return parser
 
 
@@ -817,38 +799,6 @@ def _command_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_trace(args: argparse.Namespace) -> int:
-    from repro.workloads.mixes import make_program
-    from repro.workloads.trace import TraceWorkload, record_trace, trace_info
-
-    if args.trace_command == "record":
-        workload = make_program(args.program, scale=args.scale)
-        record_trace(workload, args.path,
-                     accesses_per_thread=args.accesses, seed=args.seed)
-        info = trace_info(args.path)
-        print(f"recorded {args.program} -> {args.path}: "
-              f"{info.num_threads} threads x {info.accesses_per_thread} "
-              f"accesses, {info.distinct_pages} distinct pages")
-        return 0
-    if args.trace_command == "info":
-        info = trace_info(args.path)
-        print(f"threads             : {info.num_threads}")
-        print(f"accesses per thread : {info.accesses_per_thread}")
-        print(f"huge VA limit       : {info.huge_va_limit:#x}")
-        print(f"distinct 4K pages   : {info.distinct_pages}")
-        return 0
-    # trace run
-    workload = TraceWorkload(args.path)
-    scheme = _SCHEME_BY_NAME[args.scheme]
-    config = small_config(scheme=scheme)
-    result = run_simulation(
-        config, [workload, TraceWorkload(args.path)],
-        total_accesses=args.accesses,
-    )
-    _print_result(result)
-    return 0
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         return _command_run(args)
@@ -868,8 +818,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _command_mixes()
     if args.command == "characterize":
         return _command_characterize(args)
-    if args.command == "trace":
-        return _command_trace(args)
     raise AssertionError(f"unhandled command {args.command}")
 
 

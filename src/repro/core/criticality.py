@@ -84,12 +84,3 @@ class CriticalityInputs:
     pom_hit_rate: float
     pom_latency: float
     walk_latency: float
-
-
-def expected_miss_latency(
-    hit_rate: float, hit_latency: float, miss_latency: float
-) -> float:
-    """Expected service latency of a level with the given hit rate."""
-    if not 0.0 <= hit_rate <= 1.0:
-        raise ValueError(f"hit rate must be in [0, 1], got {hit_rate}")
-    return hit_rate * hit_latency + (1.0 - hit_rate) * miss_latency

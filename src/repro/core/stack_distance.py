@@ -87,12 +87,6 @@ class StackDistanceProfiler:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def hits_with_ways(self, ways: int) -> int:
-        """Predicted hits had the stream owned ``ways`` ways (prefix sum)."""
-        if not 0 <= ways <= self.ways:
-            raise ValueError(f"ways must be in [0, {self.ways}], got {ways}")
-        return sum(self.counters[:ways])
-
     @property
     def total_accesses(self) -> int:
         return sum(self.counters)

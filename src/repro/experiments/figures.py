@@ -235,13 +235,6 @@ class TimelineResult:
             render("L3 D$", self.l3_series),
         ])
 
-    def variation(self) -> float:
-        """Range of the L3 TLB share — nonzero means adaptation happened."""
-        shares = [f for _, f in self.l3_series]
-        if not shares:
-            return 0.0
-        return max(shares) - min(shares)
-
 
 def run_figure9(mix: str = "ccomp", **run_kwargs) -> TimelineResult:
     """Partition-decision timeline under CSALT-CD (paper Figure 9)."""

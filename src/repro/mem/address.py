@@ -43,21 +43,6 @@ def line_number(address: int) -> int:
     return address >> CACHE_LINE_BITS
 
 
-def page_number(address: int, page_bits: int = PAGE_4K_BITS) -> int:
-    """Return the virtual/physical page number for ``address``."""
-    return address >> page_bits
-
-
-def page_offset(address: int, page_bits: int = PAGE_4K_BITS) -> int:
-    """Return the offset of ``address`` within its page."""
-    return address & ((1 << page_bits) - 1)
-
-
-def page_base(address: int, page_bits: int = PAGE_4K_BITS) -> int:
-    """Return the base address of the page containing ``address``."""
-    return address & ~((1 << page_bits) - 1)
-
-
 def radix_index(virtual_address: int, level: int) -> int:
     """Return the 9-bit page-table index for ``level``.
 

@@ -315,26 +315,6 @@ class Cache:
         set_index, tag = self.index_of(address)
         return tag in self._tag_to_way[set_index]
 
-    def invalidate(self, address: int) -> bool:
-        """Drop ``address`` if present; returns whether a line was dropped."""
-        set_index, tag = self.index_of(address)
-        way = self._tag_to_way[set_index].pop(tag, None)
-        if way is None:
-            return False
-        slot = set_index * self.ways + way
-        self._way_tag[slot] = _INVALID
-        self._way_dirty[slot] = False
-        self._free_mask[set_index] |= 1 << way
-        return True
-
-    def kind_at(self, address: int) -> Optional[LineKind]:
-        """Kind of the resident line, or None if absent (test helper)."""
-        set_index, tag = self.index_of(address)
-        way = self._tag_to_way[set_index].get(tag)
-        if way is None:
-            return None
-        return _KINDS[self._way_kind[set_index * self.ways + way]]
-
     # ------------------------------------------------------------------
     # Introspection (Figure 3 occupancy scan and friends)
     # ------------------------------------------------------------------

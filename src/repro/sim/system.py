@@ -49,7 +49,6 @@ from repro.telemetry.accounting import (
 )
 from repro.telemetry.events import (
     EVENT_POM_LOOKUP,
-    EVENT_SHOOTDOWN,
     EVENT_TLB_MISS,
     EVENT_WALK,
 )
@@ -786,58 +785,6 @@ class System:
         stats.instructions += self._instructions_per_access
         stats.memory_accesses += 1
         self._total_accesses += 1
-
-    # ------------------------------------------------------------------
-    # TLB shootdown (page migration / unmap support)
-    # ------------------------------------------------------------------
-    #: IPI + INVLPG handling cost charged to every core on a shootdown.
-    SHOOTDOWN_CYCLES_PER_CORE = 100
-
-    def shootdown_page(self, asid: Asid, virtual_address: int) -> int:
-        """Invalidate one page's translation everywhere (inter-core IPI).
-
-        Drops matching entries from every core's L1/L2 TLBs, from the
-        POM-TLB and from the virtual-address-keyed TSB (the guest's when
-        virtualized, the host's when native), and charges each core the
-        IPI handling cost.  Returns the total number of entries dropped.
-        """
-        dropped = 0
-        acct = self.accounting
-        for core in self.cores:
-            dropped += core.l1_tlb.invalidate_page(asid, virtual_address)
-            dropped += core.l2_tlb.invalidate_page(asid, virtual_address)
-            core.stats.cycles += self.SHOOTDOWN_CYCLES_PER_CORE
-            acct.charge_to(
-                core.core_id,
-                asid.vm_id,
-                "shootdown",
-                self.SHOOTDOWN_CYCLES_PER_CORE,
-            )
-        if self.pom is not None:
-            dropped += self.pom.invalidate(asid, virtual_address)
-        # TSBs are built on first use; one that does not exist holds
-        # nothing to drop.
-        if self.vms[asid.vm_id].native:
-            tsb = self._host_tsbs.get(asid.vm_id)
-        else:
-            tsb = self._guest_tsbs.get((asid.vm_id, asid.process_id))
-        if tsb is not None:
-            dropped += tsb.invalidate(asid, virtual_address)
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                EVENT_SHOOTDOWN,
-                self._max_cycles(),
-                dropped=dropped,
-                vm=asid.vm_id,
-                process=asid.process_id,
-            )
-        return dropped
-
-    def remap_page(self, asid: Asid, virtual_address: int) -> None:
-        """Migrate a guest page to a new frame and shoot down stale entries."""
-        vm = self.vms[asid.vm_id]
-        vm.remap_guest_page(asid.process_id, virtual_address)
-        self.shootdown_page(asid, virtual_address)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -50,7 +50,6 @@ from repro.telemetry.events import (
     EVENT_FAULT,
     EVENT_PARTITION,
     EVENT_POM_LOOKUP,
-    EVENT_SHOOTDOWN,
     EVENT_STORE_SKIP,
     EVENT_SWITCH,
     EVENT_TLB_MISS,
@@ -74,7 +73,6 @@ __all__ = [
     "EVENT_FAULT",
     "EVENT_PARTITION",
     "EVENT_POM_LOOKUP",
-    "EVENT_SHOOTDOWN",
     "EVENT_STORE_SKIP",
     "EVENT_SWITCH",
     "EVENT_TLB_MISS",

@@ -24,7 +24,6 @@ Component taxonomy (see ``docs/observability.md`` for the full table)::
     walk.nested.final  host translation of the final guest-physical address
     data.{l2,l3,dram}  raw demand-data miss latency, by serving level
     data.mlp_credit    MSHR overlap credit (negative: stall minus raw)
-    shootdown          TLB shootdown IPI handling
     translation.other  residual translation cycles (0 by construction)
 
 **Exactness.**  The invariant wired into :mod:`repro.validate` is that
@@ -71,8 +70,7 @@ _GROUP_ORDER = {
     "tsb": 3,
     "walk": 4,
     "data": 5,
-    "shootdown": 6,
-    "translation": 7,
+    "translation": 6,
 }
 
 _SUFFIX_ORDER = {
@@ -229,18 +227,6 @@ class CycleAccountant:
 
     def restore(self, saved: Optional[Tuple[str, ...]]) -> None:
         self._names = saved
-
-    def charge_to(
-        self, core_id: int, vm_id: int, component: str, cycles: float
-    ) -> None:
-        """Book cycles onto an explicit (core, VM) without switching.
-
-        Used by broadcast costs (TLB shootdowns) that hit cores other
-        than the one currently executing.
-        """
-        stack = self._stacks.setdefault((core_id, vm_id), {})
-        stack[component] = stack.get(component, 0.0) + cycles
-        self.charged += cycles
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -2,7 +2,7 @@
 
 Every interesting simulator transition — a TLB miss escalating past the
 L2 TLB, a page walk, a POM-TLB lookup, a partition-controller decision, a
-context switch, a TLB shootdown — can be recorded as a
+context switch — can be recorded as a
 :class:`TraceEvent` carrying a simulated-cycle timestamp on the issuing
 core's clock.  The tracer is a fixed-capacity ring (``collections.deque``
 with ``maxlen``): when full, the *oldest* events are dropped so a long
@@ -31,7 +31,6 @@ EVENT_WALK = "walk"
 EVENT_POM_LOOKUP = "pom.lookup"
 EVENT_PARTITION = "partition.decision"
 EVENT_SWITCH = "sched.switch"
-EVENT_SHOOTDOWN = "tlb.shootdown"
 EVENT_CHECKPOINT = "checkpoint.write"
 EVENT_RESTORE = "checkpoint.restore"
 EVENT_INVARIANT_CHECK = "validate.check"

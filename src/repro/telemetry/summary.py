@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.telemetry.events import (
     EVENT_PARTITION,
     EVENT_POM_LOOKUP,
-    EVENT_SHOOTDOWN,
     EVENT_SWITCH,
     EVENT_TLB_MISS,
     EVENT_WALK,
@@ -47,7 +46,6 @@ class TraceSummary:
     pom_hits: int = 0
     tlb_misses: int = 0
     context_switches: int = 0
-    shootdowns: int = 0
     partition_decisions: int = 0
     final_tlb_fraction: Dict[str, float] = field(default_factory=dict)
 
@@ -77,7 +75,6 @@ class TraceSummary:
             },
             "tlb_misses": self.tlb_misses,
             "context_switches": self.context_switches,
-            "shootdowns": self.shootdowns,
             "partition": {
                 "decisions": self.partition_decisions,
                 "final_tlb_fraction": dict(self.final_tlb_fraction),
@@ -107,8 +104,6 @@ class TraceSummary:
             ])
         out.append(("l2_tlb_misses", self.tlb_misses))
         out.append(("context_switches", self.context_switches))
-        if self.shootdowns:
-            out.append(("shootdowns", self.shootdowns))
         if self.partition_decisions:
             out.append(("partition_decisions", self.partition_decisions))
             for label in sorted(self.final_tlb_fraction):
@@ -141,8 +136,6 @@ class TraceSummary:
             )
         lines.append(f"L2 TLB misses     : {self.tlb_misses}")
         lines.append(f"context switches  : {self.context_switches}")
-        if self.shootdowns:
-            lines.append(f"shootdowns        : {self.shootdowns}")
         if self.partition_decisions:
             lines.append(f"partition moves   : {self.partition_decisions}")
             for label in sorted(self.final_tlb_fraction):
@@ -175,8 +168,6 @@ def summarize_events(events: List[TraceEvent]) -> TraceSummary:
             summary.tlb_misses += 1
         elif event.name == EVENT_SWITCH:
             summary.context_switches += 1
-        elif event.name == EVENT_SHOOTDOWN:
-            summary.shootdowns += 1
         elif event.name == EVENT_PARTITION:
             summary.partition_decisions += 1
             label = str(event.args.get("label", "cache"))

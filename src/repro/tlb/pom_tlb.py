@@ -112,9 +112,6 @@ class PomTlb:
         index = self._set_index(asid, vpn, page_bits)
         return self.base_address + index * CACHE_LINE_BYTES
 
-    def contains_address(self, address: int) -> bool:
-        return self.base_address <= address < self.base_address + self.size_bytes
-
     # ------------------------------------------------------------------
     # Content operations
     # ------------------------------------------------------------------
@@ -197,22 +194,6 @@ class PomTlb:
         self.stats.insertions += 1
         self.predictor.update(asid, page_bits)
         return self.base_address + index * CACHE_LINE_BYTES
-
-    def invalidate(self, asid: Asid, virtual_address: int) -> int:
-        """Drop the translation for ``virtual_address`` (both page sizes).
-
-        The POM-TLB participates in shootdowns like any TLB (Ryoo et al.
-        handle this with an OS-visible invalidation write); returns the
-        number of entries dropped.
-        """
-        dropped = 0
-        for page_bits in (PAGE_4K_BITS, PAGE_2M_BITS):
-            vpn = virtual_address >> page_bits
-            index = self._set_index(asid, vpn, page_bits)
-            pom_set = self._contents.get(index)
-            if pom_set is not None and pom_set.pop((asid, vpn), None) is not None:
-                dropped += 1
-        return dropped
 
     # ------------------------------------------------------------------
     # Checkpoint support

@@ -116,30 +116,6 @@ class Tlb:
         tlb_set[key] = entry
         self.stats.insertions += 1
 
-    def invalidate_page(self, asid: Asid, virtual_address: int) -> int:
-        """Drop any entry translating ``virtual_address`` (all page sizes).
-
-        Models the per-page INVLPG half of a TLB shootdown; returns the
-        number of entries dropped (0 or 1 per supported size).
-        """
-        dropped = 0
-        for page_bits in self.page_bits_supported:
-            vpn = virtual_address >> page_bits
-            tlb_set = self._sets[vpn % self.num_sets]
-            if tlb_set.pop((asid, vpn, page_bits), None) is not None:
-                dropped += 1
-        return dropped
-
-    def invalidate_asid(self, asid: Asid) -> int:
-        """Drop all entries of one address space (explicit shootdown)."""
-        dropped = 0
-        for tlb_set in self._sets:
-            stale = [key for key in tlb_set if key[0] == asid]
-            for key in stale:
-                del tlb_set[key]
-                dropped += 1
-        return dropped
-
     def reset_stats(self) -> None:
         self.stats = TlbStats()
 
@@ -210,11 +186,6 @@ class L1TlbPair:
     def insert(self, asid: Asid, virtual_address: int, entry: TlbEntry) -> None:
         target = self.tlb_4k if entry.page_bits == PAGE_4K_BITS else self.tlb_2m
         target.insert(asid, virtual_address, entry)
-
-    def invalidate_page(self, asid: Asid, virtual_address: int) -> int:
-        return self.tlb_4k.invalidate_page(
-            asid, virtual_address
-        ) + self.tlb_2m.invalidate_page(asid, virtual_address)
 
     @property
     def hits(self) -> int:

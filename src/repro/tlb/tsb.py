@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from repro.mem.address import Asid, PAGE_4K_BITS, PAGE_2M_BITS
+from repro.mem.address import Asid
 from repro.tlb.tlb import TlbEntry
 
 #: Cycles of software trap entry/exit charged per TSB reload (Li et al.
@@ -97,27 +97,6 @@ class Tsb:
         index = self.slot_index(asid, virtual_address, entry.page_bits)
         self._slots[index] = (asid, virtual_address >> entry.page_bits, entry)
         self.stats.insertions += 1
-
-    def invalidate(self, asid: Asid, virtual_address: int) -> int:
-        """Drop the translation for ``virtual_address`` (both page sizes).
-
-        The software half of a shootdown: only a slot whose tag matches
-        (ASID, VPN and page size, as :meth:`probe` compares) is cleared.
-        Returns the number of entries dropped.
-        """
-        dropped = 0
-        for page_bits in (PAGE_4K_BITS, PAGE_2M_BITS):
-            index = self.slot_index(asid, virtual_address, page_bits)
-            slot = self._slots.get(index)
-            if (
-                slot is not None
-                and slot[0] == asid
-                and slot[1] == virtual_address >> page_bits
-                and slot[2].page_bits == page_bits
-            ):
-                del self._slots[index]
-                dropped += 1
-        return dropped
 
     # ------------------------------------------------------------------
     # Checkpoint support

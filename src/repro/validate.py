@@ -419,8 +419,9 @@ def check_translation_coherence(
     """Every cached translation must agree with the page tables.
 
     A stale or fabricated TLB entry silently redirects data traffic to
-    the wrong physical frames; shootdowns are supposed to make this
-    impossible, so any disagreement is a hard violation.
+    the wrong physical frames.  Mappings never change once made, so
+    every fill path must install exactly what the tables hold, and any
+    disagreement is a hard violation.
     """
     from repro.mem.address import PAGE_4K_BITS
 

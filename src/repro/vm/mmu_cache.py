@@ -59,9 +59,6 @@ class SmallFullyAssocCache:
         if len(self._store) > self.entries:
             self._store.popitem(last=False)
 
-    def invalidate_all(self) -> None:
-        self._store.clear()
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -193,11 +190,6 @@ class PagingStructureCache:
                 store[key] = True
                 if len(store) > cache.entries:
                     store.popitem(last=False)
-
-    def invalidate_all(self) -> None:
-        self._pde.invalidate_all()
-        self._pdp.invalidate_all()
-        self._pml4.invalidate_all()
 
     @property
     def hit_rate(self) -> float:

@@ -244,35 +244,6 @@ class PageTable:
             node = child
         return addresses, None
 
-    def remap_page(self, virtual_address: int) -> Translation:
-        """Move an existing mapping to a fresh physical frame.
-
-        Models the OS migrating/compacting a page (the event that forces a
-        TLB shootdown).  The page size is preserved.  Raises ``KeyError``
-        for unmapped addresses.
-        """
-        current = self.lookup(virtual_address)
-        if current is None:
-            raise KeyError(f"remap of unmapped address {virtual_address:#x}")
-        leaf_level = 1 if current.page_bits == PAGE_4K_BITS else 2
-        node = self.node_at_level(virtual_address, leaf_level)
-        index = radix_index(virtual_address, leaf_level)
-        new_frame = self._frame_of_page(virtual_address, current.page_bits)
-        node.leaves[index] = new_frame
-        return Translation(frame_base=new_frame, page_bits=current.page_bits)
-
-    def node_at_level(
-        self, virtual_address: int, level: int
-    ) -> Optional[PageTableNode]:
-        """Return the node whose entries are indexed at ``level``, if built."""
-        node = self.root
-        for current in range(self.levels, level, -1):
-            child = node.children.get(radix_index(virtual_address, current))
-            if child is None:
-                return None
-            node = child
-        return node
-
     @property
     def table_bytes(self) -> int:
         """Memory consumed by page-table nodes."""

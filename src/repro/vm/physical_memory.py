@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.mem.address import PAGE_4K, PAGE_4K_BITS
+from repro.mem.address import PAGE_4K
 
 DEFAULT_POM_TLB_BYTES = 16 * 1024 * 1024
 
@@ -129,7 +129,3 @@ class HostPhysicalMemory:
 
     def allocator_for_vm(self, vm_id: int) -> FrameAllocator:
         return self._vm_allocators[vm_id]
-
-    @staticmethod
-    def frame_to_address(frame: int) -> int:
-        return frame << PAGE_4K_BITS

@@ -123,20 +123,6 @@ class VirtualMachine:
         # final host translation of it skips ``ensure_host_mapped``.
         self._host_mapped.add(guest_frame)
 
-    def remap_guest_page(self, process_id: int, virtual_address: int):
-        """Guest OS moves a page to a new guest frame; EPT backs it anew.
-
-        Returns the new guest-side translation.  The caller is responsible
-        for the TLB shootdown (see ``System.shootdown_page``).
-        """
-        table = self.guest_table(process_id)
-        translation = table.remap_page(virtual_address)
-        if not self.native:
-            self.host_table.lookup_or_map(
-                translation.frame_base << PAGE_4K_BITS, translation.page_bits
-            )
-        return translation
-
     def ensure_host_mapped(self, guest_physical: int) -> None:
         """Ensure an EPT mapping exists for ``guest_physical`` (node frames)."""
         if self.native:

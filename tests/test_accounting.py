@@ -119,8 +119,9 @@ class TestSumInvariantMatrix:
         assert per_vm_total == stack.total_cycles
         assert len(stack.per_vm) >= 2  # both contexts charged
 
-    def test_shootdowns_attributed(self):
-        # Longer run with context switching exercises the shootdown path.
+    def test_switching_mix_sums_exactly(self):
+        # A longer can_ccomp run under a 0.05 ms quantum switches contexts
+        # often; the stack must still sum to the cores' cycles exactly.
         result, _ = run_with_accounting(
             Scheme.CSALT_CD, accesses=6000, mix="can_ccomp",
             switch_interval_ms=0.05,
@@ -367,13 +368,6 @@ class TestAccountantMechanics:
         names = acct.context("pom", split=True)
         assert names == ("pom.l2", "pom.l3", "pom.dram", "pom.ntlb")
         assert acct.context(None) is names  # the same tuple, not a rebuilt one
-
-    def test_charge_to_other_core(self):
-        acct = CycleAccountant()
-        acct.begin(0, 0)
-        acct.charge("base", 1.0)
-        acct.charge_to(3, 1, "shootdown", 40)
-        assert acct.core_totals() == {0: 1.0, 3: 40}
 
     def test_reset_clears_everything(self):
         acct = CycleAccountant()

@@ -5,17 +5,11 @@ from hypothesis import given, strategies as st
 
 from repro.mem.address import (
     CACHE_LINE_BYTES,
-    PAGE_2M,
-    PAGE_2M_BITS,
-    PAGE_4K,
     PAGE_4K_BITS,
     Asid,
     KERNEL_ASID,
     line_address,
     line_number,
-    page_base,
-    page_number,
-    page_offset,
     radix_index,
 )
 
@@ -42,25 +36,6 @@ class TestLineMath:
         assert aligned <= address < aligned + CACHE_LINE_BYTES
 
 
-class TestPageMath:
-    def test_page_number_4k(self):
-        assert page_number(0) == 0
-        assert page_number(PAGE_4K) == 1
-        assert page_number(PAGE_4K - 1) == 0
-
-    def test_page_number_2m(self):
-        assert page_number(PAGE_2M, PAGE_2M_BITS) == 1
-        assert page_number(PAGE_2M - 1, PAGE_2M_BITS) == 0
-
-    @given(addresses, st.sampled_from([PAGE_4K_BITS, PAGE_2M_BITS]))
-    def test_base_plus_offset_reconstructs(self, address, bits):
-        assert page_base(address, bits) + page_offset(address, bits) == address
-
-    @given(addresses)
-    def test_offset_bounded(self, address):
-        assert 0 <= page_offset(address) < PAGE_4K
-
-
 class TestRadixIndex:
     def test_level_bounds(self):
         with pytest.raises(ValueError):
@@ -85,7 +60,7 @@ class TestRadixIndex:
         vpn = 0
         for level in (4, 3, 2, 1):
             vpn = (vpn << 9) | radix_index(address, level)
-        assert vpn == page_number(address)
+        assert vpn == address >> PAGE_4K_BITS
 
     @given(addresses, st.integers(min_value=1, max_value=4))
     def test_index_in_node_range(self, address, level):

@@ -88,12 +88,6 @@ class TestLookupFill:
         assert not cache.probe(0x40)
         assert cache.probe(0x0)
 
-    def test_kind_at(self):
-        cache = small_cache()
-        cache.fill(0x1000, LineKind.TLB)
-        assert cache.kind_at(0x1000) is LineKind.TLB
-        assert cache.kind_at(0x2000) is None
-
 
 class TestWriteBack:
     def test_present_line_marked_dirty(self):
@@ -111,24 +105,6 @@ class TestWriteBack:
         cache = small_cache()
         cache.write_back(0x1000, LineKind.DATA)
         assert cache.stats.accesses == 0
-
-
-class TestInvalidate:
-    def test_invalidate_drops_line(self):
-        cache = small_cache()
-        cache.fill(0x1000, LineKind.DATA)
-        assert cache.invalidate(0x1000)
-        assert not cache.probe(0x1000)
-
-    def test_invalidate_absent(self):
-        assert not small_cache().invalidate(0x1000)
-
-    def test_way_reusable_after_invalidate(self):
-        cache = small_cache(ways=1, sets=1)
-        cache.fill(0x0, LineKind.DATA)
-        cache.invalidate(0x0)
-        evicted = cache.fill(0x40, LineKind.DATA)
-        assert evicted is None
 
 
 class TestPartition:

@@ -274,21 +274,6 @@ class TestRunControlUsage:
         assert not (tmp_path / "store").exists()
 
 
-class TestTrace:
-    def test_record_info_run(self, tmp_path, capsys):
-        path = str(tmp_path / "t.npz")
-        assert main([
-            "trace", "record", "gups", path, "--accesses", "300",
-        ]) == 0
-        assert main(["trace", "info", path]) == 0
-        out = capsys.readouterr().out
-        assert "threads" in out
-        assert main([
-            "trace", "run", path, "--scheme", "pom-tlb",
-            "--accesses", "2000",
-        ]) == 0
-
-
 class TestRunRobustness:
     def test_checkpoint_restore_roundtrip(self, tmp_path, capsys):
         ckpt_dir = str(tmp_path / "ckpts")

@@ -6,7 +6,6 @@ from repro.core.criticality import (
     CriticalityEstimator,
     CriticalityInputs,
     LatencyBook,
-    expected_miss_latency,
 )
 
 
@@ -68,16 +67,3 @@ class TestEstimator:
         first = estimator.weights()
         second = estimator.weights()
         assert second[0] > first[0]
-
-
-class TestExpectedMissLatency:
-    def test_interpolates(self):
-        assert expected_miss_latency(0.5, 10, 110) == pytest.approx(60)
-
-    def test_extremes(self):
-        assert expected_miss_latency(1.0, 10, 110) == 10
-        assert expected_miss_latency(0.0, 10, 110) == 110
-
-    def test_hit_rate_validated(self):
-        with pytest.raises(ValueError):
-            expected_miss_latency(1.5, 10, 100)

@@ -26,7 +26,6 @@ from repro.errors import (
 from repro.experiments.runner import PointFailedError
 from repro.sim.config import small_config
 from repro.validate import InvariantViolation
-from repro.workloads.trace import TraceFormatError
 
 
 class TestHierarchy:
@@ -38,7 +37,7 @@ class TestHierarchy:
 
     def test_legacy_value_error_bases(self):
         """Pre-taxonomy ``except ValueError`` call sites keep working."""
-        for cls in (ConfigError, DiffError, TraceFormatError):
+        for cls in (ConfigError, DiffError):
             assert issubclass(cls, ValueError)
 
     def test_legacy_runtime_error_bases(self):
@@ -52,7 +51,6 @@ class TestHierarchy:
         assert issubclass(SimulationStalled, SimulationError)
         assert issubclass(InvariantViolation, SimulationError)
         assert issubclass(DiffError, DataError)
-        assert issubclass(TraceFormatError, DataError)
         assert issubclass(PointFailedError, CampaignError)
 
 
@@ -69,7 +67,7 @@ class TestExitCodes:
 
     def test_subclasses_inherit_their_family_code(self):
         assert exit_code_for(CheckpointError("x")) == EXIT_SIMULATION
-        assert exit_code_for(TraceFormatError("x")) == EXIT_USAGE
+        assert exit_code_for(DiffError("x")) == EXIT_USAGE
         assert exit_code_for(PointFailedError("x")) == EXIT_FAILURE
 
     def test_interrupt_maps_to_130(self):

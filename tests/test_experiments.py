@@ -170,7 +170,7 @@ class TestFigures:
     def test_figure9_timeline(self):
         result = figures.run_figure9(mix="gups", **TINY)
         assert result.l3_series
-        assert result.variation() >= 0.0
+        assert all(0.0 <= share <= 1.0 for _, share in result.l3_series)
         assert "Figure 9" in result.format()
 
     def test_figure14_context_columns(self):

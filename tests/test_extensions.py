@@ -1,14 +1,12 @@
-"""Tests for the paper-motivated extensions: LA57 five-level paging and
-TLB shootdown / page-migration support."""
+"""Tests for the paper-motivated LA57 five-level paging extension."""
 
 import pytest
 
 from repro.core.schemes import Scheme
-from repro.mem.address import Asid, PAGE_4K_BITS
+from repro.mem.address import Asid
 from repro.sim.config import small_config
 from repro.sim.system import System
 from repro.telemetry.accounting import CycleAccountant
-from repro.validate import check_translation_coherence
 from repro.vm.page_table import PageTable
 from repro.vm.physical_memory import FrameAllocator, HostPhysicalMemory
 from repro.vm.walker import PageWalker, VirtualMachine
@@ -94,72 +92,3 @@ class TestFiveLevelWalker:
         system.vms[0].ensure_mapped(0, 0x5000)
         system.access(0, A, 0x5123, is_write=False)
         assert system.cores[0].stats.page_walks == 1
-
-
-class TestShootdown:
-    def _system(self, scheme=Scheme.POM_TLB):
-        system = System(small_config(scheme=scheme, cores=2))
-        system.vms[0].ensure_mapped(0, 0x5000)
-        return system
-
-    def test_remap_changes_frame(self):
-        system = self._system()
-        table = system.vms[0].guest_table(0)
-        before = table.lookup(0x5000).frame_base
-        system.remap_page(A, 0x5000)
-        assert table.lookup(0x5000).frame_base != before
-
-    def test_shootdown_drops_all_tlb_copies(self):
-        system = self._system()
-        for core in system.cores:
-            system.translate_beyond_l1(core, A, 0x5123)
-        dropped = system.shootdown_page(A, 0x5123)
-        # Each core held L1 and L2 entries; the POM-TLB held one.
-        assert dropped >= 2 * len(system.cores) + 1
-        for core in system.cores:
-            assert core.l2_tlb.lookup(A, 0x5123) is None
-
-    def test_shootdown_charges_every_core(self):
-        system = self._system()
-        before = [core.stats.cycles for core in system.cores]
-        system.shootdown_page(A, 0x5000)
-        for core, cycles in zip(system.cores, before):
-            assert core.stats.cycles == cycles + System.SHOOTDOWN_CYCLES_PER_CORE
-
-    @pytest.mark.parametrize(
-        "virtualized", [True, False], ids=["virtualized", "native"]
-    )
-    @pytest.mark.parametrize(
-        "scheme", [Scheme.POM_TLB, Scheme.TSB], ids=["pom-tlb", "tsb"]
-    )
-    def test_translation_after_remap_is_fresh(self, scheme, virtualized):
-        system = System(
-            small_config(scheme=scheme, cores=2, virtualized=virtualized)
-        )
-        system.vms[0].ensure_mapped(0, 0x5000)
-        core = system.cores[0]
-        _, old_entry = system.translate_beyond_l1(core, A, 0x5123)
-        system.remap_page(A, 0x5123)
-        _, new_entry = system.translate_beyond_l1(core, A, 0x5123)
-        assert new_entry.frame_base != old_entry.frame_base
-        assert list(check_translation_coherence(system)) == []
-
-    def test_shootdown_without_pom(self):
-        system = self._system(Scheme.CONVENTIONAL)
-        core = system.cores[0]
-        system.translate_beyond_l1(core, A, 0x5123)
-        assert system.shootdown_page(A, 0x5123) >= 2
-
-    def test_other_pages_unaffected(self):
-        system = self._system()
-        system.vms[0].ensure_mapped(0, 0x6000)
-        core = system.cores[0]
-        system.translate_beyond_l1(core, A, 0x5123)
-        system.translate_beyond_l1(core, A, 0x6123)
-        system.shootdown_page(A, 0x5123)
-        assert core.l2_tlb.lookup(A, 0x6123) is not None
-
-    def test_remap_unmapped_raises(self):
-        system = self._system()
-        with pytest.raises(KeyError):
-            system.remap_page(A, 0xDEAD000)

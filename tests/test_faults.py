@@ -1,16 +1,15 @@
 """Fault injection: plan parsing, the injector and the three hook sites.
 
-The store, checkpoint and trace failure modes that have no fault point
-are driven directly here instead (a failing ``os.replace``, a directory
-where an entry should be, a missing file, a re-saved damaged trace), so
-every recovery branch stays pinned without an injection hook.
+The store and checkpoint failure modes that have no fault point are
+driven directly here instead (a failing ``os.replace``, a directory
+where an entry should be, a missing file), so every recovery branch
+stays pinned without an injection hook.
 """
 
 import errno
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro import faults
@@ -26,8 +25,6 @@ from repro.experiments.pool import run_campaign
 from repro.experiments.store import ResultStore
 from repro.telemetry import EventTracer, Telemetry
 from repro.telemetry.events import EVENT_FAULT
-from repro.workloads.mixes import make_program
-from repro.workloads.trace import TraceFormatError, load_trace, record_trace
 
 TINY = dict(total_accesses=1_500)
 
@@ -252,21 +249,6 @@ class TestCheckpointFaultPoints:
     def test_read_io_error_wrapped(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             read_checkpoint(tmp_path / "missing.ckpt")
-
-
-class TestTraceFaultPoints:
-    """A damaged trace file, written directly."""
-
-    def test_truncated_record_rejected_by_loader(self, tmp_path):
-        path = tmp_path / "trace.npz"
-        record_trace(make_program("gups", scale=0.25), path,
-                     accesses_per_thread=64, num_threads=2)
-        arrays = dict(np.load(str(path)))
-        addresses = arrays["thread0_addresses"]
-        arrays["thread0_addresses"] = addresses[: len(addresses) // 2]
-        np.savez_compressed(str(path), **arrays)
-        with pytest.raises(TraceFormatError, match="truncated"):
-            load_trace(path)
 
 
 # ----------------------------------------------------------------------

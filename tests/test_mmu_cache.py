@@ -91,12 +91,6 @@ class TestPsc:
         assert psc.probe(ASID, 0x0).start_level == 1
         assert psc.probe(ASID, 1 << 21).start_level == 2
 
-    def test_invalidate_all(self):
-        psc = PagingStructureCache()
-        psc.install(ASID, 0x1000, deepest_level=1)
-        psc.invalidate_all()
-        assert psc.probe(ASID, 0x1000) is None
-
     def test_probe_latency_from_config(self):
         psc = PagingStructureCache(PscConfig(latency=7))
         psc.install(ASID, 0x1000, deepest_level=1)

@@ -151,14 +151,6 @@ class TestWalkAddresses:
         nodes = {a >> PAGE_4K_BITS for a in addresses}
         assert len(nodes) == 4
 
-    def test_node_at_level(self):
-        table = make_table()
-        table.map_page(0x1000)
-        assert table.node_at_level(0x1000, 4) is table.root
-        leaf = table.node_at_level(0x1000, 1)
-        assert leaf is not None and leaf.level == 1
-        assert table.node_at_level(0xFFFF_F000_0000, 1) is None
-
 
 #: Addresses packed into a few 2 MB regions under distinct upper-level
 #: nodes, so random sequences revisit pages and collide on page size.

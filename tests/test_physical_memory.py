@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mem.address import PAGE_4K_BITS
 from repro.vm.physical_memory import (
     DEFAULT_POM_TLB_BYTES,
     FrameAllocator,
@@ -77,13 +78,8 @@ class TestHostPhysicalMemory:
     def test_frames_above_pom_region(self):
         memory = HostPhysicalMemory(num_vms=1, vm_bytes=1 << 20)
         frame = memory.allocator_for_vm(0).alloc()
-        assert HostPhysicalMemory.frame_to_address(frame) >= (
-            memory.pom_tlb_bytes
-        )
+        assert frame << PAGE_4K_BITS >= memory.pom_tlb_bytes
 
     def test_needs_a_vm(self):
         with pytest.raises(ValueError):
             HostPhysicalMemory(num_vms=0)
-
-    def test_frame_to_address(self):
-        assert HostPhysicalMemory.frame_to_address(3) == 3 * 4096

@@ -1,6 +1,5 @@
 """Unit and property tests for the MSA stack-distance profilers."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.stack_distance import ProfilerPair, StackDistanceProfiler
@@ -88,17 +87,6 @@ class TestEstimateMode:
 
 
 class TestQueries:
-    def test_hits_with_ways_prefix(self):
-        profiler = StackDistanceProfiler(4)
-        profiler.counters = [5, 3, 2, 1, 10]
-        assert profiler.hits_with_ways(0) == 0
-        assert profiler.hits_with_ways(2) == 8
-        assert profiler.hits_with_ways(4) == 11
-
-    def test_hits_with_ways_bounds(self):
-        with pytest.raises(ValueError):
-            StackDistanceProfiler(4).hits_with_ways(5)
-
     def test_decay_halves(self):
         profiler = StackDistanceProfiler(2)
         profiler.counters = [8, 4, 3]

@@ -19,7 +19,7 @@ class TestPomTlbProperties:
         pom = PomTlb(base_address=0x4000, size_bytes=1 << 20)
         first = pom.set_address(asid, va, bits)
         assert first == pom.set_address(asid, va, bits)
-        assert pom.contains_address(first)
+        assert pom.base_address <= first < pom.base_address + pom.size_bytes
         assert first % 64 == 0
 
     @given(asids, addresses, page_bits)
@@ -53,15 +53,6 @@ class TestTlbProperties:
             tlb.insert(asid, va, TlbEntry(7, PAGE_4K_BITS))
         last_asid, last_va = inserts[-1]
         assert tlb.probe(last_asid, last_va) is not None
-
-    @given(st.lists(st.tuples(asids, addresses), max_size=60), asids)
-    def test_invalidate_asid_complete(self, inserts, victim):
-        tlb = Tlb("t", 32, 4, 1)
-        for asid, va in inserts:
-            tlb.insert(asid, va, TlbEntry(7, PAGE_4K_BITS))
-        tlb.invalidate_asid(victim)
-        for tlb_set in tlb._sets:
-            assert all(key[0] != victim for key in tlb_set)
 
 
 class TestTsbProperties:

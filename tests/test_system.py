@@ -86,7 +86,9 @@ class TestTranslationDatapath:
         core = system.cores[0]
         system.translate_beyond_l1(core, A, 0x5123)
         set_address = system.pom.set_address(A, 0x5123, PAGE_4K_BITS)
-        assert core.l2.kind_at(set_address) is LineKind.TLB
+        assert core.l2.probe(set_address)
+        # Only translation traffic ran, so every resident line is a TLB line.
+        assert core.l2.occupancy_by_kind()[LineKind.DATA] == 0
 
     def test_tsb_path_fills_and_hits(self):
         system = mapped_system(Scheme.TSB)

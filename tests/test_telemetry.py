@@ -7,11 +7,9 @@ import pytest
 from repro.core.schemes import Scheme
 from repro.sim.config import small_config
 from repro.sim.engine import run_simulation
-from repro.sim.system import System
 from repro.telemetry import (
     EVENT_PARTITION,
     EVENT_POM_LOOKUP,
-    EVENT_SHOOTDOWN,
     EVENT_SWITCH,
     EVENT_TLB_MISS,
     EVENT_WALK,
@@ -91,7 +89,7 @@ class TestEventTracer:
     def test_chrome_export(self, tmp_path):
         tracer = EventTracer()
         tracer.emit("walk", 10.0, core=1, duration=42.0)
-        tracer.emit("tlb.shootdown", 99.0, dropped=2)
+        tracer.emit("sched.switch", 99.0, vm=1)
         document = chrome_trace(tracer)
         assert "traceEvents" in document
         slices = [e for e in document["traceEvents"] if e.get("ph") == "X"]
@@ -196,19 +194,6 @@ class TestSimulationTelemetry:
         assert switches
         assert result.extra["context_switches"] > 0
         assert all("vm" in e.args for e in switches)
-
-    def test_shootdown_event(self):
-        from repro.mem.address import Asid
-
-        telemetry = Telemetry(tracer=EventTracer())
-        system = System(small_config(scheme=Scheme.POM_TLB), telemetry=telemetry)
-        asid = Asid(0, 0)
-        system.vms[0].ensure_mapped(0, 0x1000)
-        system.access(0, asid, 0x1000, False)
-        system.shootdown_page(asid, 0x1000)
-        events = [e for e in telemetry.tracer if e.name == EVENT_SHOOTDOWN]
-        assert len(events) == 1
-        assert events[0].args["dropped"] >= 1
 
     def test_warmup_clears_trace(self):
         telemetry = Telemetry(tracer=EventTracer())

@@ -63,15 +63,6 @@ class TestTlb:
         assert tlb.lookup(A, 0x1000).frame_base == 9
         assert tlb.stats.insertions == 1
 
-    def test_invalidate_asid(self):
-        tlb = Tlb("t", 8, 4, 1)
-        tlb.insert(A, 0x1000, entry_4k())
-        tlb.insert(B, 0x1000, entry_4k())
-        dropped = tlb.invalidate_asid(A)
-        assert dropped == 1
-        assert tlb.lookup(A, 0x1000) is None
-        assert tlb.lookup(B, 0x1000) is not None
-
     def test_stats(self):
         tlb = Tlb("t", 8, 4, 1)
         tlb.lookup(A, 0)
@@ -129,27 +120,3 @@ class TestProbe:
         tlb.probe(A, 0x0000)  # no recency update
         tlb.insert(A, 0x2000, entry_4k(3))
         assert tlb.probe(A, 0x0000) is None  # page 0 was still LRU
-
-
-class TestInvalidatePage:
-    def test_drops_only_target(self):
-        tlb = Tlb("t", 8, 4, 1)
-        tlb.insert(A, 0x1000, entry_4k())
-        tlb.insert(A, 0x2000, entry_4k())
-        assert tlb.invalidate_page(A, 0x1000) == 1
-        assert tlb.probe(A, 0x1000) is None
-        assert tlb.probe(A, 0x2000) is not None
-
-    def test_asid_scoped(self):
-        tlb = Tlb("t", 8, 4, 1)
-        tlb.insert(A, 0x1000, entry_4k())
-        assert tlb.invalidate_page(B, 0x1000) == 0
-        assert tlb.probe(A, 0x1000) is not None
-
-    def test_pair_invalidate_both_sizes(self):
-        pair = L1TlbPair()
-        pair.insert(A, 0x1000, entry_4k())
-        pair.insert(A, 0x0, entry_2m(frame=0))
-        dropped = pair.invalidate_page(A, 0x1000)
-        # 0x1000 falls inside both the 4K page and the 2M page.
-        assert dropped == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mem.address import Asid, PAGE_2M_BITS, PAGE_4K_BITS
+from repro.mem.address import Asid, PAGE_4K_BITS
 from repro.tlb.tlb import TlbEntry
 from repro.tlb.tsb import Tsb
 
@@ -52,19 +52,6 @@ class TestProbeInsert:
         # B hashes to a different slot or fails the tag compare; either
         # way the probe must not return A's entry.
         assert tsb.probe(B, 0x5000, PAGE_4K_BITS) is None
-
-    def test_invalidate_drops_only_the_tagged_page(self):
-        tsb = make_tsb(entries=16)
-        conflicting = 0x5000 + 16 * 4096  # same slot index
-        tsb.insert(A, conflicting, TlbEntry(2, PAGE_4K_BITS))
-        # The slot holds another page: nothing of 0x5000's to drop.
-        assert tsb.invalidate(A, 0x5000) == 0
-        assert tsb.probe(A, conflicting, PAGE_4K_BITS).frame_base == 2
-        tsb.insert(A, 0x40_0000, TlbEntry(512, PAGE_2M_BITS))
-        assert tsb.invalidate(A, 0x40_0000) == 1
-        assert tsb.probe(A, 0x40_0000, PAGE_2M_BITS) is None
-        assert tsb.invalidate(A, conflicting) == 1
-        assert tsb.probe(A, conflicting, PAGE_4K_BITS) is None
 
     def test_stats(self):
         tsb = make_tsb()
