@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable
 
 from repro.mem.address import CACHE_LINE_BITS, PAGE_4K_BITS
 from repro.workloads.base import Workload

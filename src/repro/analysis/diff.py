@@ -30,11 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import DataError
 from repro.sim.stats import SimulationResult
-from repro.telemetry.accounting import (
-    CpiStack,
-    component_sort_key,
-    merge_components,
-)
+from repro.telemetry.accounting import component_sort_key, merge_components
 
 #: Compared metrics: ``(attribute, +1 higher-is-better / -1 lower)``.
 #: Attributes are read off :class:`SimulationResult`; order is display

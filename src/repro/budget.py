@@ -7,12 +7,13 @@ This module is the governance layer the engine, the campaign pool, the
 result store and the checkpoint writer all consult:
 
 * a :class:`Budget` — the declarative limits: wall-clock
-  ``deadline_seconds``, ``max_rss_bytes`` (resident-set ceiling) and
-  ``disk_quota_bytes`` (store + checkpoints + exported outputs);
-* a :class:`BudgetMonitor` — a daemon thread beside the engine's
-  :class:`~repro.checkpoint.StallWatchdog` (both extend
-  :class:`~repro.checkpoint.HeartbeatDaemon`) that samples usage and
-  latches the first dimension whose usage reaches its limit.
+  ``deadline_seconds``, ``max_rss_bytes`` (peak resident-set ceiling)
+  and ``disk_quota_bytes`` (store + checkpoints + exported outputs);
+* a :class:`BudgetMonitor` — a plain object that the loops enforcing a
+  budget sample on their own thread (the engine every 1,024 accesses,
+  the campaign pool before each inline point and on every
+  parallel-loop iteration); it latches the first dimension whose usage
+  reaches its limit.
 
 A breach triggers *checkpoint-then-stop*: the engine snapshots via its
 :class:`~repro.checkpoint.CheckpointWriter`, the campaign drains exactly
@@ -21,15 +22,16 @@ with the stable exit code 7 — the run is resumable, and a resumed run
 without budgets converges to the never-budgeted result byte-for-byte
 (the CI ``recovery-smoke`` job enforces this).
 
-Enforcement is cooperative: the monitor thread only *observes* (it never
-touches simulator state), and the main loops read one attribute per
-iteration — the same zero-overhead-unarmed idiom as telemetry and fault
-injection.  Disk accounting is a ledger: directories registered with
+Enforcement is cooperative: the loop that acts on a breach is the one
+that samples, so the monitor needs no thread and no lock, and an
+unbudgeted run constructs none.  The RSS dimension reads the process's
+*peak* resident set, so a spike between two samples still shows at the
+next one.  Disk accounting is a ledger: directories registered with
 :meth:`BudgetMonitor.track_directory` are scanned once at arming and
-rescanned periodically; the store and checkpoint writers charge bytes
-incrementally between scans via the process-wide :data:`ACTIVE` monitor
-(forked campaign workers inherit a passive copy — their monitor thread
-does not survive the fork — so worker-side quota prechecks are a
+rescanned at most every :data:`DISK_RESCAN_SECONDS` by :meth:`sample`;
+the store and checkpoint writers charge bytes incrementally between
+scans via the process-wide :data:`ACTIVE` monitor (forked campaign
+workers inherit a copy, so worker-side quota prechecks are a
 best-effort guard while the parent's monitor is the authority).
 
 See ``docs/budgets.md`` for the budget model.
@@ -39,21 +41,22 @@ from __future__ import annotations
 
 import os
 import re
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.checkpoint import HeartbeatDaemon
 from repro.errors import BudgetExceededError, ConfigError, DiskFullError
 
-#: How often the monitor thread samples usage (seconds).
-POLL_SECONDS = 0.2
+try:
+    import resource
+except ImportError:  # pragma: no cover - not a POSIX host
+    resource = None
 
-#: How often tracked directories are rescanned to reconcile the disk
-#: ledger with writers the monitor cannot see (other processes, prunes).
+#: How often :meth:`BudgetMonitor.sample` rescans tracked directories to
+#: reconcile the disk ledger with writers it cannot see (other
+#: processes, prunes).
 DISK_RESCAN_SECONDS = 1.0
 
 #: Budget dimensions, in reporting order.
@@ -114,28 +117,17 @@ def parse_duration(text: str) -> float:
 
 
 def rss_bytes() -> Optional[int]:
-    """Current resident-set size of this process, or ``None`` unknown.
+    """Peak resident-set size of this process, or ``None`` unknown.
 
-    Reads ``/proc/self/status`` (no dependencies); falls back to
-    ``resource.getrusage`` peak RSS — for ceiling enforcement the peak
-    is the conservative, correct bound anyway.
+    The peak, not the current size: a breach latches anyway, and the
+    peak still shows a spike that fell between two samples.  One
+    ``getrusage`` call, with no file to open and parse.
     """
-    try:
-        with open("/proc/self/status") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        import resource
-
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        # Linux reports KiB, macOS reports bytes; both are upper bounds
-        # in their own unit and Linux is the deployment target.
-        return int(peak) * 1024
-    except Exception:
+    if resource is None:
         return None
+    # Linux reports KiB, macOS bytes; both are upper bounds in their own
+    # unit and Linux is the deployment target.
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 def directory_bytes(path: os.PathLike) -> int:
@@ -253,28 +245,22 @@ class BudgetStatus:
 # ----------------------------------------------------------------------
 # The monitor
 # ----------------------------------------------------------------------
-class BudgetMonitor(HeartbeatDaemon):
+class BudgetMonitor:
     """Samples resource usage against a :class:`Budget`; latches a breach.
 
-    Runs as a daemon thread (same heartbeat plumbing as the stall
-    watchdog: the engine's :meth:`beat` value is embedded in breach
-    reports so "where did the budget die" is answerable).  The thread
-    only *samples*; the engine loop, the campaign pool and the CLI read
-    :attr:`hard_breach` and act on their own threads.  :meth:`sample`
-    can also be called synchronously — hook sites that must decide *now*
-    (a quota precheck before a store write) do that instead of waiting a
-    poll interval.
+    A plain object, no thread: the engine loop and the campaign pool call
+    :meth:`sample` on their own thread at their own cadence and act on
+    the breach it returns.  Each sample records the caller's heartbeat
+    (accesses or points done), which breach reports embed so "where did
+    the budget die" is answerable.
     """
 
-    thread_name = "repro-budget-monitor"
-
     def __init__(self, budget: Budget, telemetry=None):
-        super().__init__(POLL_SECONDS)
         self.budget = budget
         self.telemetry = telemetry
         self.started_monotonic = time.monotonic()
         self.hard_breach: Optional[BudgetStatus] = None
-        self._disk_lock = threading.Lock()
+        self.heartbeat: object = None
         self._tracked: List[Path] = []
         self._disk_scanned = 0
         self._disk_charged = 0
@@ -290,21 +276,18 @@ class BudgetMonitor(HeartbeatDaemon):
         half-full store starts from honest usage, not zero.
         """
         root = Path(path)
-        with self._disk_lock:
-            if any(root == tracked for tracked in self._tracked):
-                return
-            self._tracked.append(root)
-            self._disk_scanned += directory_bytes(root)
+        if any(root == tracked for tracked in self._tracked):
+            return
+        self._tracked.append(root)
+        self._disk_scanned += directory_bytes(root)
 
     def charge_disk(self, nbytes: int) -> None:
         """Adjust the ledger (negative for pruned/deleted files)."""
-        with self._disk_lock:
-            self._disk_charged += int(nbytes)
+        self._disk_charged += int(nbytes)
 
     @property
     def disk_used(self) -> int:
-        with self._disk_lock:
-            return max(0, self._disk_scanned + self._disk_charged)
+        return max(0, self._disk_scanned + self._disk_charged)
 
     def check_disk(self, nbytes: int, what: str) -> None:
         """Refuse a write that would push usage past the disk quota.
@@ -329,12 +312,10 @@ class BudgetMonitor(HeartbeatDaemon):
 
     def _rescan_disk(self) -> None:
         """Reconcile the ledger with reality (other processes write too)."""
-        with self._disk_lock:
-            tracked = list(self._tracked)
-        scanned = sum(directory_bytes(root) for root in tracked)
-        with self._disk_lock:
-            self._disk_scanned = scanned
-            self._disk_charged = 0
+        self._disk_scanned = sum(
+            directory_bytes(root) for root in self._tracked
+        )
+        self._disk_charged = 0
 
     # ------------------------------------------------------------------
     # Sampling
@@ -370,13 +351,16 @@ class BudgetMonitor(HeartbeatDaemon):
             out.append(BudgetStatus(dimension, float(used), float(limit)))
         return out
 
-    def sample(self) -> Optional[BudgetStatus]:
+    def sample(self, heartbeat: object = None) -> Optional[BudgetStatus]:
         """Take one sample; returns the hard breach, or ``None``.
 
-        The breach is the first dimension whose usage reaches its limit.
-        It latches: once set it never clears, so racing readers cannot
-        see the budget "recover".
+        ``heartbeat``, when given, is the caller's progress value, kept
+        for breach reports.  The breach is the first dimension whose
+        usage reaches its limit.  It latches: once set it never clears,
+        so the budget cannot "recover" between a loop's samples.
         """
+        if heartbeat is not None:
+            self.heartbeat = heartbeat
         now = time.monotonic()
         if self._tracked and now >= self._next_disk_scan:
             self._next_disk_scan = now + DISK_RESCAN_SECONDS
@@ -409,14 +393,8 @@ class BudgetMonitor(HeartbeatDaemon):
             self.telemetry.emit(
                 "budget.exceeded", 0.0, dimension=status.dimension,
                 used=status.used, limit=status.limit,
-                heartbeat=_jsonable(self._value),
+                heartbeat=_jsonable(self.heartbeat),
             )
-
-    # ------------------------------------------------------------------
-    # Thread + reporting
-    # ------------------------------------------------------------------
-    def _poll(self, value: object, now: float) -> bool:
-        return self.sample() is not None  # a breach is terminal
 
     def to_dict(self) -> Dict[str, object]:
         """Budget state for stall snapshots and ``result.extra``."""
@@ -427,7 +405,7 @@ class BudgetMonitor(HeartbeatDaemon):
                 None if self.hard_breach is None
                 else self.hard_breach.to_dict()
             ),
-            "heartbeat": _jsonable(self._value),
+            "heartbeat": _jsonable(self.heartbeat),
         }
 
 
@@ -448,10 +426,10 @@ def arm(monitor: BudgetMonitor) -> BudgetMonitor:
     """Make ``monitor`` the process-wide quota authority.
 
     The store and checkpoint writers consult :data:`ACTIVE` for quota
-    prechecks and ledger charges.  Forked campaign workers inherit the
-    armed monitor as a passive copy (daemon threads do not survive
-    ``fork``), which is exactly the desired behavior: workers get
-    best-effort quota guards, the parent keeps the live authority.
+    prechecks and ledger charges.  Forked campaign workers inherit a
+    copy of the armed monitor, which is exactly the desired behavior:
+    workers get best-effort quota guards, the parent keeps the
+    authoritative ledger.
     """
     global ACTIVE
     ACTIVE = monitor

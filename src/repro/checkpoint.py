@@ -22,10 +22,13 @@ three cooperating pieces:
   ``state_dict()`` hand out, is pickled before the next access;
 * a :class:`StallWatchdog` — a daemon thread fed a heartbeat
   (the engine's access counter) that trips when the counter stops
-  advancing for ``timeout_seconds`` of wall-clock time.  The watchdog
-  never touches simulator state itself (it runs concurrently with the
-  main loop); it interrupts the main thread, which then snapshots the
-  stalled state single-threadedly and raises :class:`SimulationStalled`.
+  advancing for ``timeout_seconds`` of wall-clock time.  It is the one
+  side thread in the package: a wedged loop cannot sample itself, so
+  only a second thread can interrupt it (the resource budgets of
+  :mod:`repro.budget` are sampled by the loops that enforce them).  The
+  watchdog never touches simulator state itself; it interrupts the main
+  thread, which then snapshots the stalled state single-threadedly and
+  raises :class:`SimulationStalled`.
 
 The checkpoint *document* layout is owned by the engine; components
 contribute via their ``state_dict()``/``load_state()`` methods (see
@@ -369,30 +372,31 @@ class CheckpointWriter:
 
 
 # ----------------------------------------------------------------------
-# Heartbeat daemons (stall watchdog, budget monitor)
+# Stall watchdog
 # ----------------------------------------------------------------------
-class HeartbeatDaemon:
-    """Shared plumbing for daemon threads fed the engine's heartbeat.
+class StallWatchdog:
+    """Flags a simulation whose heartbeat value stops advancing.
 
-    The main loop calls :meth:`beat` with its progress value (the access
-    counter) every round — one attribute store, thread-safe under the
-    GIL; a daemon thread wakes every ``poll_seconds`` and hands the
-    latest value to the subclass's :meth:`_poll` hook.  Subclasses never
-    touch simulator structures, so they cannot race them: the
-    :class:`StallWatchdog` and the :class:`~repro.budget.BudgetMonitor`
-    both observe from the side and let the main thread act.
-
-    ``_poll`` returning ``True`` ends the thread (a terminal trip).
+    The only side thread in the package.  The engine calls :meth:`beat`
+    with its access counter every round (one attribute store,
+    thread-safe under the GIL); the daemon thread polls every
+    ``min(1.0, timeout_seconds / 4)`` seconds, and if the value has not
+    changed for ``timeout_seconds`` it sets :attr:`tripped` and
+    interrupts the main thread (a ``KeyboardInterrupt`` at the next
+    bytecode boundary).  It never touches simulator state, so it cannot
+    race it: the *engine* — on its own, now-consistent thread —
+    distinguishes a watchdog trip from a user Ctrl-C via
+    :attr:`tripped`, snapshots the state, and raises
+    :class:`SimulationStalled`.
     """
 
-    thread_name = "repro-heartbeat"
-
-    def __init__(self, poll_seconds: float):
-        if poll_seconds <= 0:
+    def __init__(self, timeout_seconds: float):
+        if timeout_seconds <= 0:
             raise ValueError(
-                f"poll interval must be positive, got {poll_seconds}"
+                f"watchdog timeout must be positive, got {timeout_seconds}"
             )
-        self._poll_seconds = poll_seconds
+        self.timeout_seconds = timeout_seconds
+        self.tripped = False
         self._value: object = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -403,10 +407,10 @@ class HeartbeatDaemon:
 
     def start(self) -> None:
         if self._thread is not None:
-            raise RuntimeError(f"{type(self).__name__} already started")
+            raise RuntimeError("StallWatchdog already started")
         self._stop.clear()
         self._thread = threading.Thread(
-            target=self._run, name=self.thread_name, daemon=True
+            target=self._run, name="repro-stall-watchdog", daemon=True
         )
         self._thread.start()
 
@@ -416,7 +420,7 @@ class HeartbeatDaemon:
             self._thread.join()
             self._thread = None
 
-    def __enter__(self) -> "HeartbeatDaemon":
+    def __enter__(self) -> "StallWatchdog":
         self.start()
         return self
 
@@ -424,51 +428,13 @@ class HeartbeatDaemon:
         self.stop()
 
     def _run(self) -> None:
-        while not self._stop.wait(self._poll_seconds):
-            if self._poll(self._value, time.monotonic()):
+        last_value: object = None
+        last_advance: Optional[float] = None
+        while not self._stop.wait(min(1.0, self.timeout_seconds / 4)):
+            value, now = self._value, time.monotonic()
+            if last_advance is None or value != last_value:
+                last_value, last_advance = value, now
+            elif now - last_advance >= self.timeout_seconds:
+                self.tripped = True
+                _thread.interrupt_main()
                 return
-
-    def _poll(self, value: object, now: float) -> bool:
-        """One observation; return ``True`` to end the thread."""
-        raise NotImplementedError
-
-
-class StallWatchdog(HeartbeatDaemon):
-    """Flags a simulation whose heartbeat value stops advancing.
-
-    The engine calls :meth:`beat` with its access counter every round;
-    the daemon thread polls, and if the value has not changed for
-    ``timeout_seconds`` it sets :attr:`tripped` and interrupts the main
-    thread (a ``KeyboardInterrupt`` at the next bytecode boundary).  The
-    *engine* — on its own, now-consistent thread — distinguishes a
-    watchdog trip from a user Ctrl-C via :attr:`tripped`, snapshots the
-    state, and raises :class:`SimulationStalled`.
-    """
-
-    thread_name = "repro-stall-watchdog"
-
-    def __init__(
-        self, timeout_seconds: float, poll_seconds: Optional[float] = None
-    ):
-        if timeout_seconds <= 0:
-            raise ValueError(
-                f"watchdog timeout must be positive, got {timeout_seconds}"
-            )
-        super().__init__(
-            poll_seconds if poll_seconds else min(1.0, timeout_seconds / 4)
-        )
-        self.timeout_seconds = timeout_seconds
-        self.tripped = False
-        self._last_value: object = None
-        self._last_advance: Optional[float] = None
-
-    def _poll(self, value: object, now: float) -> bool:
-        if self._last_advance is None or value != self._last_value:
-            self._last_value = value
-            self._last_advance = now
-            return False
-        if now - self._last_advance >= self.timeout_seconds:
-            self.tripped = True
-            _thread.interrupt_main()
-            return True
-        return False

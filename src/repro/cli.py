@@ -640,7 +640,6 @@ def _command_report(args: argparse.Namespace) -> int:
         return 2
     store = ResultStore(args.store) if args.store else None
     monitor = None
-    monitor_armed = False
     if (
         args.deadline is not None
         or args.max_rss is not None
@@ -662,8 +661,6 @@ def _command_report(args: argparse.Namespace) -> int:
         # Arm before the pool forks so workers inherit the quota guard
         # (their copy is passive; this monitor stays the authority).
         budget_mod.arm(monitor)
-        monitor_armed = True
-        monitor.start()
     try:
         document = report_module.build_report(
             progress=lambda s: print(s, file=sys.stderr),
@@ -683,13 +680,8 @@ def _command_report(args: argparse.Namespace) -> int:
         print(f"\n{message}", file=sys.stderr)
         return 130
     finally:
-        if monitor is not None:
-            monitor.stop()
-            if monitor_armed:
-                from repro import budget as budget_mod
-
-                if budget_mod.ACTIVE is monitor:
-                    budget_mod.disarm()
+        if monitor is not None and budget_mod.ACTIVE is monitor:
+            budget_mod.disarm()
     text = document.text
     if args.out:
         with open(args.out, "w") as handle:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.stack_distance import ProfilerPair
-from repro.mem.cache import Cache, LineKind
+from repro.mem.cache import Cache
 from repro.telemetry.events import EVENT_PARTITION
 
 if TYPE_CHECKING:

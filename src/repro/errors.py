@@ -11,7 +11,8 @@ so that
   logged with full tracebacks instead of being silently swallowed;
 * a fault injected by :mod:`repro.faults` surfaces through exactly the
   same classes — and therefore exit codes — a real failure would, which
-  is what makes chaos campaigns assertable.
+  is what makes chaos campaigns assertable (``pool.worker.error`` raises
+  a plain :class:`SimulationError`).
 
 Exit-code table (see ``docs/chaos.md``):
 
@@ -27,7 +28,6 @@ code   meaning
 4      ``repro chaos`` end-state assertion failed
 5      ``repro doctor`` found problems it did not (or could
        not) fix
-6      an injected fault surfaced uncaught (plan left armed)
 7      a resource budget was exceeded (deadline, RSS ceiling,
        disk quota) or the disk filled up; state was
        checkpointed and the run is resumable
@@ -41,32 +41,15 @@ pre-taxonomy callers that catch those continue to work unchanged.
 
 from __future__ import annotations
 
-from typing import Dict
-
-#: The stable exit codes, by name.  ``repro chaos`` and the CI
-#: ``chaos-smoke`` job fail on any exit code not in this table.
+#: The stable exit codes, by name (tabulated in ``docs/chaos.md``).
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_SIMULATION = 3
 EXIT_CHAOS = 4
 EXIT_DOCTOR = 5
-EXIT_INJECTED = 6
 EXIT_BUDGET = 7
 EXIT_INTERRUPT = 130
-
-#: code -> short description, for docs and ``repro chaos`` reporting.
-EXIT_CODES: Dict[int, str] = {
-    EXIT_OK: "success",
-    EXIT_FAILURE: "generic or gate failure",
-    EXIT_USAGE: "usage, configuration or input-data error",
-    EXIT_SIMULATION: "simulation integrity error",
-    EXIT_CHAOS: "chaos end-state assertion failed",
-    EXIT_DOCTOR: "doctor found unresolved problems",
-    EXIT_INJECTED: "injected fault surfaced uncaught",
-    EXIT_BUDGET: "resource budget exceeded (resumable)",
-    EXIT_INTERRUPT: "interrupted",
-}
 
 
 class ReproError(Exception):
@@ -125,20 +108,6 @@ class DoctorError(ReproError):
 
     exit_code = EXIT_DOCTOR
     category = "doctor"
-
-
-class InjectedFaultError(ReproError):
-    """An error deliberately raised by an armed fault point.
-
-    Fault points that simulate host failures produce the *real* artifact
-    (a hard exit, a flipped byte on disk) so recovery paths are exercised
-    honestly; this class is for ``pool.worker.error``, whose contract is
-    "a deterministic simulation failure" that the campaign must classify
-    without retrying it.
-    """
-
-    exit_code = EXIT_INJECTED
-    category = "injected"
 
 
 class BudgetExceededError(ReproError):

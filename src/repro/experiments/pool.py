@@ -43,8 +43,8 @@ from repro.budget import BudgetMonitor
 from repro.errors import (
     BudgetExceededError,
     DiskFullError,
-    InjectedFaultError,
     ReproError,
+    SimulationError,
 )
 from repro.experiments import runner
 from repro.experiments.store import ResultStore, signature_key
@@ -164,7 +164,9 @@ def _worker_entry(
             if injector.fire("pool.worker.crash", **context):
                 os._exit(17)
             if injector.fire("pool.worker.error", **context):
-                raise InjectedFaultError(
+                # The class a real simulation failure raises, so the
+                # pool's no-retry path is what the fault exercises.
+                raise SimulationError(
                     f"injected deterministic failure in "
                     f"{signature.get('mix_name')}/{signature.get('scheme')}"
                 )
@@ -228,30 +230,6 @@ def _label(signature: Signature) -> str:
     return f"{signature.get('mix_name')}/{signature.get('scheme')}"
 
 
-def _responsive_sleep(
-    seconds: float,
-    latch: Optional["_SigintLatch"] = None,
-    monitor: Optional[BudgetMonitor] = None,
-    slice_seconds: float = 0.05,
-) -> None:
-    """Sleep up to ``seconds``, waking early on SIGINT or a hard breach.
-
-    Backoff waits used to be opaque to the interrupt latch and the
-    budget deadline; slicing them keeps a budgeted campaign from
-    oversleeping its hard stop by a full backoff interval.
-    """
-    wake_at = time.monotonic() + seconds
-    while True:
-        if latch is not None and latch.interrupted:
-            return
-        if monitor is not None and monitor.hard_breach is not None:
-            return
-        remaining = wake_at - time.monotonic()
-        if remaining <= 0:
-            return
-        time.sleep(min(slice_seconds, remaining))
-
-
 class _SigintLatch:
     """Counts SIGINTs; second one aborts immediately via KeyboardInterrupt."""
 
@@ -309,7 +287,8 @@ def run_campaign(
     timed-out worker resumes from the newest snapshot instead of
     restarting, and a completed point's snapshots are deleted.
 
-    ``monitor`` (a started :class:`~repro.budget.BudgetMonitor`) puts the
+    ``monitor`` (a :class:`~repro.budget.BudgetMonitor`, sampled before
+    each inline point and on every parallel-loop iteration) puts the
     campaign under resource budgets: a breach stops launching, drains
     in-flight points exactly like a SIGINT, poisons the never-launched
     points (so exhibits render PARTIAL instead of silently
@@ -443,10 +422,8 @@ def _run_inline(
     for attempt in todo:
         if latch.interrupted:
             break
-        if monitor is not None:
-            monitor.beat(done)
-            if monitor.sample() is not None:
-                break
+        if monitor is not None and monitor.sample(done) is not None:
+            break
         attempt.attempts += 1
         try:
             runner.run_point(**runner.point_from_signature(attempt.signature))
@@ -588,12 +565,9 @@ def _run_parallel(
 
     try:
         while queue or running:
-            if monitor is not None:
-                monitor.beat(
-                    summary.reused + summary.loaded + summary.simulated
-                )
-                monitor.sample()
-            hard = monitor is not None and monitor.hard_breach is not None
+            hard = monitor is not None and monitor.sample(
+                summary.reused + summary.loaded + summary.simulated
+            ) is not None
             draining = latch.interrupted or hard
             if hard and not drained_note and running:
                 note(
@@ -635,7 +609,7 @@ def _run_parallel(
                             task.attempt, f"timed out after {timeout:.1f}s"
                         )
             if not finished:
-                _responsive_sleep(0.02, latch, monitor)
+                time.sleep(0.02)
     finally:
         for task in running:  # second Ctrl-C / unexpected error: hard stop
             task.process.terminate()

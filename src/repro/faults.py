@@ -47,7 +47,7 @@ FAULT_POINTS: Dict[str, str] = {
         "— an OOM-kill stand-in; the pool must retry"
     ),
     "pool.worker.error": (
-        "raise InjectedFaultError inside the worker — a deterministic "
+        "raise SimulationError inside the worker — a deterministic "
         "simulation failure; the pool must fail the point, not retry"
     ),
 }

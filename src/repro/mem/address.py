@@ -33,11 +33,6 @@ PTE_BYTES = 8
 ENTRIES_PER_NODE = 512
 
 
-def line_address(address: int) -> int:
-    """Return the cache-line-aligned address containing ``address``."""
-    return address & ~(CACHE_LINE_BYTES - 1)
-
-
 def line_number(address: int) -> int:
     """Return the cache line index (address divided by the line size)."""
     return address >> CACHE_LINE_BITS

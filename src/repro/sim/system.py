@@ -31,7 +31,6 @@ from repro.mem.address import (
     CACHE_LINE_BYTES,
     PAGE_4K_BITS,
     PAGE_2M_BITS,
-    line_address,
 )
 from repro.mem.cache import Cache, LineKind
 from repro.mem.dram import DDR4_2133, DIE_STACKED, DramChannel
@@ -63,7 +62,8 @@ from repro.vm.walker import PageWalker, VirtualMachine
 #: any walk has completed.
 _DEFAULT_WALK_CYCLES = 500.0
 
-#: Inlined ``line_address`` mask for the per-access datapath.
+#: Clears the offset within a 64-byte line: ``address & _LINE_MASK`` is
+#: the line-aligned address the caches are indexed by.
 _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 
 #: The demand-data charging context (``data.l2``/``data.l3``/``data.dram``).
@@ -330,7 +330,7 @@ class System:
     ) -> int:
         """A reference entering the core's L2 data cache (Figure 6 path).
 
-        This is the hottest System method: ``line_address`` and the
+        This is the hottest System method: line alignment and the
         controllers' set/tag math are inlined (no tuple-returning
         ``index_of``), and ``kind`` is used as a plain int (``LineKind``
         is an ``IntEnum``; ``TLB`` is truthy).

@@ -25,7 +25,9 @@ from typing import Hashable, Optional
 from repro.mem.address import Asid, PAGE_4K_BITS, RADIX_LEVELS, RADIX_LEVEL_BITS
 
 #: VA shift that yields the PSC tag prefix for a walk resuming at level
-#: 1 (PDE), 2 (PDP) and 3 (PML4) — ``_prefix`` precomputed.
+#: L = 1 (PDE), 2 (PDP) and 3 (PML4): the VA bits from the index at level
+#: L + 1 up.  A hit tagged with this prefix lets the walk resume at level
+#: L, whether the table has 4 or 5 levels.
 _SHIFT_PDE = PAGE_4K_BITS + RADIX_LEVEL_BITS
 _SHIFT_PDP = PAGE_4K_BITS + 2 * RADIX_LEVEL_BITS
 _SHIFT_PML4 = PAGE_4K_BITS + 3 * RADIX_LEVEL_BITS
@@ -124,16 +126,6 @@ class PagingStructureCache:
             (2, self._pdp, _SHIFT_PDP),
             (3, self._pml4, _SHIFT_PML4),
         )
-
-    def _prefix(self, virtual_address: int, resume_level: int) -> int:
-        """VA bits above (and including) the index at ``resume_level + 1``.
-
-        A hit tagged with this prefix lets the walk resume at
-        ``resume_level`` — the PDE cache uses ``resume_level=1``, PDP 2,
-        PML4 3, regardless of whether the table has 4 or 5 levels.
-        """
-        shift = PAGE_4K_BITS + resume_level * RADIX_LEVEL_BITS
-        return virtual_address >> shift
 
     def probe(self, asid: Asid, virtual_address: int) -> Optional[PscHit]:
         """Return the deepest partial-translation hit, if any."""

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.mem.address import (
-    CACHE_LINE_BYTES,
     PAGE_4K_BITS,
     Asid,
     KERNEL_ASID,
-    line_address,
     line_number,
     radix_index,
 )
@@ -17,23 +15,10 @@ addresses = st.integers(min_value=0, max_value=(1 << 48) - 1)
 
 
 class TestLineMath:
-    def test_line_address_aligns_down(self):
-        assert line_address(0) == 0
-        assert line_address(63) == 0
-        assert line_address(64) == 64
-        assert line_address(130) == 128
-
     def test_line_number(self):
         assert line_number(0) == 0
         assert line_number(64) == 1
         assert line_number(64 * 10 + 3) == 10
-
-    @given(addresses)
-    def test_line_address_idempotent(self, address):
-        aligned = line_address(address)
-        assert aligned % CACHE_LINE_BYTES == 0
-        assert line_address(aligned) == aligned
-        assert aligned <= address < aligned + CACHE_LINE_BYTES
 
 
 class TestRadixIndex:

@@ -2,6 +2,7 @@
 
 import errno
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from repro.errors import (
     DiskFullError,
 )
 from repro.experiments import runner
-from repro.experiments.pool import _responsive_sleep, run_campaign
+from repro.experiments.pool import run_campaign
 from repro.experiments.store import ResultStore
 from repro.sim.config import small_config
 from repro.sim.engine import run_simulation
@@ -172,7 +173,7 @@ class TestMonitor:
         import json
 
         monitor = breached_monitor()
-        monitor.beat(1234)
+        monitor.sample(1234)
         document = json.loads(json.dumps(monitor.to_dict()))
         assert document["hard_breach"]["dimension"] == "deadline"
         assert document["heartbeat"] == 1234
@@ -386,6 +387,47 @@ class TestEngineEnforcement:
             == 3600
         assert result.extra["host_budget"]["hard_breach"] is None
 
+    def test_rss_breach_snapshots_and_stops(self, tmp_path):
+        with pytest.raises(BudgetExceededError) as exc_info:
+            self._run(
+                checkpoint_every=10_000, checkpoint_dir=tmp_path,
+                budget=Budget(max_rss_bytes=1),
+            )
+        error = exc_info.value
+        assert error.dimension == "rss"
+        assert "rss:" in str(error)
+        document, header = read_checkpoint(error.snapshot_path)
+        assert header.get("budget_breach") is True
+        # The loop's first budget sample, 1,024 accesses in.
+        assert header["executed"] == document["engine"]["executed"] == 1_024
+
+    @pytest.mark.parametrize("watchdog_timeout,threads_added", [
+        (None, 0), (300, 1),
+    ])
+    def test_only_the_watchdog_starts_a_thread(
+        self, tmp_path, watchdog_timeout, threads_added
+    ):
+        # Every budget dimension armed, checkpoints written: the loop
+        # samples the budget itself, and only the stall watchdog runs
+        # beside it.
+        before = threading.active_count()
+        counts = []
+        self._run(
+            checkpoint_every=10_000, checkpoint_dir=tmp_path,
+            budget=Budget(
+                deadline_seconds=3600, max_rss_bytes=1 << 40,
+                disk_quota_bytes=1 << 30,
+            ),
+            watchdog_timeout=watchdog_timeout,
+            progress=lambda update: counts.append(threading.active_count()),
+            progress_every=3_000,
+        )
+        # The last report comes after the loop has stopped the watchdog.
+        *in_loop, last = counts
+        assert len(in_loop) >= 9
+        assert set(in_loop) == {before + threads_added}
+        assert last == before
+
     def test_unbudgeted_run_has_no_monitor_state(self):
         result = self._run()
         assert "host_budget" not in result.extra
@@ -416,7 +458,7 @@ class TestEngineEnforcement:
 
 
 # ----------------------------------------------------------------------
-# Pool: drain, skip accounting, responsive sleeps
+# Pool: drain, skip accounting
 # ----------------------------------------------------------------------
 class TestPoolEnforcement:
     def grid(self):
@@ -502,17 +544,6 @@ class TestPoolEnforcement:
         runner.clear_cache()
         summary = run_campaign(self.grid(), jobs=2, store=store, resume=True)
         assert summary.ok and len(store) == 2
-
-    def test_responsive_sleep_returns_on_breach(self):
-        monitor = breached_monitor()
-        started = time.monotonic()
-        _responsive_sleep(5.0, monitor=monitor)
-        assert time.monotonic() - started < 1.0
-
-    def test_responsive_sleep_sleeps_unbudgeted(self):
-        started = time.monotonic()
-        _responsive_sleep(0.08)
-        assert time.monotonic() - started >= 0.08
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.characterize import (
-    WorkloadProfile,
     _median,
     _reuse_distances,
     characterize,

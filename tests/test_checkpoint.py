@@ -277,7 +277,7 @@ class TestSnapshotViews:
 # ----------------------------------------------------------------------
 class TestStallWatchdog:
     def test_trips_when_heartbeat_stops(self):
-        watchdog = StallWatchdog(0.15, poll_seconds=0.03)
+        watchdog = StallWatchdog(0.15)
         watchdog.beat(0)
         deadline = time.monotonic() + 5.0
         interrupted = False
@@ -291,7 +291,7 @@ class TestStallWatchdog:
         assert watchdog.tripped
 
     def test_does_not_trip_while_advancing(self):
-        watchdog = StallWatchdog(0.3, poll_seconds=0.03)
+        watchdog = StallWatchdog(0.3)
         with watchdog:
             for tick in range(10):
                 watchdog.beat(tick)

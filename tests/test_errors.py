@@ -2,23 +2,25 @@
 
 import pytest
 
+from repro import errors
 from repro.analysis.diff import DiffError
 from repro.checkpoint import CheckpointError, SimulationStalled
 from repro.errors import (
+    EXIT_BUDGET,
     EXIT_CHAOS,
     EXIT_DOCTOR,
     EXIT_FAILURE,
-    EXIT_INJECTED,
     EXIT_INTERRUPT,
     EXIT_OK,
     EXIT_SIMULATION,
     EXIT_USAGE,
     CampaignError,
     ChaosError,
+    BudgetExceededError,
     ConfigError,
     DataError,
+    DiskFullError,
     DoctorError,
-    InjectedFaultError,
     ReproError,
     SimulationError,
     exit_code_for,
@@ -32,7 +34,7 @@ class TestHierarchy:
     def test_every_family_is_repro_error(self):
         for family in (ConfigError, DataError, SimulationError,
                        CampaignError, ChaosError, DoctorError,
-                       InjectedFaultError):
+                       BudgetExceededError):
             assert issubclass(family, ReproError)
 
     def test_legacy_value_error_bases(self):
@@ -62,8 +64,16 @@ class TestExitCodes:
         assert CampaignError.exit_code == EXIT_FAILURE == 1
         assert ChaosError.exit_code == EXIT_CHAOS == 4
         assert DoctorError.exit_code == EXIT_DOCTOR == 5
-        assert InjectedFaultError.exit_code == EXIT_INJECTED == 6
+        assert BudgetExceededError.exit_code == EXIT_BUDGET == 7
+        assert DiskFullError.exit_code == EXIT_BUDGET
         assert EXIT_OK == 0
+
+    def test_taxonomy_is_exactly_the_documented_codes(self):
+        codes = {
+            value for name, value in vars(errors).items()
+            if name.startswith("EXIT_")
+        }
+        assert codes == {0, 1, 2, 3, 4, 5, 7, 130}
 
     def test_subclasses_inherit_their_family_code(self):
         assert exit_code_for(CheckpointError("x")) == EXIT_SIMULATION

@@ -275,7 +275,8 @@ class TestPoolFaultPoints:
             )
         assert not summary.ok
         assert summary.failures[0].attempts == 1  # deterministic: no retry
-        assert "InjectedFaultError" in summary.failures[0].error
+        # The class a real simulation failure raises (exit code 3).
+        assert summary.failures[0].error.startswith("SimulationError: ")
 
     def test_worker_hang_killed_by_timeout(self, tmp_path, monkeypatch):
         # Hang once: the timeout kills the first worker, the retry

@@ -5,8 +5,6 @@ POM-TLB eliminates page walks, context switching raises TLB miss rates,
 CSALT partitions react to traffic, and ASIDs isolate address spaces.
 """
 
-import pytest
-
 from repro.core.schemes import Scheme
 from repro.mem.address import Asid
 from repro.sim.config import small_config

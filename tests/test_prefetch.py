@@ -1,7 +1,5 @@
 """Unit tests for the sequential TLB prefetcher extension."""
 
-import pytest
-
 from repro.core.schemes import Scheme
 from repro.mem.address import Asid
 from repro.sim.config import small_config

@@ -1,4 +1,4 @@
-"""``src/`` holds no code that only tests call.
+"""``src/`` holds no code that only tests call, and no unused import.
 
 Every function, method and class that ``src/repro`` defines must be
 named somewhere besides its own definition in the code that ships or
@@ -10,6 +10,11 @@ The scan is textual, so a method sharing its name with another
 definition (``reset_stats`` on several classes, say) counts at least
 twice and slips through; the check trades those misses for needing no
 allowlist.
+
+Every name a ``src/repro`` module imports must be used in that module,
+as a name or inside a string annotation (``"PomTlb"``); docstrings and
+comments do not count.  ``__init__.py`` re-exports and ``__future__``
+imports are exempt.
 """
 
 import ast
@@ -61,4 +66,55 @@ def test_every_source_definition_is_named_outside_tests():
         "defined in src/ but named nowhere in src/, perf/, examples/ or "
         "benchmarks/*.py except at the definition (only tests call it; "
         "delete it, or move it into the tests):\n  " + "\n  ".join(test_only)
+    )
+
+
+def _imported_names(tree):
+    """``(name, line)`` of every binding an import statement makes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        if annotation is not None:
+            yield annotation
+
+
+def _used_names(tree):
+    """Every ``Name`` in ``tree``, string annotations parsed."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def test_every_source_import_is_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used_names(tree)
+        unused.extend(
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in _imported_names(tree)
+            if name not in used
+        )
+    assert not unused, (
+        "imported in src/ but never used in the importing module (delete "
+        "the import):\n  " + "\n  ".join(unused)
     )

@@ -1,6 +1,6 @@
 """Cheap property tests on pure data structures (no full-system runs)."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.mem.address import Asid, PAGE_2M_BITS, PAGE_4K_BITS
 from repro.mem.cache import DipDueler

@@ -12,6 +12,7 @@ from repro.sim.config import small_config
 from repro.sim.engine import build_contexts, run_simulation
 from repro.sim.scheduler import ContextScheduler
 from repro.sim.system import System
+from repro.tlb.tlb import TlbEntry
 from repro.validate import (
     InvariantChecker,
     InvariantViolation,
@@ -19,6 +20,7 @@ from repro.validate import (
     check_mmu_caches,
     check_monotone,
     check_pom_tlb,
+    check_translation_coherence,
     counter_snapshot,
 )
 from repro.workloads.mixes import make_mix
@@ -187,6 +189,52 @@ class TestInjectedCorruption:
         assert found[0].context["cache"] == label
         swept = InvariantChecker(system, scheduler).sweep()
         assert [v.invariant for v in swept] == ["mmu-cache-capacity"]
+
+    # The TLBs and the POM-TLB share one frozen ``TlbEntry`` per
+    # translation: each case below replaces an entry in one structure and
+    # never mutates the shared object.
+    def test_tlb_frame_mismatch_caught(self):
+        _, system, scheduler = exercised("lru")
+        tlb = system.cores[0].l2_tlb
+        tlb_set = next(tlb_set for tlb_set in tlb._sets if tlb_set)
+        key, entry = next(iter(tlb_set.items()))
+        tlb_set[key] = TlbEntry(entry.frame_base + 1, entry.page_bits)
+        found = list(check_translation_coherence(system))
+        assert [v.invariant for v in found] == ["translation-frame"]
+        assert found[0].component == f"tlb:{tlb.name}"
+        assert found[0].context["vpn"] == key[1]
+        swept = InvariantChecker(system, scheduler).sweep()
+        assert [v.invariant for v in swept] == ["translation-frame"]
+
+    def test_tlb_entry_for_unmapped_page_caught(self):
+        _, system, scheduler = exercised("lru")
+        tlb = system.cores[0].l2_tlb
+        tlb_set = next(tlb_set for tlb_set in tlb._sets if tlb_set)
+        (asid, vpn, page_bits), entry = tlb_set.popitem(last=False)
+        # 2**20 pages up stays inside the 48-bit reach of a 4-level
+        # table, for both page sizes; further up, ``PageTable.lookup``
+        # drops the high bits and aliases back onto a mapped page.
+        moved = vpn + (1 << 20)
+        table = system.vms[asid.vm_id]._guest_tables[asid.process_id]
+        assert table.lookup(moved << page_bits) is None
+        tlb._sets[moved % tlb.num_sets][(asid, moved, page_bits)] = entry
+        found = list(check_translation_coherence(system))
+        assert [v.invariant for v in found] == ["translation-unbacked"]
+        assert found[0].context["vpn"] == moved
+        swept = InvariantChecker(system, scheduler).sweep()
+        assert [v.invariant for v in swept] == ["translation-unbacked"]
+
+    def test_pom_frame_mismatch_caught(self):
+        _, system, scheduler = exercised("lru")
+        # The lowest set is inside the sweep's bounded prefix.
+        pom_set = system.pom._contents[min(system.pom._contents)]
+        key, entry = next(iter(pom_set.items()))
+        pom_set[key] = TlbEntry(entry.frame_base + 1, entry.page_bits)
+        found = list(check_translation_coherence(system))
+        assert [v.invariant for v in found] == ["translation-frame"]
+        assert found[0].component == "tlb:pom"
+        swept = InvariantChecker(system, scheduler).sweep()
+        assert [v.invariant for v in swept] == ["translation-frame"]
 
     def test_sweep_collects_multiple(self):
         _, system, scheduler = exercised("lru")
