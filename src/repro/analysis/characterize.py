@@ -37,20 +37,6 @@ class WorkloadProfile:
         """Touched bytes at 4 KB-page granularity."""
         return self.distinct_pages_4k << PAGE_4K_BITS
 
-    def summary(self) -> str:
-        lines = [
-            f"workload          : {self.name}",
-            f"accesses sampled  : {self.accesses}",
-            f"write fraction    : {self.write_fraction:.2f}",
-            f"distinct lines    : {self.distinct_lines}",
-            f"distinct 4K pages : {self.distinct_pages_4k} "
-            f"({self.footprint_bytes / (1 << 20):.1f} MB touched)",
-            f"huge-page share   : {self.huge_page_fraction:.2f}",
-            f"median line reuse : {self.line_reuse_median:.0f} accesses",
-            f"median page reuse : {self.page_reuse_median:.0f} accesses",
-        ]
-        return "\n".join(lines)
-
 
 def _median(values) -> float:
     ordered = sorted(values)

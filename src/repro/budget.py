@@ -42,7 +42,6 @@ from __future__ import annotations
 import os
 import re
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -442,18 +441,6 @@ def disarm() -> Optional[BudgetMonitor]:
     return previous
 
 
-@contextmanager
-def armed(monitor: BudgetMonitor):
-    """``with budget.armed(monitor): ...`` — scoped arming for tests."""
-    global ACTIVE
-    previous = ACTIVE
-    arm(monitor)
-    try:
-        yield monitor
-    finally:
-        ACTIVE = previous
-
-
 __all__ = [
     "ACTIVE",
     "Budget",
@@ -461,7 +448,6 @@ __all__ = [
     "BudgetStatus",
     "DIMENSIONS",
     "arm",
-    "armed",
     "directory_bytes",
     "disarm",
     "is_disk_full_error",

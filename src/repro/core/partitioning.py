@@ -137,9 +137,10 @@ class PartitionController:
         self.epoch_accesses = epoch_accesses
         self.weight_provider = weight_provider
         self.estimate_positions = estimate_positions
-        self.profilers = ProfilerPair.for_ways(cache.ways, sample_shift)
-        #: Inline shadow-mode sampling test for :meth:`observe` (matches
-        #: ``StackDistanceProfiler.is_sampled`` on both profilers).
+        self.profilers = ProfilerPair.for_ways(cache.ways)
+        #: Shadow-mode set sampling: :meth:`observe` feeds a profiler
+        #: only the sets whose index has none of these bits set, every
+        #: ``2**sample_shift``-th set.
         self._sample_mask = (1 << sample_shift) - 1
         #: A set index with any of these bits set is one :meth:`observe`
         #: would only count: the caller may skip the call and advance

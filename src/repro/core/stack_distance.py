@@ -11,7 +11,8 @@ Two operating modes, matching the paper:
 
 * **shadow mode** (default) — a per-set auxiliary tag directory with full
   associativity K and true-LRU ordering gives exact stack distances even
-  when the main cache runs NRU/pseudo-LRU.  Set sampling (every
+  when the main cache runs NRU/pseudo-LRU.  Set sampling (the owning
+  :class:`~repro.core.partitioning.PartitionController` feeds only every
   ``2**sample_shift``-th set) keeps the hardware (and simulation) cost
   negligible, as in UCP.
 * **estimate mode** (Section 3.4) — no shadow tags; the counters are
@@ -29,32 +30,24 @@ from typing import Dict, List, Optional
 class StackDistanceProfiler:
     """One stream's MSA LRU stack with set-sampled shadow tags."""
 
-    def __init__(self, ways: int, sample_shift: int = 4):
+    def __init__(self, ways: int):
         if ways < 1:
             raise ValueError("profiler needs at least one way")
         self.ways = ways
-        self.sample_shift = sample_shift
         self.counters: List[int] = [0] * (ways + 1)
         self._shadow: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
     # Shadow mode
     # ------------------------------------------------------------------
-    def is_sampled(self, set_index: int) -> bool:
-        return (set_index & ((1 << self.sample_shift) - 1)) == 0
-
-    def record(self, set_index: int, tag: int) -> None:
-        """Observe an access in shadow mode (ignored for unsampled sets)."""
-        if not self.is_sampled(set_index):
-            return
-        self.record_sampled(set_index, tag)
-
     def record_sampled(self, set_index: int, tag: int) -> None:
-        """Shadow-mode update for a set the *caller* already knows is
-        sampled.  The hot path (``PartitionController.observe``) tests
-        the sample mask inline and only pays this call for the 1-in-
-        ``2**sample_shift`` sets that pass, instead of calling in to an
-        immediate early return for the rest."""
+        """Shadow-mode update for an access to a sampled set.
+
+        The caller (``PartitionController.observe``) owns the sample
+        mask and calls this only for the 1-in-``2**sample_shift`` sets
+        that pass it.  The tag's position in the set's LRU stack counts
+        a hit at that distance (a miss when absent); the tag then moves
+        to MRU, and the stack keeps at most ``ways`` tags."""
         stack = self._shadow.get(set_index)
         if stack is None:
             stack = []
@@ -87,21 +80,9 @@ class StackDistanceProfiler:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def total_accesses(self) -> int:
-        return sum(self.counters)
-
-    @property
-    def misses(self) -> int:
-        return self.counters[self.ways]
-
     def decay(self, shift: int = 1) -> None:
         """Age counters at an epoch boundary (halving, as in UCP)."""
         self.counters = [count >> shift for count in self.counters]
-
-    def reset(self) -> None:
-        self.counters = [0] * (self.ways + 1)
-        self._shadow.clear()
 
     def state_dict(self) -> dict:
         """A view, valid until the next observation: the live counters
@@ -129,10 +110,9 @@ class ProfilerPair:
     tlb: StackDistanceProfiler
 
     @classmethod
-    def for_ways(cls, ways: int, sample_shift: int = 4) -> "ProfilerPair":
+    def for_ways(cls, ways: int) -> "ProfilerPair":
         return cls(
-            data=StackDistanceProfiler(ways, sample_shift),
-            tlb=StackDistanceProfiler(ways, sample_shift),
+            data=StackDistanceProfiler(ways), tlb=StackDistanceProfiler(ways)
         )
 
     def decay(self, shift: int = 1) -> None:

@@ -7,9 +7,10 @@ crash-safe run depends on actually work *on this machine and this data*:
   current schema version, embeds a signature whose digest matches its
   filename, and round-trips through
   :meth:`~repro.sim.stats.SimulationResult.from_dict`;
-* **orphaned temp files** — ``.tmp-*`` files a killed store writer left
-  behind, and ``*.tmp`` files from interrupted checkpoint writes
-  (including per-point ``<store>/checkpoints/**`` directories);
+* **orphaned temp files** — ``*.tmp`` files that killed store and
+  checkpoint writers left behind, anywhere under the store (per-point
+  snapshots live in ``<store>/checkpoints/**``) or a checkpoint
+  directory;
 * **checkpoint round-trip** — a probe document is written and read back
   through the real :func:`~repro.checkpoint.write_checkpoint` /
   :func:`~repro.checkpoint.read_checkpoint` pair, and every existing
@@ -41,11 +42,11 @@ from repro.experiments.store import SCHEMA_VERSION, signature_key
 from repro.sim.config import small_config
 from repro.sim.stats import SimulationResult
 
-#: Glob for temp files the store's atomic writer creates.
-_STORE_TMP_GLOB = ".tmp-*"
-
-#: Glob for temp files the checkpoint writer creates.
-_CHECKPOINT_TMP_GLOB = "*.tmp"
+#: Glob for temp files the store and checkpoint writers create
+#: (``<target>.<random>.tmp``).  An old-style store temp
+#: (``.tmp-<random>.json``) matches the entry glob instead, and the
+#: integrity check reports (and ``fix`` deletes) it as a bad entry.
+_TMP_GLOB = "*.tmp"
 
 #: Glob for checkpoint snapshots (regular and stall post-mortems).
 _SNAPSHOT_GLOB = "*.ckpt"
@@ -187,16 +188,16 @@ def check_orphaned_temp_files(
 ) -> CheckResult:
     """Find (and with ``fix`` delete) temp files interrupted writers left."""
     check = CheckResult("orphaned temp files")
-    orphans: List[Path] = []
-    if store_dir is not None and store_dir.is_dir():
-        orphans.extend(sorted(store_dir.glob(_STORE_TMP_GLOB)))
-        # Per-point worker snapshots live under <store>/checkpoints/.
-        nested = store_dir / "checkpoints"
-        if nested.is_dir():
-            orphans.extend(sorted(nested.rglob(_CHECKPOINT_TMP_GLOB)))
-    for directory in checkpoint_dirs:
-        if directory.is_dir():
-            orphans.extend(sorted(directory.rglob(_CHECKPOINT_TMP_GLOB)))
+    directories = list(checkpoint_dirs)
+    if store_dir is not None:
+        directories.append(store_dir)
+    # A set: a checkpoint directory inside the store is scanned twice.
+    orphans = sorted({
+        path
+        for directory in directories
+        if directory.is_dir()
+        for path in directory.rglob(_TMP_GLOB)
+    })
     if not orphans:
         check.notes.append("no orphaned temp files")
         return check

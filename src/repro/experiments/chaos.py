@@ -39,7 +39,6 @@ from repro.experiments import report as report_module
 from repro.experiments import runner
 from repro.experiments.pool import run_campaign
 from repro.experiments.store import ResultStore
-from repro.telemetry import EVENT_FAULT, EventTracer, Telemetry
 
 Progress = Callable[[str], None]
 
@@ -244,8 +243,7 @@ def run_chaos(
         )
 
     # Phase 2: armed round + recovery rounds ---------------------------
-    telemetry = Telemetry(tracer=EventTracer())
-    chaos_store = ResultStore(chaos_root, telemetry=telemetry)
+    chaos_store = ResultStore(chaos_root)
     converged = False
     for number in range(1, max(1, rounds) + 1):
         armed_round = number == 1
@@ -257,9 +255,7 @@ def run_chaos(
         injector = None
         if armed_round:
             note(f"round {number}: ARMED under plan {plan.name!r}")
-            injector = faults.arm(
-                plan, telemetry=telemetry, log_path=str(log_path)
-            )
+            injector = faults.arm(plan, log_path=str(log_path))
         else:
             note(f"round {number}: recovery (fault-free, resume)")
         try:
@@ -303,14 +299,6 @@ def run_chaos(
             f"did not converge within {rounds} round(s)"
         )
         report.problems.extend(_store_problems(baseline_root, chaos_root))
-    if report.parent_injected:
-        # Parent-side injections must be visible in telemetry too.
-        traced = telemetry.tracer.counts_by_name().get(EVENT_FAULT, 0)
-        if traced != report.parent_injected:
-            report.problems.append(
-                "traced fault events disagree with parent-side injections "
-                f"({traced} vs {report.parent_injected})"
-            )
     if converged and selected is not None:
         baseline_text = _render_text(selected, baseline_store, jobs, note)
         chaos_text = _render_text(selected, chaos_store, jobs, note)

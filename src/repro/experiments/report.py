@@ -89,10 +89,6 @@ class ReportDocument:
             name for name, status in self.statuses.items() if status != "ok"
         ]
 
-    @property
-    def complete(self) -> bool:
-        return not self.partial_exhibits
-
 
 def enumerate_points(
     experiments: Sequence[Tuple[str, Callable]]

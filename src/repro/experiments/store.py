@@ -9,7 +9,10 @@ the :meth:`~repro.sim.stats.SimulationResult.to_dict` snapshot.
 Durability properties:
 
 * **atomic writes** — results land via temp file + ``os.replace``, so a
-  crash mid-write never leaves a truncated entry behind;
+  crash mid-write never leaves a truncated entry behind.  The temp file
+  is ``<entry>.json.<random>.tmp``, which the ``*.json`` entry glob never
+  matches, so an orphan a kill leaves is not counted as an entry (``repro
+  doctor`` sweeps it);
 * **deterministic payloads** — host-dependent fields (``host_seconds``
   and anything else ``host_``-prefixed) are stripped before persisting,
   so two runs of the same point store byte-identical files;
@@ -33,7 +36,6 @@ from typing import Dict, Iterator, Mapping, Optional
 
 from repro import faults
 from repro.sim.stats import SimulationResult
-from repro.telemetry.events import EVENT_STORE_SKIP
 
 #: On-disk schema version; bump on incompatible layout changes.
 SCHEMA_VERSION = 1
@@ -63,18 +65,11 @@ def strip_host_fields(result_dict: Dict[str, object]) -> Dict[str, object]:
 
 
 class ResultStore:
-    """Directory of ``<sha256>.json`` result files, one per run signature.
+    """Directory of ``<sha256>.json`` result files, one per run signature."""
 
-    ``telemetry`` (optional) makes corruption tolerance observable: every
-    skipped (unreadable/malformed) entry emits a ``store.skip`` trace
-    event, so a store quietly degrading to re-simulation shows up in the
-    trace instead of only in warnings.
-    """
-
-    def __init__(self, root: os.PathLike, telemetry=None) -> None:
+    def __init__(self, root: os.PathLike) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
     def path_for(self, signature: Mapping[str, object]) -> Path:
@@ -128,8 +123,8 @@ class ResultStore:
             )
         try:
             handle = tempfile.NamedTemporaryFile(
-                mode="wb", dir=self.root, prefix=".tmp-", suffix=".json",
-                delete=False,
+                mode="wb", dir=self.root, prefix=path.name + ".",
+                suffix=".tmp", delete=False,
             )
             try:
                 with handle:
@@ -188,17 +183,12 @@ class ResultStore:
             return None
 
     def _skip(self, path: Path, reason: str, exc: Exception) -> None:
-        """Account one corruption-tolerant miss (warn + event)."""
+        """Warn about one corruption-tolerant miss."""
         warnings.warn(
             f"ignoring {reason} store entry {path.name}: {exc}",
             RuntimeWarning,
             stacklevel=3,
         )
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                EVENT_STORE_SKIP, 0.0, entry=path.name, reason=reason,
-                error=f"{type(exc).__name__}: {exc}",
-            )
 
     # ------------------------------------------------------------------
     def signatures(self) -> Iterator[Dict[str, object]]:

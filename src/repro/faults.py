@@ -20,22 +20,20 @@ Design rules:
 * **honest failures** — fault points produce the *real* artifact the
   failure would (a hard ``os._exit``, a flipped byte on disk), so the
   recovery path exercised is exactly the production one;
-* **accounted** — every injected fault is recorded in the injector, in
-  the telemetry event trace (when attached), and in a durable
-  append-only JSONL *fault log* that survives worker crashes (children
-  fork the armed injector and append to the same file).
+* **accounted** — every injected fault is recorded in the injector and
+  in a durable append-only JSONL *fault log* that survives worker
+  crashes (children fork the armed injector and append to the same
+  file).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
-from repro.telemetry.events import EVENT_FAULT
 
 #: Every fault point a plan may reference, with a one-line contract.
 FAULT_POINTS: Dict[str, str] = {
@@ -89,13 +87,6 @@ class FaultSpec:
                 f"{self.point}: when must be an object, got {self.when!r}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "point": self.point,
-            "max_triggers": self.max_triggers,
-            "when": dict(self.when),
-        }
-
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "FaultSpec":
         if not isinstance(record, dict):
@@ -120,12 +111,6 @@ class FaultPlan:
 
     faults: List[FaultSpec] = field(default_factory=list)
     name: str = "unnamed"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "faults": [spec.to_dict() for spec in self.faults],
-        }
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "FaultPlan":
@@ -164,22 +149,14 @@ class FaultPlan:
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` at every reached fault point.
 
-    ``telemetry`` (optional) receives one :data:`EVENT_FAULT` trace
-    event and a ``faults.<point>`` counter increment per injection.
     ``log_path`` (optional) appends one JSON line per injection —
     opened, written and closed per event so the record survives a
     worker that ``os._exit``\\ s immediately afterwards, and forked
     children append to the same file.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        telemetry=None,
-        log_path: Optional[str] = None,
-    ):
+    def __init__(self, plan: FaultPlan, log_path: Optional[str] = None):
         self.plan = plan
-        self.telemetry = telemetry
         self.log_path = str(log_path) if log_path is not None else None
         self.records: List[Dict[str, object]] = []
         self._triggers = [0] * len(plan.faults)  # per spec, in plan order
@@ -222,11 +199,6 @@ class FaultInjector:
             "context": _jsonable(context),
         }
         self.records.append(record)
-        if self.telemetry is not None and self.telemetry.tracer is not None:
-            self.telemetry.tracer.emit(
-                EVENT_FAULT, 0.0, point=point, trigger=trigger,
-                **_jsonable(context),
-            )
         if self.log_path is not None:
             try:
                 with open(self.log_path, "a") as handle:
@@ -263,11 +235,7 @@ def flip_byte(data: bytes) -> bytes:
 ACTIVE: Optional[FaultInjector] = None
 
 
-def arm(
-    plan: FaultPlan,
-    telemetry=None,
-    log_path: Optional[str] = None,
-) -> FaultInjector:
+def arm(plan: FaultPlan, log_path: Optional[str] = None) -> FaultInjector:
     """Arm ``plan`` process-wide and return the live injector.
 
     Forked worker processes (the campaign pool prefers the fork start
@@ -275,7 +243,7 @@ def arm(
     under the same plan.
     """
     global ACTIVE
-    ACTIVE = FaultInjector(plan, telemetry=telemetry, log_path=log_path)
+    ACTIVE = FaultInjector(plan, log_path=log_path)
     return ACTIVE
 
 
@@ -284,13 +252,3 @@ def disarm() -> Optional[FaultInjector]:
     global ACTIVE
     previous, ACTIVE = ACTIVE, None
     return previous
-
-
-@contextmanager
-def armed(plan: FaultPlan, telemetry=None, log_path: Optional[str] = None):
-    """``with faults.armed(plan): ...`` — scoped arming for tests."""
-    injector = arm(plan, telemetry=telemetry, log_path=log_path)
-    try:
-        yield injector
-    finally:
-        disarm()

@@ -29,13 +29,7 @@ PAGE_2M_BITS = 21
 RADIX_LEVEL_BITS = 9
 RADIX_LEVELS = 4
 MAX_RADIX_LEVELS = 5
-PTE_BYTES = 8
 ENTRIES_PER_NODE = 512
-
-
-def line_number(address: int) -> int:
-    """Return the cache line index (address divided by the line size)."""
-    return address >> CACHE_LINE_BITS
 
 
 def radix_index(virtual_address: int, level: int) -> int:
@@ -63,6 +57,3 @@ class Asid(NamedTuple):
 
     def __str__(self) -> str:
         return f"vm{self.vm_id}.p{self.process_id}"
-
-
-KERNEL_ASID = Asid(vm_id=-1, process_id=-1)

@@ -168,18 +168,6 @@ class Cache:
         )
 
     # ------------------------------------------------------------------
-    # Geometry helpers
-    # ------------------------------------------------------------------
-    def index_of(self, address: int):
-        """Return (set index, tag) for a byte address.
-
-        Kept for tests and cold paths; the datapath inlines this math to
-        avoid the tuple allocation.
-        """
-        line = address >> self._line_shift
-        return line & self._set_mask, line >> self._set_bits
-
-    # ------------------------------------------------------------------
     # Partition control (CSALT epoch boundary)
     # ------------------------------------------------------------------
     @property
@@ -309,11 +297,6 @@ class Cache:
             self._way_dirty[set_index * self.ways + way] = True
             return None
         return self.fill(address, kind, dirty=True)
-
-    def probe(self, address: int) -> bool:
-        """Side-effect-free presence check (no recency or stats update)."""
-        set_index, tag = self.index_of(address)
-        return tag in self._tag_to_way[set_index]
 
     # ------------------------------------------------------------------
     # Introspection (Figure 3 occupancy scan and friends)

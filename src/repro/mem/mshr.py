@@ -75,9 +75,6 @@ class MshrModel:
         self._miss_rate = miss_rate + self.decay * (0.0 - miss_rate)
         return 0.0
 
-    def reset(self) -> None:
-        self._miss_rate = 0.0
-
     def state_dict(self) -> dict:
         return {"miss_rate": self._miss_rate, "workload_mlp": self.workload_mlp}
 

@@ -35,15 +35,11 @@ class Context:
     consumed: int = 0
     _mapped: Set[int] = field(default_factory=set)
 
-    def page_bits(self, virtual_address: int) -> int:
-        """Page size policy: VAs below ``huge_va_limit`` use 2 MB pages."""
-        return 21 if virtual_address < self.huge_va_limit else PAGE_4K_BITS
-
     def ensure_mapped(self, virtual_address: int) -> None:
         """Demand-map the page on first touch (cheap set check afterwards).
 
-        Runs once per simulated access, so the ``page_bits`` policy is
-        inlined rather than called."""
+        Page size policy: VAs below ``huge_va_limit`` use 2 MB pages, all
+        others 4 KB pages.  The engine loop inlines this key math."""
         page_bits = 21 if virtual_address < self.huge_va_limit else PAGE_4K_BITS
         key = (virtual_address >> page_bits) << 1 | (page_bits == 21)
         if key in self._mapped:
@@ -104,10 +100,6 @@ class ContextScheduler:
                 )
         self._next_switch[core_id] = core_cycles + self.switch_interval_cycles
         return len(contexts) > 1
-
-    @property
-    def num_cores(self) -> int:
-        return len(self._contexts)
 
     def state_dict(self) -> dict:
         """Context contents are snapshotted by the engine (per context);

@@ -331,17 +331,17 @@ class System:
         """A reference entering the core's L2 data cache (Figure 6 path).
 
         This is the hottest System method: line alignment and the
-        controllers' set/tag math are inlined (no tuple-returning
-        ``index_of``), and ``kind`` is used as a plain int (``LineKind``
-        is an ``IntEnum``; ``TLB`` is truthy).
+        controllers' set/tag math are inlined (set index = line number &
+        set mask, tag = line number >> set bits), and ``kind`` is used as
+        a plain int (``LineKind`` is an ``IntEnum``; ``TLB`` is truthy).
         """
         line = address & _LINE_MASK
         l2 = core.l2
         acct = self.accounting
-        # ``charge_level`` inlined at each serving level: the context
-        # cannot change inside one reference, so its component names are
-        # read once, and a suppressed (``None``) context books nothing —
-        # exactly the method's semantics, minus three calls per miss.
+        # Contextual charge at each serving level: the latency goes to
+        # the component the context names for that level.  The context
+        # cannot change inside one reference, so its names are read
+        # once, and a suppressed (``None``) context books nothing.
         names = acct._names
         current = acct._current
         latency = l2.latency

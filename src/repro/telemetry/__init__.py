@@ -47,10 +47,8 @@ from repro.telemetry.accounting import (
 from repro.telemetry.events import (
     DEFAULT_TRACE_CAPACITY,
     EVENT_BUDGET_HARD,
-    EVENT_FAULT,
     EVENT_PARTITION,
     EVENT_POM_LOOKUP,
-    EVENT_STORE_SKIP,
     EVENT_SWITCH,
     EVENT_TLB_MISS,
     EVENT_WALK,
@@ -70,10 +68,8 @@ __all__ = [
     "CycleAccountant",
     "DEFAULT_TRACE_CAPACITY",
     "EVENT_BUDGET_HARD",
-    "EVENT_FAULT",
     "EVENT_PARTITION",
     "EVENT_POM_LOOKUP",
-    "EVENT_STORE_SKIP",
     "EVENT_SWITCH",
     "EVENT_TLB_MISS",
     "EVENT_WALK",

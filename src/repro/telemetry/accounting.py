@@ -134,16 +134,17 @@ class CycleAccountant:
       piece driven directly, outside ``System.access``) charges land in a
       scratch stack that is not part of the ledger — no core clock moves
       for them either;
-    * contextual — the shared memory datapath (``System._mem_from_l2``)
-      calls :meth:`charge_level` with the serving level's latency, and
-      whoever issued the reference has set a *context* first.  A context
-      is one tuple of component names, indexed by serving level
-      (:func:`context_names`): split by level (``pom.l3``) or the same
-      name for every level (``walk.l2``).  ``context(prefix, split)``
-      looks the tuple up; the hot paths that set a context inline keep
-      theirs prebuilt.  A ``None`` context suppresses the charge — that
-      is how off-critical-path traffic (TLB prefetch probes) stays out
-      of the ledger.
+    * contextual — the shared memory datapath (``System._mem_from_l2``,
+      and the walker's nested-TLB charge) books each serving level's
+      latency to the component the current *context* names for that
+      level, and whoever issued the reference has set the context first.
+      A context is one tuple of component names, indexed by serving
+      level (:func:`context_names`): split by level (``pom.l3``) or the
+      same name for every level (``walk.l2``).  ``context(prefix,
+      split)`` looks the tuple up; the hot paths that set a context
+      inline keep theirs prebuilt.  A ``None`` context suppresses the
+      charge — that is how off-critical-path traffic (TLB prefetch
+      probes) stays out of the ledger.
 
     ``charged`` is a running total of everything ever booked; callers
     bracket a composite operation with ``mark = acct.charged`` and charge
@@ -191,25 +192,6 @@ class CycleAccountant:
         # try/except beats dict.get on the hot path: after the first touch
         # of a component the key exists, so the common case is a plain
         # subscript with no method call at all.
-        current = self._current
-        try:
-            current[component] += cycles
-        except KeyError:
-            current[component] = cycles
-        self.charged += cycles
-
-    def charge_level(self, level: int, cycles: float) -> None:
-        """Contextual charge from the shared memory datapath.
-
-        ``level`` is the serving level (``LEVEL_L2``/``LEVEL_L3``/
-        ``LEVEL_DRAM``/``LEVEL_NTLB``), which picks the component from
-        the current context's names; a ``None`` context (none set, or
-        suppressed) books nothing.  The :meth:`charge` body is inlined.
-        """
-        names = self._names
-        if names is None:
-            return
-        component = names[level]
         current = self._current
         try:
             current[component] += cycles

@@ -20,7 +20,6 @@ Two export formats:
 from __future__ import annotations
 
 import json
-from collections import Counter as _Counter
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List
@@ -35,8 +34,6 @@ EVENT_CHECKPOINT = "checkpoint.write"
 EVENT_RESTORE = "checkpoint.restore"
 EVENT_INVARIANT_CHECK = "validate.check"
 EVENT_WATCHDOG_TRIP = "watchdog.trip"
-EVENT_FAULT = "fault.injected"
-EVENT_STORE_SKIP = "store.skip"
 EVENT_BUDGET_HARD = "budget.exceeded"
 
 #: Core id used for events not attributable to a single core.
@@ -119,9 +116,6 @@ class EventTracer:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    def counts_by_name(self) -> Dict[str, int]:
-        return dict(_Counter(event.name for event in self._events))
 
     def clear(self) -> None:
         """Drop all buffered events and reset the emission counter.

@@ -28,10 +28,6 @@ class PrefetchStats:
     suppressed: int = 0
     useful: int = 0
 
-    @property
-    def accuracy(self) -> float:
-        return self.useful / self.issued if self.issued else 0.0
-
 
 @dataclass
 class SequentialTlbPrefetcher:

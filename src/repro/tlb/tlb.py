@@ -23,10 +23,6 @@ class TlbEntry:
     frame_base: int
     page_bits: int
 
-    def physical_address(self, virtual_address: int) -> int:
-        offset = virtual_address & ((1 << self.page_bits) - 1)
-        return (self.frame_base << PAGE_4K_BITS) + offset
-
 
 @dataclass
 class TlbStats:
@@ -34,10 +30,6 @@ class TlbStats:
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
 
 
 class Tlb:
@@ -186,16 +178,6 @@ class L1TlbPair:
     def insert(self, asid: Asid, virtual_address: int, entry: TlbEntry) -> None:
         target = self.tlb_4k if entry.page_bits == PAGE_4K_BITS else self.tlb_2m
         target.insert(asid, virtual_address, entry)
-
-    @property
-    def hits(self) -> int:
-        return self.tlb_4k.stats.hits + self.tlb_2m.stats.hits
-
-    @property
-    def misses(self) -> int:
-        # A demand miss missed both structures; the 2 MB TLB sees exactly
-        # the stream that missed in the 4 KB TLB.
-        return self.tlb_2m.stats.misses
 
     def state_dict(self) -> dict:
         return {

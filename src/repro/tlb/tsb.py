@@ -31,10 +31,6 @@ class TsbStats:
     misses: int = 0
     insertions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.probes if self.probes else 0.0
-
 
 class Tsb:
     """One direct-mapped software TSB in a contiguous memory region.

@@ -423,7 +423,7 @@ def check_translation_coherence(
     every fill path must install exactly what the tables hold, and any
     disagreement is a hard violation.
     """
-    from repro.mem.address import PAGE_4K_BITS
+    from repro.mem.address import PAGE_4K_BITS, RADIX_LEVEL_BITS
 
     def expected_frame(asid, vpn: int, page_bits: int):
         vm = system.vms[asid.vm_id]
@@ -431,6 +431,14 @@ def check_translation_coherence(
         if table is None:
             return None, "no guest page table for this process"
         virtual_address = vpn << page_bits
+        # ``lookup`` ignores VA bits above the top radix level, so a page
+        # past the table's reach would alias onto a mapped one.
+        reach_bits = PAGE_4K_BITS + RADIX_LEVEL_BITS * table.levels
+        if virtual_address >> reach_bits:
+            return None, (
+                f"address is past the {table.levels}-level table's "
+                f"2**{reach_bits}-byte reach"
+            )
         guest = table.lookup(virtual_address)
         if guest is None:
             return None, "address not mapped in the guest table"

@@ -34,37 +34,23 @@ _SHIFT_PML4 = PAGE_4K_BITS + 3 * RADIX_LEVEL_BITS
 
 
 class SmallFullyAssocCache:
-    """Tiny fully-associative LRU cache used for PSC levels and nested TLB."""
+    """Tiny fully-associative LRU store for one PSC level or the nested TLB.
 
-    def __init__(self, entries: int, latency: int = 2):
+    Its owners run the lookup and the insert on ``_store`` themselves
+    (:meth:`PagingStructureCache.probe_level` and
+    :meth:`PagingStructureCache.install`, and
+    ``PageWalker.translate_guest_physical``): a hit moves its key to the
+    MRU end and counts in ``hits``, a miss counts in ``misses``, and an
+    insert past ``entries`` evicts the LRU (first) key.
+    """
+
+    def __init__(self, entries: int):
         if entries < 1:
             raise ValueError("cache needs at least one entry")
         self.entries = entries
-        self.latency = latency
         self._store: OrderedDict[Hashable, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    def get(self, key: Hashable) -> Optional[object]:
-        value = self._store.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._store.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key: Hashable, value: object) -> None:
-        if key in self._store:
-            self._store.move_to_end(key)
-        self._store[key] = value
-        if len(self._store) > self.entries:
-            self._store.popitem(last=False)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def state_dict(self) -> dict:
         # Insertion order of the OrderedDict *is* the LRU order.
@@ -96,14 +82,6 @@ class PscConfig:
     latency: int = 2
 
 
-@dataclass
-class PscHit:
-    """A successful PSC probe: resume the walk at ``start_level``."""
-
-    start_level: int
-    latency: int
-
-
 class PagingStructureCache:
     """The three-level PSC, probed longest-prefix-first.
 
@@ -117,9 +95,9 @@ class PagingStructureCache:
     ):
         self.config = config or PscConfig()
         self.levels = levels
-        self._pde = SmallFullyAssocCache(self.config.pde_entries, self.config.latency)
-        self._pdp = SmallFullyAssocCache(self.config.pdp_entries, self.config.latency)
-        self._pml4 = SmallFullyAssocCache(self.config.pml4_entries, self.config.latency)
+        self._pde = SmallFullyAssocCache(self.config.pde_entries)
+        self._pdp = SmallFullyAssocCache(self.config.pdp_entries)
+        self._pml4 = SmallFullyAssocCache(self.config.pml4_entries)
         #: (resume level, cache, tag shift) in ``install`` order.
         self._by_level = (
             (1, self._pde, _SHIFT_PDE),
@@ -127,17 +105,13 @@ class PagingStructureCache:
             (3, self._pml4, _SHIFT_PML4),
         )
 
-    def probe(self, asid: Asid, virtual_address: int) -> Optional[PscHit]:
-        """Return the deepest partial-translation hit, if any."""
-        level = self.probe_level(asid, virtual_address)
-        if level is None:
-            return None
-        return PscHit(start_level=level, latency=self.config.latency)
-
     def probe_level(self, asid: Asid, virtual_address: int) -> Optional[int]:
-        """Hot-path :meth:`probe`: the resume level (or ``None``) with no
-        ``PscHit`` allocation and the per-cache ``get`` inlined — same
-        longest-prefix order, LRU updates and hit/miss counts."""
+        """The level the walk resumes at after the deepest hit, or ``None``.
+
+        Probes longest prefix first (PDE, PDP, PML4): a hit promotes its
+        key to MRU and counts in that cache's ``hits``, and each cache
+        probed without a hit counts one ``miss``.  A hit costs
+        ``config.latency``, which the walker books itself."""
         cache = self._pde
         store = cache._store
         key = (asid, virtual_address >> _SHIFT_PDE)
@@ -170,8 +144,8 @@ class PagingStructureCache:
         ``deepest_level`` is the level of the last *interior* node read
         (1 means the walk reached a leaf PTE, so all three prefixes are
         cacheable; a 2 MB walk stops at level 2 so only PML4/PDP apply).
-        Each store is updated in place, exactly as
-        ``SmallFullyAssocCache.put`` would.
+        A present key moves to MRU; a new one is appended and evicts the
+        LRU key once the cache is over capacity.  Counters do not move.
         """
         for level, cache, shift in self._by_level:
             if deepest_level <= level:
@@ -182,13 +156,6 @@ class PagingStructureCache:
                 store[key] = True
                 if len(store) > cache.entries:
                     store.popitem(last=False)
-
-    @property
-    def hit_rate(self) -> float:
-        hits = self._pde.hits + self._pdp.hits + self._pml4.hits
-        misses = self._pde.misses  # every probe reaches the PDE cache first
-        total = self._pde.hits + self._pde.misses
-        return hits / total if total else 0.0
 
     def state_dict(self) -> dict:
         return {
@@ -205,24 +172,18 @@ class PagingStructureCache:
 
 @dataclass
 class NestedTlb:
-    """Guest-physical to host-physical translation cache used during walks."""
+    """Guest-physical to host-physical translation cache used during walks.
+
+    Keyed by ``(vm_id, guest_frame)``, valued by the host frame;
+    ``PageWalker.translate_guest_physical`` looks it up and fills it.
+    """
 
     entries: int = 64
     latency: int = 1
     _cache: SmallFullyAssocCache = field(init=False)
 
     def __post_init__(self) -> None:
-        self._cache = SmallFullyAssocCache(self.entries, self.latency)
-
-    def get(self, vm_id: int, guest_frame: int) -> Optional[int]:
-        return self._cache.get((vm_id, guest_frame))
-
-    def put(self, vm_id: int, guest_frame: int, host_frame: int) -> None:
-        self._cache.put((vm_id, guest_frame), host_frame)
-
-    @property
-    def hit_rate(self) -> float:
-        return self._cache.hit_rate
+        self._cache = SmallFullyAssocCache(self.entries)
 
     def state_dict(self) -> dict:
         return {"cache": self._cache.state_dict()}

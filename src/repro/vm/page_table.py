@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.mem.address import (
     MAX_RADIX_LEVELS,
     PAGE_2M_BITS,
-    PAGE_4K,
     PAGE_4K_BITS,
     RADIX_LEVELS,
     radix_index,
@@ -42,10 +41,6 @@ class PageTableNode:
     base_address: int
     children: Dict[int, "PageTableNode"]
     leaves: Dict[int, int]
-
-    def entry_address(self, index: int) -> int:
-        """Physical address of the 8-byte entry at ``index``."""
-        return self.base_address + index * 8
 
 
 @dataclass
@@ -243,11 +238,6 @@ class PageTable:
                 return addresses, None
             node = child
         return addresses, None
-
-    @property
-    def table_bytes(self) -> int:
-        """Memory consumed by page-table nodes."""
-        return self.nodes_allocated * PAGE_4K
 
     # ------------------------------------------------------------------
     # Checkpoint support

@@ -348,10 +348,12 @@ class PageWalker:
         """Translate gPA -> hPA via nested TLB or a host (EPT) walk.
 
         Used by the 2-D walk and by the TSB trap handler.  Returns
-        (latency, memory references, host physical address).
-        Both paths are inlined down to the nested TLB's backing store,
-        with the same LRU updates and hit/miss counts as
-        ``SmallFullyAssocCache.get`` and ``put``.
+        (latency, memory references, host physical address).  This is
+        the nested TLB's lookup and fill, run on its backing store: a
+        hit moves the ``(vm_id, guest frame)`` key to MRU and counts in
+        ``hits``; a miss counts in ``misses``, walks the host table and
+        appends the host frame, evicting the LRU key once the TLB is
+        over capacity.
         """
         guest_frame = guest_physical >> PAGE_4K_BITS
         acct = self.accountant
@@ -386,7 +388,7 @@ class PageWalker:
         host_physical = (translation.frame_base << PAGE_4K_BITS) + (
             guest_physical & ((1 << translation.page_bits) - 1)
         )
-        # A miss means the key is absent: ``put`` is an append plus the
+        # A miss means the key is absent: the fill is an append plus the
         # LRU eviction.
         store[key] = host_physical >> PAGE_4K_BITS
         if len(store) > cache.entries:

@@ -15,6 +15,7 @@ from repro.checkpoint import (
 from repro.core.schemes import Scheme
 from repro.experiments.store import strip_host_fields
 from repro.mem.address import Asid
+from repro.mem.cache import LineKind
 from repro.sim.config import small_config
 from repro.sim.engine import run_simulation
 from repro.sim.stats import SimulationResult
@@ -22,9 +23,6 @@ from repro.sim.system import System
 from repro.telemetry import CycleAccountant, Telemetry
 from repro.telemetry.accounting import (
     CYCLE_QUANTUM,
-    LEVEL_DRAM,
-    LEVEL_L2,
-    LEVEL_L3,
     CpiStack,
     component_sort_key,
     merge_components,
@@ -343,24 +341,36 @@ class TestCpiStack:
         assert components["base"] == 1300.0
 
 
+def memory_datapath():
+    """A fresh System's core 0 and ledger, charging (core 0, VM 0)."""
+    system = System(small_config(scheme=Scheme.CONVENTIONAL))
+    system.accounting.begin(0, 0)
+    return system, system.cores[0], system.accounting
+
+
 class TestAccountantMechanics:
     def test_context_suppression(self):
-        acct = CycleAccountant()
-        acct.begin(0, 0)
+        system, core, acct = memory_datapath()
         saved = acct.context(None)
-        acct.charge_level(LEVEL_L2, 12)
+        latency = system._mem_from_l2(core, 0x4000, LineKind.DATA, False)
         acct.restore(saved)
+        assert latency > 0
         assert acct.charged == 0.0
+        assert acct.component_totals() == {}
 
     def test_split_vs_flat_context(self):
-        acct = CycleAccountant()
-        acct.begin(0, 0)
+        system, core, acct = memory_datapath()
+        l2, l3 = core.l2.latency, system.l3.latency
+        # Cold lines: each reference misses L2 and L3 and reads DRAM.
         acct.context("pom", split=True)
-        acct.charge_level(LEVEL_L3, 30)
-        acct.context("walk.l2", split=False)
-        acct.charge_level(LEVEL_DRAM, 200)
-        totals = acct.component_totals()
-        assert totals == {"pom.l3": 30, "walk.l2": 200}
+        split = system._mem_from_l2(core, 0x4000, LineKind.TLB, False)
+        acct.context("walk.l2")
+        flat = system._mem_from_l2(core, 0x8000, LineKind.TLB, False)
+        assert acct.component_totals() == {
+            "pom.l2": l2, "pom.l3": l3, "pom.dram": split - l2 - l3,
+            "walk.l2": flat,
+        }
+        assert acct.charged == split + flat
 
     def test_context_names_built_once(self):
         acct = CycleAccountant()

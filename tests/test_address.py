@@ -6,19 +6,10 @@ from hypothesis import given, strategies as st
 from repro.mem.address import (
     PAGE_4K_BITS,
     Asid,
-    KERNEL_ASID,
-    line_number,
     radix_index,
 )
 
 addresses = st.integers(min_value=0, max_value=(1 << 48) - 1)
-
-
-class TestLineMath:
-    def test_line_number(self):
-        assert line_number(0) == 0
-        assert line_number(64) == 1
-        assert line_number(64 * 10 + 3) == 10
 
 
 class TestRadixIndex:
@@ -63,9 +54,6 @@ class TestAsid:
 
     def test_str(self):
         assert str(Asid(1, 2)) == "vm1.p2"
-
-    def test_kernel_asid_is_distinct(self):
-        assert KERNEL_ASID != Asid(0, 0)
 
     def test_tuple_behaviour(self):
         vm_id, process_id = Asid(7, 9)

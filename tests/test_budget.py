@@ -185,11 +185,13 @@ class TestMonitor:
         assert BudgetMonitor(Budget(max_rss_bytes=1)).deadline_remaining() \
             is None
 
-    def test_arm_disarm(self):
+    def test_arm_disarm(self, monkeypatch):
+        # monkeypatch puts ``ACTIVE`` back even if an assert fails.
+        monkeypatch.setattr(budget, "ACTIVE", None)
         monitor = BudgetMonitor(Budget(deadline_seconds=1.0))
-        assert budget.ACTIVE is None
-        with budget.armed(monitor):
-            assert budget.ACTIVE is monitor
+        assert budget.arm(monitor) is monitor
+        assert budget.ACTIVE is monitor
+        assert budget.disarm() is monitor
         assert budget.ACTIVE is None
 
 
@@ -236,44 +238,39 @@ class TestDiskLedger:
         monitor._rescan_disk()
         assert monitor.disk_used == 300
 
-    def test_store_save_prechecks_quota(self, tmp_path):
+    def test_store_save_prechecks_quota(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "store")
         result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
         monitor = BudgetMonitor(Budget(disk_quota_bytes=64))
         monitor.track_directory(store.root)
-        with budget.armed(monitor):
-            with pytest.raises(BudgetExceededError) as exc_info:
-                store.save(
-                    runner.point_signature("gups", Scheme.POM_TLB, **TINY),
-                    result,
-                )
-        assert exc_info.value.dimension == "disk"
-        assert len(store) == 0                    # nothing landed
-
-    def test_store_save_charges_ledger(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
-        monitor = BudgetMonitor(Budget(disk_quota_bytes=1 << 30))
-        monitor.track_directory(store.root)
-        with budget.armed(monitor):
+        monkeypatch.setattr(budget, "ACTIVE", monitor)
+        with pytest.raises(BudgetExceededError) as exc_info:
             store.save(
                 runner.point_signature("gups", Scheme.POM_TLB, **TINY),
                 result,
             )
+        assert exc_info.value.dimension == "disk"
+        assert len(store) == 0                    # nothing landed
+
+    def test_store_save_charges_ledger(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
+        monitor = BudgetMonitor(Budget(disk_quota_bytes=1 << 30))
+        monitor.track_directory(store.root)
+        monkeypatch.setattr(budget, "ACTIVE", monitor)
+        store.save(
+            runner.point_signature("gups", Scheme.POM_TLB, **TINY), result
+        )
         assert monitor.disk_used > 0
 
-    def test_checkpoint_prune_credits_ledger(self, tmp_path):
+    def test_checkpoint_prune_credits_ledger(self, tmp_path, monkeypatch):
         monitor = BudgetMonitor(Budget(disk_quota_bytes=1 << 30))
         monitor.track_directory(tmp_path)
-        with budget.armed(monitor):
-            writer = CheckpointWriter(tmp_path, keep=1)
-            writer.write(
-                1000, lambda: {"executed": 1000, "payload": "a" * 100}
-            )
-            after_first = monitor.disk_used
-            writer.write(
-                2000, lambda: {"executed": 2000, "payload": "b" * 100}
-            )
+        monkeypatch.setattr(budget, "ACTIVE", monitor)
+        writer = CheckpointWriter(tmp_path, keep=1)
+        writer.write(1000, lambda: {"executed": 1000, "payload": "a" * 100})
+        after_first = monitor.disk_used
+        writer.write(2000, lambda: {"executed": 2000, "payload": "b" * 100})
         # Keep=1 pruned the first snapshot: its bytes must be credited
         # back, leaving roughly one snapshot's worth on the ledger.
         assert monitor.disk_used < after_first * 1.5

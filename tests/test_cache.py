@@ -10,6 +10,15 @@ def small_cache(ways=4, sets=8, **kwargs):
     return Cache("test", 64 * ways * sets, ways, latency=10, **kwargs)
 
 
+def resident(cache, address):
+    """Whether ``address``'s line is in ``cache`` (no recency or stats
+    update)."""
+    line = address >> cache._line_shift
+    return (line >> cache._set_bits) in cache._tag_to_way[
+        line & cache._set_mask
+    ]
+
+
 class TestGeometry:
     def test_sets_and_ways(self):
         cache = Cache("l1", 32 * 1024, 8, 4)
@@ -24,11 +33,13 @@ class TestGeometry:
         with pytest.raises(ValueError, match="power of two"):
             Cache("bad", 64 * 4 * 3, 4, 1)
 
-    def test_index_of_roundtrip(self):
+    def test_fill_indexes_set_and_tag(self):
         cache = small_cache()
-        set_index, tag = cache.index_of(0x12340)
-        assert set_index == (0x12340 >> 6) % cache.num_sets
-        assert tag == (0x12340 >> 6) // cache.num_sets
+        cache.fill(0x12340, LineKind.DATA)
+        set_index = (0x12340 >> 6) % cache.num_sets
+        tag = (0x12340 >> 6) // cache.num_sets
+        assert list(cache._tag_to_way[set_index]) == [tag]
+        assert sum(map(len, cache._tag_to_way)) == 1
 
 
 class TestLookupFill:
@@ -60,12 +71,12 @@ class TestLookupFill:
         cache.fill(0x40, LineKind.DATA)
         # A dirty victim comes back as its exact (line address, kind).
         assert cache.fill(0x80, LineKind.DATA) == (0x12340, LineKind.TLB)
-        assert not cache.probe(0x12340)
+        assert not resident(cache, 0x12340)
         # A clean one needs no write-back: nothing comes back, and the
-        # line that left is seen with probe().
+        # line that left is gone from the tag map.
         assert cache.fill(0xC0, LineKind.DATA) is None
-        assert not cache.probe(0x40)
-        assert cache.probe(0x80) and cache.probe(0xC0)
+        assert not resident(cache, 0x40)
+        assert resident(cache, 0x80) and resident(cache, 0xC0)
 
     def test_dirty_eviction_flagged(self):
         cache = small_cache(ways=1, sets=1)
@@ -85,8 +96,8 @@ class TestLookupFill:
         cache.fill(0x40, LineKind.DATA)
         cache.lookup(0x0, LineKind.DATA)  # 0x40 becomes LRU
         assert cache.fill(0x80, LineKind.DATA) is None  # clean victim
-        assert not cache.probe(0x40)
-        assert cache.probe(0x0)
+        assert not resident(cache, 0x40)
+        assert resident(cache, 0x0)
 
 
 class TestWriteBack:
@@ -99,7 +110,7 @@ class TestWriteBack:
     def test_absent_line_installed_dirty(self):
         cache = small_cache()
         cache.write_back(0x1000, LineKind.DATA)
-        assert cache.probe(0x1000)
+        assert resident(cache, 0x1000)
 
     def test_no_demand_stats(self):
         cache = small_cache()
@@ -142,8 +153,8 @@ class TestPartition:
         cache.fill(0x40, LineKind.TLB)
         for i in range(2, 12):
             cache.fill(i * 64, LineKind.DATA)
-        assert cache.probe(0x0)
-        assert cache.probe(0x40)
+        assert resident(cache, 0x0)
+        assert resident(cache, 0x40)
 
     def test_lookup_finds_lines_across_partitions(self):
         """After a repartition, resident lines stay visible (Section 3.1)."""
@@ -159,8 +170,8 @@ class TestPartition:
         cache.set_partition(1)
         cache.fill(0x0, LineKind.DATA)
         assert cache.fill(0x40, LineKind.DATA) is None  # clean victim
-        assert not cache.probe(0x0)
-        assert cache.probe(0x40)
+        assert not resident(cache, 0x0)
+        assert resident(cache, 0x40)
 
     def test_full_partition_evicts_while_other_has_free_ways(self):
         cache = small_cache(ways=16, sets=1)
@@ -171,7 +182,7 @@ class TestPartition:
         # The translation ways are full and the data ways free: a ninth
         # translation line takes the LRU victim, way 8 (line 0).
         cache.fill(8 * 64, LineKind.TLB)
-        assert not cache.probe(0) and cache.probe(8 * 64)
+        assert not resident(cache, 0) and resident(cache, 8 * 64)
         assert cache._way_tag[8] == 8
         assert cache._way_tag[:8] == [-1] * 8
         assert cache._free_mask[0] == 0xFF
@@ -258,7 +269,7 @@ class TestCacheProperties:
             address = line * 64
             if not cache.lookup(address, kind, is_write):
                 cache.fill(address, kind, dirty=is_write)
-            assert cache.probe(address)
+            assert resident(cache, address)
 
     @given(line_ops, st.integers(min_value=1, max_value=3))
     @settings(max_examples=50)

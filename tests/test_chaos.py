@@ -8,7 +8,6 @@ from repro import faults
 from repro.cli import main
 from repro.core.schemes import Scheme
 from repro.errors import EXIT_USAGE, ChaosError, ConfigError
-from repro.experiments import chaos as chaos_module
 from repro.experiments import runner
 from repro.experiments.chaos import run_chaos
 
@@ -162,8 +161,8 @@ def canneal_corruption_plan():
 
 
 class TestParentInjectionCrossCheck:
-    """Parent-side injections must show up as traced ``fault.injected``
-    events; a miscount is a chaos problem."""
+    """A parent-side injection lands in the fault log and in
+    ``ChaosReport.parent_injected``, and the recovery rounds converge."""
 
     def test_traced_injection_passes(self, tmp_path):
         report = run_chaos(
@@ -172,21 +171,7 @@ class TestParentInjectionCrossCheck:
         )
         assert report.problems == []
         assert report.parent_injected == 1
-
-    def test_untraced_injection_is_a_problem(self, tmp_path, monkeypatch):
-        arm = chaos_module.faults.arm
-
-        def arm_without_telemetry(plan, telemetry=None, **kwargs):
-            return arm(plan, **kwargs)
-
-        monkeypatch.setattr(chaos_module.faults, "arm", arm_without_telemetry)
-        report = run_chaos(
-            canneal_corruption_plan(), points=tiny_points()[1:2], jobs=1,
-            rounds=3, out_dir=str(tmp_path / "out"),
-        )
-        assert not report.ok
-        assert report.parent_injected == 1
-        assert any("disagree" in problem for problem in report.problems)
+        assert report.injected == 1  # fault log lines
 
 
 class TestChaosCli:

@@ -44,12 +44,6 @@ class TestCharacterize:
         with pytest.raises(ValueError):
             characterize(Gups(1 << 22), accesses=0)
 
-    def test_summary_mentions_key_fields(self):
-        profile = characterize(Gups(1 << 22), accesses=1000)
-        text = profile.summary()
-        assert "write fraction" in text
-        assert "distinct 4K pages" in text
-
 
 class TestCompare:
     def test_empty(self):

@@ -80,8 +80,8 @@ class TestStoreIntegrity:
 
 class TestOrphanSweep:
     def test_store_and_checkpoint_orphans_found(self, tmp_path):
-        store, _ = populated_store(tmp_path)
-        (store.root / ".tmp-orphan.json").write_text("{}")
+        store, path = populated_store(tmp_path)
+        (store.root / f"{path.name}.orphan.tmp").write_text("{}")
         nested = store.root / "checkpoints" / "deadbeef"
         nested.mkdir(parents=True)
         (nested / "snap.ckpt.abc.tmp").write_bytes(b"partial")
@@ -89,8 +89,8 @@ class TestOrphanSweep:
         assert len(check.problems) == 2
 
     def test_fix_removes_orphans(self, tmp_path):
-        store, _ = populated_store(tmp_path)
-        orphan = store.root / ".tmp-orphan.json"
+        store, path = populated_store(tmp_path)
+        orphan = store.root / f"{path.name}.orphan.tmp"
         orphan.write_text("{}")
         check = check_orphaned_temp_files(store.root, [], fix=True)
         assert check.ok
@@ -148,7 +148,7 @@ class TestRunDoctor:
     def test_fix_then_healthy(self, tmp_path):
         store, path = populated_store(tmp_path)
         path.write_text("{ torn")
-        (store.root / ".tmp-junk.json").write_text("{}")
+        (store.root / f"{path.name}.junk.tmp").write_text("{}")
         assert run_doctor(store_dir=str(store.root), fix=True).ok
         assert run_doctor(store_dir=str(store.root)).ok
 
@@ -158,6 +158,22 @@ class TestDoctorCli:
         store, _ = populated_store(tmp_path)
         assert main(["doctor", "--store", str(store.root)]) == 0
         assert "healthy" in capsys.readouterr().out
+
+    def test_old_style_store_temp_is_a_bad_entry(self, tmp_path, capsys):
+        # Earlier builds named the store's temp files
+        # ``.tmp-<random>.json``, which the entry glob matches: the
+        # integrity check reports a leftover one and ``--fix`` deletes it.
+        store, _ = populated_store(tmp_path)
+        old = store.root / ".tmp-x.json"
+        old.write_text('{"schema_')  # torn, as a killed write leaves it
+        assert main(["doctor", "--store", str(store.root)]) == EXIT_DOCTOR
+        out = capsys.readouterr().out
+        assert "[PROBLEM] store integrity" in out
+        assert "problem: .tmp-x.json: unreadable" in out
+        assert "[     ok] orphaned temp files" in out
+        assert main(["doctor", "--store", str(store.root), "--fix"]) == 0
+        assert not old.exists()
+        assert len(store) == 1
 
     def test_problems_exit_doctor_code(self, tmp_path, capsys):
         store, path = populated_store(tmp_path)

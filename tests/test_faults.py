@@ -23,8 +23,6 @@ from repro.errors import ConfigError, DiskFullError
 from repro.experiments import runner
 from repro.experiments.pool import run_campaign
 from repro.experiments.store import ResultStore
-from repro.telemetry import EventTracer, Telemetry
-from repro.telemetry.events import EVENT_FAULT
 
 TINY = dict(total_accesses=1_500)
 
@@ -55,11 +53,6 @@ def failing_replace(code):
 
 # ----------------------------------------------------------------------
 class TestPlanParsing:
-    def test_round_trip(self):
-        plan = plan_for("store.save.corrupt_byte", when={"mix_name": "gups"})
-        clone = faults.FaultPlan.from_dict(plan.to_dict())
-        assert clone.to_dict() == plan.to_dict()
-
     def test_catalogue_is_the_three_kept_points(self):
         assert sorted(faults.FAULT_POINTS) == [
             "pool.worker.crash", "pool.worker.error",
@@ -123,11 +116,6 @@ class TestInjectorSemantics:
     def test_unarmed_is_inert(self):
         assert faults.ACTIVE is None
 
-    def test_armed_context_manager_restores(self):
-        with faults.armed(plan_for("pool.worker.crash")) as injector:
-            assert faults.ACTIVE is injector
-        assert faults.ACTIVE is None
-
     def test_max_triggers_bounds_firing(self):
         injector = faults.FaultInjector(
             plan_for("pool.worker.crash", max_triggers=2)
@@ -170,15 +158,9 @@ class TestInjectorSemantics:
         assert lines[1]["trigger"] == 2
         assert lines[0]["context"]["attempt"] == 1
 
-    def test_telemetry_event(self):
-        telemetry = Telemetry(tracer=EventTracer())
-        injector = faults.FaultInjector(
-            plan_for("pool.worker.crash"), telemetry=telemetry
-        )
+    def test_injection_is_recorded(self):
+        injector = faults.FaultInjector(plan_for("pool.worker.crash"))
         injector.fire("pool.worker.crash", attempt=1)
-        events = [e for e in telemetry.tracer if e.name == EVENT_FAULT]
-        assert len(events) == 1
-        assert events[0].args["point"] == "pool.worker.crash"
         assert injector.injected == 1
         assert injector.records[0]["point"] == "pool.worker.crash"
 
@@ -201,8 +183,9 @@ class TestStoreFaultPoints:
     def test_corrupt_byte_loads_as_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         signature, result = self._point()
-        with faults.armed(plan_for("store.save.corrupt_byte")):
-            store.save(signature, result)
+        faults.arm(plan_for("store.save.corrupt_byte"))
+        store.save(signature, result)
+        faults.disarm()
         with pytest.warns(RuntimeWarning):
             assert store.load(signature) is None
 
@@ -216,7 +199,7 @@ class TestStoreFaultPoints:
             store.save(signature, result)
         assert exc_info.value.errno == errno.EIO
         assert not isinstance(exc_info.value, DiskFullError)
-        assert not list(tmp_path.glob(".tmp-*"))
+        assert not list(tmp_path.glob("*.tmp"))
         assert len(store) == 0
 
     def test_load_io_error_degrades_to_miss(self, tmp_path):
@@ -259,20 +242,18 @@ class TestPoolFaultPoints:
     def test_worker_crash_retried_to_success(self, tmp_path):
         store = ResultStore(tmp_path)
         plan = plan_for("pool.worker.crash", when={"attempt": 1})
-        with faults.armed(plan):
-            summary = run_campaign(
-                self.grid(), jobs=2, store=store, retries=2,
-            )
+        faults.arm(plan)
+        summary = run_campaign(self.grid(), jobs=2, store=store, retries=2)
+        faults.disarm()
         assert summary.ok
         assert summary.simulated == 1
         assert len(store) == 1
 
     def test_worker_error_fails_point_without_retry(self, tmp_path):
         store = ResultStore(tmp_path)
-        with faults.armed(plan_for("pool.worker.error")):
-            summary = run_campaign(
-                self.grid(), jobs=2, store=store, retries=2,
-            )
+        faults.arm(plan_for("pool.worker.error"))
+        summary = run_campaign(self.grid(), jobs=2, store=store, retries=2)
+        faults.disarm()
         assert not summary.ok
         assert summary.failures[0].attempts == 1  # deterministic: no retry
         # The class a real simulation failure raises (exit code 3).

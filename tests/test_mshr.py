@@ -100,10 +100,3 @@ class TestStalls:
         for _ in range(1000):
             model.observe(0)
         assert model.observe(100) > 90
-
-    def test_reset(self):
-        model = MshrModel()
-        for _ in range(100):
-            model.observe(100)
-        model.reset()
-        assert model.mlp == pytest.approx(1.0)

@@ -70,7 +70,6 @@ class TestMapping:
         assert table.nodes_allocated == 4  # root + L3 + L2 + L1
         table.map_page(0x1000)  # same leaf node
         assert table.nodes_allocated == 4
-        assert table.table_bytes == 4 * PAGE_4K
 
     @given(st.lists(virtual_addresses, min_size=1, max_size=40))
     @settings(max_examples=40)

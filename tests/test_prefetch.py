@@ -45,7 +45,8 @@ class TestStreamDetector:
         for vpn in range(10):
             prefetcher.observe_miss(A, vpn)
         prefetcher.credit_hit()
-        assert 0 < prefetcher.stats.accuracy <= 1
+        # Accuracy is useful prefetches out of those issued.
+        assert prefetcher.stats.useful == 1 <= prefetcher.stats.issued
 
 
 class TestSystemIntegration:

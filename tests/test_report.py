@@ -74,7 +74,7 @@ class TestCampaignReport:
         document = report.build_report(
             experiments=self._subset("figure8"), store=store,
         )
-        assert document.complete
+        assert not document.partial_exhibits
         assert document.statuses == {"figure8": "ok"}
         assert document.campaign is not None
         assert document.campaign.simulated == 10
@@ -127,7 +127,7 @@ class TestCampaignReport:
         )
         assert resumed.campaign.loaded == 4
         assert resumed.campaign.simulated == 6
-        assert resumed.complete
+        assert not resumed.partial_exhibits
 
         # Uninterrupted control run, from scratch.
         runner.clear_cache()

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.mem.address import Asid, PAGE_4K_BITS
+from repro.mem.address import Asid, PAGE_2M_BITS, PAGE_4K_BITS
 from repro.sim.scheduler import Context, ContextScheduler
 from repro.vm.physical_memory import HostPhysicalMemory
 from repro.vm.walker import VirtualMachine
@@ -22,9 +22,11 @@ def make_context(vm_id=0, huge_limit=0, memory=None):
 class TestContext:
     def test_page_bits_boundary(self):
         context = make_context(huge_limit=1 << 21)
-        assert context.page_bits(0) == 21
-        assert context.page_bits((1 << 21) - 1) == 21
-        assert context.page_bits(1 << 21) == PAGE_4K_BITS
+        table = context.vm.guest_table(0)
+        context.ensure_mapped((1 << 21) - 1)
+        context.ensure_mapped(1 << 21)
+        assert table.lookup(0).page_bits == PAGE_2M_BITS
+        assert table.lookup(1 << 21).page_bits == PAGE_4K_BITS
 
     def test_ensure_mapped_idempotent(self):
         context = make_context()
@@ -95,7 +97,3 @@ class TestScheduler:
         assert not scheduler.maybe_switch(0, 10_000)
         assert scheduler.switches == 0
         assert scheduler.current(0) is per_core[0][0]
-
-    def test_num_cores(self):
-        scheduler, _ = make_scheduler(cores=3)
-        assert scheduler.num_cores == 3

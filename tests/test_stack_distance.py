@@ -2,7 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.partitioning import PartitionController
 from repro.core.stack_distance import ProfilerPair, StackDistanceProfiler
+from repro.mem.cache import Cache, LineKind
 
 
 def reference_stack_counts(tags, ways):
@@ -23,53 +25,59 @@ def reference_stack_counts(tags, ways):
 
 class TestShadowMode:
     def test_first_access_is_miss(self):
-        profiler = StackDistanceProfiler(4, sample_shift=0)
-        profiler.record(0, 42)
-        assert profiler.misses == 1
+        profiler = StackDistanceProfiler(4)
+        profiler.record_sampled(0, 42)
+        assert profiler.counters[-1] == 1
 
     def test_immediate_reuse_hits_mru(self):
-        profiler = StackDistanceProfiler(4, sample_shift=0)
-        profiler.record(0, 42)
-        profiler.record(0, 42)
+        profiler = StackDistanceProfiler(4)
+        profiler.record_sampled(0, 42)
+        profiler.record_sampled(0, 42)
         assert profiler.counters[0] == 1
 
     def test_distance_two(self):
-        profiler = StackDistanceProfiler(4, sample_shift=0)
+        profiler = StackDistanceProfiler(4)
         for tag in (1, 2, 1):
-            profiler.record(0, tag)
+            profiler.record_sampled(0, tag)
         assert profiler.counters[1] == 1
 
     def test_eviction_beyond_ways(self):
-        profiler = StackDistanceProfiler(2, sample_shift=0)
+        profiler = StackDistanceProfiler(2)
         for tag in (1, 2, 3, 1):
-            profiler.record(0, tag)
+            profiler.record_sampled(0, tag)
         # Tag 1 was pushed out by 2, 3 -> second access misses again.
-        assert profiler.misses == 4
+        assert profiler.counters[-1] == 4
 
     def test_unsampled_sets_ignored(self):
-        profiler = StackDistanceProfiler(4, sample_shift=2)
-        profiler.record(1, 42)
-        profiler.record(2, 42)
-        profiler.record(3, 42)
-        assert profiler.total_accesses == 0
-        profiler.record(4, 42)
-        assert profiler.total_accesses == 1
+        # The controller owns the sample mask: every 4th set feeds the
+        # shadow tags.
+        cache = Cache("l2", 64 * 4 * 16, 4, latency=10)
+        controller = PartitionController(
+            cache, epoch_accesses=1000, sample_shift=2
+        )
+        profiler = controller.profilers.data
+        for set_index in (1, 2, 3):
+            controller.observe(LineKind.DATA, set_index, 42, hit=False)
+        assert sum(profiler.counters) == 0
+        controller.observe(LineKind.DATA, 4, 42, hit=False)
+        assert sum(profiler.counters) == 1
+        assert controller.total_accesses == 4
 
     @given(st.lists(st.integers(min_value=0, max_value=9), max_size=100))
     @settings(max_examples=60)
     def test_matches_bruteforce_reference(self, tags):
-        profiler = StackDistanceProfiler(4, sample_shift=0)
+        profiler = StackDistanceProfiler(4)
         for tag in tags:
-            profiler.record(0, tag)
+            profiler.record_sampled(0, tag)
         assert profiler.counters == reference_stack_counts(tags, 4)
 
     @given(st.lists(st.integers(min_value=0, max_value=9), max_size=100))
     @settings(max_examples=30)
     def test_total_equals_access_count(self, tags):
-        profiler = StackDistanceProfiler(4, sample_shift=0)
+        profiler = StackDistanceProfiler(4)
         for tag in tags:
-            profiler.record(0, tag)
-        assert profiler.total_accesses == len(tags)
+            profiler.record_sampled(0, tag)
+        assert sum(profiler.counters) == len(tags)
 
 
 class TestEstimateMode:
@@ -92,14 +100,6 @@ class TestQueries:
         profiler.counters = [8, 4, 3]
         profiler.decay()
         assert profiler.counters == [4, 2, 1]
-
-    def test_reset(self):
-        profiler = StackDistanceProfiler(2, sample_shift=0)
-        profiler.record(0, 1)
-        profiler.reset()
-        assert profiler.counters == [0, 0, 0]
-        profiler.record(0, 1)
-        assert profiler.misses == 1
 
 
 class TestProfilerPair:

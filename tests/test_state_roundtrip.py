@@ -51,7 +51,7 @@ def drive(system, scheduler, accesses):
     """Run ``accesses`` more accesses, four per core per round."""
     executed = 0
     while executed < accesses:
-        for core_id in range(scheduler.num_cores):
+        for core_id in range(len(system.cores)):
             context = scheduler.current(core_id)
             for _ in range(4):
                 va, is_write = next(context.stream)
@@ -61,7 +61,7 @@ def drive(system, scheduler, accesses):
             scheduler.maybe_switch(
                 core_id, system.cores[core_id].stats.cycles
             )
-        executed += 4 * scheduler.num_cores
+        executed += 4 * len(system.cores)
 
 
 class TestSystemRoundtrip:
@@ -145,7 +145,7 @@ class TestComponentRoundtrip:
     def test_psc_roundtrip(self, touches):
         psc = PagingStructureCache(PscConfig())
         for asid, va in touches:
-            psc.probe(asid, va)
+            psc.probe_level(asid, va)
             psc.install(asid, va, 3)
         state = psc.state_dict()
         clone = PagingStructureCache(PscConfig())

@@ -3,10 +3,12 @@
 import errno
 import json
 import os
+import warnings
 
 import pytest
 
 from repro.core.schemes import Scheme
+from repro.doctor import run_doctor
 from repro.experiments import runner
 from repro.experiments.store import (
     ResultStore,
@@ -14,8 +16,6 @@ from repro.experiments.store import (
     strip_host_fields,
 )
 from repro.sim.stats import SimulationResult
-from repro.telemetry import EventTracer, Telemetry
-from repro.telemetry.events import EVENT_STORE_SKIP
 
 TINY = dict(total_accesses=1_500)
 
@@ -101,8 +101,33 @@ class TestRobustness:
         store = ResultStore(tmp_path)
         signature, result = tiny_point()
         store.save(signature, result)
-        assert not list(tmp_path.glob(".tmp-*"))
+        assert not list(tmp_path.glob("*.tmp"))
         assert len(store) == 1
+
+    def test_orphaned_temp_is_not_an_entry(self, tmp_path, monkeypatch):
+        # A save killed between its write and its ``os.replace`` leaves
+        # the temp file behind; a stubbed ``os.unlink`` keeps the sweep
+        # in ``save``'s finally clause from removing it.
+        store = ResultStore(tmp_path)
+        signature, result = tiny_point()
+
+        def failing_replace(*args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", failing_replace)
+            patch.setattr(os, "unlink", lambda path: None)
+            with pytest.raises(OSError):
+                store.save(signature, result)
+        (orphan,) = tmp_path.iterdir()
+        assert len(store) == 0
+        assert list(store.signatures()) == []
+        report = run_doctor(str(tmp_path))
+        checks = {check.name: check for check in report.checks}
+        assert checks["store integrity"].problems == []
+        assert checks["orphaned temp files"].problems == [
+            f"{orphan}: orphaned temp file (use --fix)"
+        ]
 
     def test_corrupt_entry_is_warned_miss(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -140,18 +165,14 @@ class TestRobustness:
 
 
 class TestCorruptionClasses:
-    """Every corruption class tolerated as a miss, and each skip counted
-    in telemetry (one ``store.skip`` event)."""
+    """Every corruption class tolerated as a miss, each skip counted by
+    one ``RuntimeWarning`` naming the entry."""
 
     def _store(self, tmp_path):
-        telemetry = Telemetry(tracer=EventTracer())
-        store = ResultStore(tmp_path, telemetry=telemetry)
+        store = ResultStore(tmp_path)
         signature, result = tiny_point()
         path = store.save(signature, result)
-        return store, signature, path, telemetry
-
-    def _skipped(self, telemetry):
-        return telemetry.tracer.counts_by_name().get(EVENT_STORE_SKIP, 0)
+        return store, signature, path
 
     def corrupt(self, path, how):
         if how == "truncated-json":
@@ -174,30 +195,26 @@ class TestCorruptionClasses:
                 "wrong-signature"]
     )
     def test_each_class_is_tolerated_and_counted(self, tmp_path, how):
-        store, signature, path, telemetry = self._store(tmp_path)
-        assert self._skipped(telemetry) == 0
+        store, signature, path = self._store(tmp_path)
         self.corrupt(path, how)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as record:
             assert store.load(signature) is None
-        assert self._skipped(telemetry) == 1
-        skip = next(e for e in telemetry.tracer if e.name == EVENT_STORE_SKIP)
-        assert skip.args["entry"] == path.name
+        assert len(record) == 1
+        assert path.name in str(record[0].message)
 
     def test_counter_increments_per_skip(self, tmp_path):
-        store, signature, path, telemetry = self._store(tmp_path)
+        store, signature, path = self._store(tmp_path)
         self.corrupt(path, "flipped-byte")
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as record:
             store.load(signature)
-        with pytest.warns(RuntimeWarning):
             store.load(signature)
-        assert self._skipped(telemetry) == 2
+        assert len(record) == 2
 
     def test_healthy_load_counts_nothing(self, tmp_path):
-        store, signature, _, telemetry = self._store(tmp_path)
-        assert store.load(signature) is not None
-        assert self._skipped(telemetry) == 0
-        assert not [e for e in telemetry.tracer
-                    if e.name == EVENT_STORE_SKIP]
+        store, signature, _ = self._store(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.load(signature) is not None
 
 
 class TestRunnerIntegration:
@@ -251,7 +268,7 @@ class TestRunnerIntegration:
             result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
         assert isinstance(result, SimulationResult)
         assert len(store) == 0
-        assert not list(tmp_path.glob(".tmp-*"))
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestFromDict:

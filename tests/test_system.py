@@ -86,7 +86,10 @@ class TestTranslationDatapath:
         core = system.cores[0]
         system.translate_beyond_l1(core, A, 0x5123)
         set_address = system.pom.set_address(A, 0x5123, PAGE_4K_BITS)
-        assert core.l2.probe(set_address)
+        line = set_address >> core.l2._line_shift
+        assert (line >> core.l2._set_bits) in core.l2._tag_to_way[
+            line & core.l2._set_mask
+        ]
         # Only translation traffic ran, so every resident line is a TLB line.
         assert core.l2.occupancy_by_kind()[LineKind.DATA] == 0
 

@@ -155,7 +155,7 @@ def run_traced(scheme=Scheme.CSALT_CD, accesses=12_000, **kwargs):
 class TestSimulationTelemetry:
     def test_events_emitted(self):
         telemetry, _ = run_traced()
-        counts = telemetry.tracer.counts_by_name()
+        counts = summarize_events(list(telemetry.tracer)).counts_by_name
         assert counts.get(EVENT_TLB_MISS, 0) > 0
         assert counts.get(EVENT_POM_LOOKUP, 0) > 0
         assert counts.get(EVENT_WALK, 0) > 0

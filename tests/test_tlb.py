@@ -70,9 +70,8 @@ class TestTlb:
         tlb.lookup(A, 0)
         assert tlb.stats.hits == 1
         assert tlb.stats.misses == 1
-        assert tlb.stats.accesses == 2
         tlb.reset_stats()
-        assert tlb.stats.accesses == 0
+        assert (tlb.stats.hits, tlb.stats.misses) == (0, 0)
 
 
 class TestL1TlbPair:
@@ -94,14 +93,21 @@ class TestL1TlbPair:
 
     def test_demand_misses_counted_once(self):
         pair = L1TlbPair()
-        pair.lookup(A, 0x1000)
-        assert pair.misses == 1
+        assert pair.lookup(A, 0x1000) is None
+        # A demand miss missed each structure once.
+        assert pair.tlb_4k.stats.misses == 1
+        assert pair.tlb_2m.stats.misses == 1
 
     def test_hits_aggregate(self):
         pair = L1TlbPair()
         pair.insert(A, 0x1000, entry_4k())
+        pair.insert(A, 0x40_0000, entry_2m(frame=1024))
         pair.lookup(A, 0x1000)
-        assert pair.hits == 1
+        pair.lookup(A, 0x40_0123)
+        # A 4 KB hit leaves the 2 MB side untouched; a 2 MB hit first
+        # missed the 4 KB side.
+        assert (pair.tlb_4k.stats.hits, pair.tlb_4k.stats.misses) == (1, 1)
+        assert (pair.tlb_2m.stats.hits, pair.tlb_2m.stats.misses) == (1, 0)
 
 
 class TestProbe:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.experiments import runner
-from repro.mem.address import Asid
+from repro.mem.address import PAGE_2M_BITS, Asid
 from repro.experiments.pool import run_campaign
 from repro.sim.config import small_config
 from repro.sim.engine import build_contexts, run_simulation
@@ -217,6 +217,29 @@ class TestInjectedCorruption:
         moved = vpn + (1 << 20)
         table = system.vms[asid.vm_id]._guest_tables[asid.process_id]
         assert table.lookup(moved << page_bits) is None
+        tlb._sets[moved % tlb.num_sets][(asid, moved, page_bits)] = entry
+        found = list(check_translation_coherence(system))
+        assert [v.invariant for v in found] == ["translation-unbacked"]
+        assert found[0].context["vpn"] == moved
+        swept = InvariantChecker(system, scheduler).sweep()
+        assert [v.invariant for v in swept] == ["translation-unbacked"]
+
+    def test_tlb_entry_past_table_reach_caught(self):
+        _, system, scheduler = exercised("lru")
+        tlb = system.cores[0].l2_tlb
+        tlb_set, key = next(
+            (tlb_set, key) for tlb_set in tlb._sets for key in tlb_set
+            if key[2] == PAGE_2M_BITS
+        )
+        asid, vpn, page_bits = key
+        entry = tlb_set.pop(key)
+        # 2**30 huge pages up is past 2**48, the 4-level table's reach:
+        # ``PageTable.lookup`` drops those bits and finds page ``vpn``.
+        moved = vpn + (1 << 30)
+        table = system.vms[asid.vm_id]._guest_tables[asid.process_id]
+        assert table.lookup(moved << page_bits) == table.lookup(
+            vpn << page_bits
+        )
         tlb._sets[moved % tlb.num_sets][(asid, moved, page_bits)] = entry
         found = list(check_translation_coherence(system))
         assert [v.invariant for v in found] == ["translation-unbacked"]

@@ -122,9 +122,17 @@ class TestVirtualizedWalk:
         vm, walker, _ = virtual_setup
         vm.ensure_mapped(0, 0x0, PAGE_2M_BITS)
         result = walker.walk_virtualized(ASID, vm, 0x12345)
-        assert result.translation.page_bits == PAGE_2M_BITS
-        physical = result.translation.physical_address(0x12345)
-        assert physical % 64 == 0x12345 % 64
+        translation = result.translation
+        assert translation.page_bits == PAGE_2M_BITS
+        # The entry covers the whole 2 MB page: its frame plus the 21-bit
+        # offset is where the guest and host tables send the address.
+        physical = (translation.frame_base << PAGE_4K_BITS) + (
+            0x12345 & ((1 << PAGE_2M_BITS) - 1)
+        )
+        guest = vm.guest_table(0).lookup(0x12345)
+        guest_physical = guest.physical_address(0x12345)
+        host = vm.host_table.lookup(guest_physical)
+        assert physical == host.physical_address(guest_physical)
 
     def test_nested_tlb_reduces_host_refs(self, virtual_setup):
         vm, walker, accessor = virtual_setup
