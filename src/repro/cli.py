@@ -18,9 +18,6 @@ Commands:
 * ``bench``  — time each datapath primitive in isolation and write
                ``BENCH_<timestamp>.json``;
 * ``report`` — regenerate paper exhibits (all, or a named subset);
-* ``chaos``  — run a campaign under a fault-injection plan and assert
-               the end state converges to the fault-free result
-               (see docs/chaos.md);
 * ``doctor`` — preflight self-check: store integrity, orphaned temp
                files, checkpoint round-trip, configuration (``--fix``
                cleans what it safely can);
@@ -37,7 +34,6 @@ import sys
 from time import perf_counter
 from typing import List, Optional
 
-from repro import faults
 from repro.core.schemes import Scheme
 from repro.errors import ReproError, exit_code_for
 from repro.mem.replacement import POLICY_BY_NAME
@@ -277,38 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "checkpoints): writes past it stop the "
                              "campaign resumably instead of filling the "
                              "partition")
-
-    chaos = commands.add_parser(
-        "chaos", help="run a campaign under a fault plan and assert the "
-                      "end state (docs/chaos.md)"
-    )
-    chaos.add_argument("--plan", required=True, metavar="PATH",
-                       help="FaultPlan JSON file (points, when filters, "
-                            "max_triggers)")
-    chaos.add_argument("--only", default=None,
-                       help="comma-separated exhibit names whose evaluation "
-                            "grids form the campaign (default: figure8)")
-    chaos.add_argument("--jobs", type=_positive_int, default=2, metavar="N",
-                       help="worker processes (a plan arming a "
-                            "pool.worker.* point, --timeout and --retries "
-                            "need 2 or more; default 2)")
-    chaos.add_argument("--rounds", type=_positive_int, default=3, metavar="N",
-                       help="max campaign rounds: 1 armed + N-1 fault-free "
-                            "recovery rounds (default 3)")
-    chaos.add_argument("--out", default="chaos-out", metavar="DIR",
-                       help="working directory: baseline-store/, "
-                            "chaos-store/, faults.jsonl")
-    chaos.add_argument("--timeout", type=_positive_float, default=None,
-                       metavar="SECONDS",
-                       help="per-point timeout (kills hung workers; "
-                            "needs --jobs 2 or more)")
-    chaos.add_argument("--retries", type=_non_negative_int, default=None,
-                       metavar="N",
-                       help="retry budget for transient point failures "
-                            "(needs --jobs 2 or more; default "
-                            f"{DEFAULT_RETRIES})")
-    chaos.add_argument("--json", action="store_true",
-                       help="print the chaos report as JSON")
 
     doctor = commands.add_parser(
         "doctor", help="preflight self-check (store, temp files, "
@@ -705,35 +669,6 @@ def _command_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import run_chaos
-
-    plan = faults.FaultPlan.from_file(args.plan)
-    exhibits = None
-    if args.only:
-        exhibits = [name.strip() for name in args.only.split(",")]
-    try:
-        chaos_report = run_chaos(
-            plan,
-            exhibits=exhibits,
-            jobs=args.jobs,
-            rounds=args.rounds,
-            out_dir=args.out,
-            timeout=args.timeout,
-            retries=args.retries,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-    except KeyboardInterrupt:
-        print("\nchaos campaign interrupted", file=sys.stderr)
-        return 130
-    if args.json:
-        print(json.dumps(chaos_report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(chaos_report.format())
-    chaos_report.raise_if_failed()  # ChaosError -> exit code 4
-    return 0
-
-
 def _command_doctor(args: argparse.Namespace) -> int:
     from repro.doctor import run_doctor
 
@@ -802,8 +737,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _command_bench(args)
     if args.command == "report":
         return _command_report(args)
-    if args.command == "chaos":
-        return _command_chaos(args)
     if args.command == "doctor":
         return _command_doctor(args)
     if args.command == "mixes":
@@ -819,7 +752,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _dispatch(args)
     except ReproError as exc:
         # The taxonomy's contract: each family maps to one stable exit
-        # code (docs/chaos.md), so drivers can assert on failure modes.
+        # code (docs/robustness.md), so drivers can assert on failure
+        # modes.
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
 

@@ -18,7 +18,8 @@ crash-safe run depends on actually work *on this machine and this data*:
 * **configuration** — the quarter-scale preset builds for every scheme.
 
 With ``fix=True`` the doctor deletes what it safely can: orphaned temp
-files and corrupt store entries (a deleted entry just re-simulates).
+files, corrupt store entries (a deleted entry just re-simulates) and
+stray ``*.json`` files whose name is not a signature digest.
 Anything else is reported for a human.  The CLI maps an unhealthy report
 to :data:`~repro.errors.EXIT_DOCTOR`.
 """
@@ -26,6 +27,7 @@ to :data:`~repro.errors.EXIT_DOCTOR`.
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,8 +47,12 @@ from repro.sim.stats import SimulationResult
 #: Glob for temp files the store and checkpoint writers create
 #: (``<target>.<random>.tmp``).  An old-style store temp
 #: (``.tmp-<random>.json``) matches the entry glob instead, and the
-#: integrity check reports (and ``fix`` deletes) it as a bad entry.
+#: integrity check reports (and ``fix`` deletes) it as a stray file.
 _TMP_GLOB = "*.tmp"
+
+#: A store entry's stem: the SHA-256 digest of its signature.  A bad
+#: ``*.json`` file named otherwise is stray: no point stands behind it.
+_DIGEST_STEM = re.compile(r"[0-9a-f]{64}")
 
 #: Glob for checkpoint snapshots (regular and stall post-mortems).
 _SNAPSHOT_GLOB = "*.ckpt"
@@ -143,10 +149,15 @@ def check_store_integrity(store_dir: Path, fix: bool = False) -> CheckResult:
         if fix:
             try:
                 path.unlink()
-                check.fixed.append(
-                    f"deleted corrupt entry {path.name} ({problem}); "
-                    "the point will re-simulate"
-                )
+                if _DIGEST_STEM.fullmatch(path.stem):
+                    check.fixed.append(
+                        f"deleted corrupt entry {path.name} ({problem}); "
+                        "the point will re-simulate"
+                    )
+                else:
+                    check.fixed.append(
+                        f"deleted stray file {path.name} ({problem})"
+                    )
                 continue
             except OSError as exc:
                 problem = f"{problem}; delete failed: {exc}"

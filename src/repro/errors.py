@@ -2,19 +2,13 @@
 
 Every failure the toolkit can report deliberately belongs to one family
 rooted at :class:`ReproError`, and every family maps to one *stable*
-process exit code — the contract CI jobs, campaign drivers and the
-``repro chaos`` end-state assertions test against.  The taxonomy exists
-so that
+process exit code — the contract CI jobs and campaign drivers test
+against.  The taxonomy exists so that blanket ``except Exception``
+handlers can be narrowed to "failures we understand"
+(:class:`ReproError`) while unexpected exception types are logged with
+full tracebacks instead of being silently swallowed.
 
-* blanket ``except Exception`` handlers can be narrowed to "failures we
-  understand" (:class:`ReproError`) while unexpected exception types are
-  logged with full tracebacks instead of being silently swallowed;
-* a fault injected by :mod:`repro.faults` surfaces through exactly the
-  same classes — and therefore exit codes — a real failure would, which
-  is what makes chaos campaigns assertable (``pool.worker.error`` raises
-  a plain :class:`SimulationError`).
-
-Exit-code table (see ``docs/chaos.md``):
+Exit-code table (see ``docs/robustness.md``):
 
 =====  =====================================================
 code   meaning
@@ -25,7 +19,6 @@ code   meaning
 2      usage, configuration or input-data error
 3      simulation integrity error (invariant violation, stall,
        checkpoint corruption)
-4      ``repro chaos`` end-state assertion failed
 5      ``repro doctor`` found problems it did not (or could
        not) fix
 7      a resource budget was exceeded (deadline, RSS ceiling,
@@ -34,6 +27,9 @@ code   meaning
 130    interrupted (SIGINT)
 =====  =====================================================
 
+Codes 4 and 6 are retired, not reused: 4 was a fault-injection
+campaign's failed assertion, 6 an injected fault that escaped.
+
 Subclasses raised elsewhere in the tree keep their historical bases
 (``RuntimeError`` / ``ValueError``) through multiple inheritance, so
 pre-taxonomy callers that catch those continue to work unchanged.
@@ -41,12 +37,11 @@ pre-taxonomy callers that catch those continue to work unchanged.
 
 from __future__ import annotations
 
-#: The stable exit codes, by name (tabulated in ``docs/chaos.md``).
+#: The stable exit codes, by name (tabulated in ``docs/robustness.md``).
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_SIMULATION = 3
-EXIT_CHAOS = 4
 EXIT_DOCTOR = 5
 EXIT_BUDGET = 7
 EXIT_INTERRUPT = 130
@@ -94,13 +89,6 @@ class CampaignError(ReproError):
 
     exit_code = EXIT_FAILURE
     category = "campaign"
-
-
-class ChaosError(ReproError):
-    """A ``repro chaos`` end-state assertion did not hold."""
-
-    exit_code = EXIT_CHAOS
-    category = "chaos"
 
 
 class DoctorError(ReproError):

@@ -28,7 +28,6 @@ collecting it.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import shutil
 import signal
 import threading
@@ -38,14 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import faults
 from repro.budget import BudgetMonitor
-from repro.errors import (
-    BudgetExceededError,
-    DiskFullError,
-    ReproError,
-    SimulationError,
-)
+from repro.errors import BudgetExceededError, DiskFullError, ReproError
 from repro.experiments import runner
 from repro.experiments.store import ResultStore, signature_key
 from repro.sim.stats import SimulationResult
@@ -141,7 +134,7 @@ def _point_checkpoint_dir(store_root, signature: Signature) -> Path:
 
 
 def _worker_entry(
-    signature: Signature, store_root, conn, checkpoint_every=None, attempt=1
+    signature: Signature, store_root, conn, checkpoint_every=None
 ) -> None:
     """Simulate one point in a child process and ship the result back."""
     try:
@@ -149,27 +142,6 @@ def _worker_entry(
     except ValueError:  # pragma: no cover - non-main thread
         pass
     try:
-        # Chaos hooks (no-ops unless a FaultPlan is armed — workers are
-        # forked, so they inherit the parent's armed injector).  The
-        # ``attempt`` context key lets a plan say "fail the first attempt
-        # only" deterministically, without trigger counters that would
-        # die with the crashing process.
-        injector = faults.ACTIVE
-        if injector is not None:
-            context = dict(
-                attempt=attempt,
-                mix_name=signature.get("mix_name"),
-                scheme=signature.get("scheme"),
-            )
-            if injector.fire("pool.worker.crash", **context):
-                os._exit(17)
-            if injector.fire("pool.worker.error", **context):
-                # The class a real simulation failure raises, so the
-                # pool's no-retry path is what the fault exercises.
-                raise SimulationError(
-                    f"injected deterministic failure in "
-                    f"{signature.get('mix_name')}/{signature.get('scheme')}"
-                )
         if store_root is not None:
             # Write-through only: the parent already established this
             # point is missing, so reading the store back is pointless.
@@ -488,10 +460,7 @@ def _run_parallel(
         attempt.attempts += 1
         process = context.Process(
             target=_worker_entry,
-            args=(
-                attempt.signature, store_root, child_conn, checkpoint_every,
-                attempt.attempts,
-            ),
+            args=(attempt.signature, store_root, child_conn, checkpoint_every),
             daemon=True,
         )
         process.start()

@@ -34,7 +34,6 @@ import warnings
 from pathlib import Path
 from typing import Dict, Iterator, Mapping, Optional
 
-from repro import faults
 from repro.sim.stats import SimulationResult
 
 #: On-disk schema version; bump on incompatible layout changes.
@@ -100,17 +99,6 @@ class ResultStore:
         }
         path = self.path_for(signature)
         data = json.dumps(document, sort_keys=True).encode("utf-8")
-        # Chaos hook (a no-op unless a FaultPlan is armed): bit rot that
-        # still lands via os.replace, so ``load``'s corruption tolerance
-        # is exercised honestly.
-        injector = faults.ACTIVE
-        if injector is not None and injector.fire(
-            "store.save.corrupt_byte",
-            entry=path.name,
-            mix_name=signature.get("mix_name"),
-            scheme=signature.get("scheme"),
-        ):
-            data = faults.flip_byte(data)
         monitor = _budget.ACTIVE
         previous_size = 0
         if monitor is not None:

@@ -296,8 +296,9 @@ def run_simulation(
                     # Streams are deterministic: fast-forwarding by the
                     # consumed count puts them exactly where they were.
                     # Batched streams skip whole blocks (O(consumed/BATCH)
-                    # list hops); plain generators (e.g. traces) fall back
-                    # to item-at-a-time draining.
+                    # list hops); plain generator workloads (such as
+                    # examples/custom_workload.py) fall back to
+                    # item-at-a-time draining.
                     skip = getattr(context.stream, "skip", None)
                     if skip is not None:
                         skip(context.consumed)

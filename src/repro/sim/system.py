@@ -545,9 +545,10 @@ class System:
         vm = self.vms[asid.vm_id]
         if vm.guest_table(asid.process_id).lookup(target) is None:
             return  # never walk speculatively for an unmapped page
-        set_addr = self.pom.set_address(asid, target, page_bits)
+        # Probing before the set line's memory reference is
+        # result-identical: the reference never touches POM contents.
+        entry, set_addr = self.pom.probe_with_address(asid, target, page_bits)
         self._mem_from_l2(core, set_addr, LineKind.TLB, False)
-        entry = self.pom.probe(asid, target, page_bits)
         if entry is not None:
             core.l2_tlb.insert(asid, target, entry)
             self._prefetched.add(key)

@@ -15,7 +15,8 @@ Organization (following the ISCA paper as summarized in CSALT Section 3):
   wrong first probe costs a second memory reference.
 
 This module models content and geometry; the *timing* of each probe is the
-caller's memory access to :meth:`set_address` (see ``repro.sim.system``).
+caller's memory access to the set line :meth:`PomTlb.probe_with_address`
+returns (see ``repro.sim.system``).
 """
 
 from __future__ import annotations
@@ -106,38 +107,17 @@ class PomTlb:
             index += self.sets_per_size
         return index
 
-    def set_address(self, asid: Asid, virtual_address: int, page_bits: int) -> int:
-        """Host physical address of the set line a probe must read."""
-        vpn = virtual_address >> page_bits
-        index = self._set_index(asid, vpn, page_bits)
-        return self.base_address + index * CACHE_LINE_BYTES
-
     # ------------------------------------------------------------------
     # Content operations
     # ------------------------------------------------------------------
-    def probe(
-        self, asid: Asid, virtual_address: int, page_bits: int
-    ) -> Optional[TlbEntry]:
-        """Check the set for ``page_bits``-sized translation; LRU-promote."""
-        vpn = virtual_address >> page_bits
-        index = self._set_index(asid, vpn, page_bits)
-        pom_set = self._contents.get(index)
-        if pom_set is None:
-            return None
-        key = (asid, vpn)
-        entry = pom_set.get(key)
-        if entry is not None:
-            pom_set.move_to_end(key)
-        return entry
-
     def probe_with_address(
         self, asid: Asid, virtual_address: int, page_bits: int
     ) -> Tuple[Optional[TlbEntry], int]:
-        """Fused :meth:`probe` + :meth:`set_address`: one hash, not two.
+        """Probe the set for a ``page_bits``-sized translation.
 
-        The datapath needs both the content answer and the set's line
-        address (the memory reference that models the probe's timing);
-        computing them together halves the hash-mix work per probe.
+        Returns the entry (LRU-promoted; ``None`` on a miss) and the host
+        physical address of the set line, the memory reference that
+        models the probe's timing.  :meth:`_set_index`'s hash is inlined.
         """
         vpn = virtual_address >> page_bits
         mixed = (vpn * _HASH_MULTIPLIER) & _HASH_MASK
@@ -179,7 +159,7 @@ class PomTlb:
         """Install a translation in its set (4-way LRU within the line).
 
         Returns the host physical address of the set line written (what
-        :meth:`set_address` gives), for the fill's memory reference.
+        :meth:`probe_with_address` gives), for the fill's memory reference.
         """
         page_bits = entry.page_bits
         vpn = virtual_address >> page_bits

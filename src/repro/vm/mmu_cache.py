@@ -22,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
-from repro.mem.address import Asid, PAGE_4K_BITS, RADIX_LEVELS, RADIX_LEVEL_BITS
+from repro.mem.address import Asid, PAGE_4K_BITS, RADIX_LEVEL_BITS
 
 #: VA shift that yields the PSC tag prefix for a walk resuming at level
 #: L = 1 (PDE), 2 (PDP) and 3 (PML4): the VA bits from the index at level
@@ -90,11 +90,8 @@ class PagingStructureCache:
     level-1 entry must be read; a PML4 hit skips just the root.
     """
 
-    def __init__(
-        self, config: PscConfig | None = None, levels: int = RADIX_LEVELS
-    ):
+    def __init__(self, config: PscConfig | None = None):
         self.config = config or PscConfig()
-        self.levels = levels
         self._pde = SmallFullyAssocCache(self.config.pde_entries)
         self._pdp = SmallFullyAssocCache(self.config.pdp_entries)
         self._pml4 = SmallFullyAssocCache(self.config.pml4_entries)

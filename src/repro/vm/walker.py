@@ -193,7 +193,6 @@ class PageWalker:
         levels: int = RADIX_LEVELS,
     ):
         self._access = accessor
-        self.levels = levels
         #: Per-level charging contexts, prebuilt so the per-level loops
         #: below do no string work (index = level number).
         self._level_names = tuple(
@@ -202,7 +201,7 @@ class PageWalker:
         self._nested_names = tuple(
             context_names(f"walk.nested.l{n}") for n in range(levels + 1)
         )
-        self.psc = PagingStructureCache(psc_config, levels=levels)
+        self.psc = PagingStructureCache(psc_config)
         self.nested_tlb = NestedTlb(entries=nested_tlb_entries)
         self.walk_kind = walk_kind
         self.stats = WalkerStats()

@@ -2,7 +2,9 @@
 determinism oracle: restore-and-continue must be bit-identical to an
 uninterrupted run."""
 
+import errno
 import json
+import os
 import pickle
 import time
 
@@ -30,6 +32,7 @@ from repro.sim.system import System
 from repro.workloads.base import Workload
 from repro.workloads.mixes import make_mix
 from tests.test_state_roundtrip import drive, exercised_system
+from tests.test_store import failing_replace
 
 TOTAL = 4_000
 
@@ -140,6 +143,27 @@ class TestWriterAndListing:
     def test_latest_of_empty_dir_is_none(self, tmp_path):
         assert latest_checkpoint(tmp_path) is None
         assert latest_checkpoint(tmp_path / "missing") is None
+
+
+class TestIoErrors:
+    """Checkpoint I/O failures, driven directly."""
+
+    def test_write_io_error_keeps_previous_and_no_tmp(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "snap.ckpt"
+        write_checkpoint(path, {"generation": 1})
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", failing_replace(errno.EIO))
+            with pytest.raises(CheckpointError, match="cannot write"):
+                write_checkpoint(path, {"generation": 2})
+        assert not list(tmp_path.glob("*.tmp"))  # single-finally cleanup
+        document, _ = read_checkpoint(path)
+        assert document == {"generation": 1}  # old snapshot survives
+
+    def test_read_io_error_wrapped(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read"):
+            read_checkpoint(tmp_path / "missing.ckpt")
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Unit tests for the command-line interface."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -210,13 +209,6 @@ class TestReport:
         runner.set_store(None)
 
 
-CI_PLAN = str(Path(__file__).resolve().parents[1] / "benchmarks"
-              / "chaos_ci_plan.json")
-#: A plan arming no ``pool.worker.*`` point: it runs with ``--jobs 1``.
-#: Written into the test's working directory under this name.
-PARENT_ONLY_PLAN = "parent-only-plan.json"
-
-
 def exit_code(argv):
     """What ``repro`` exits with: argparse rejects by ``SystemExit``."""
     try:
@@ -234,10 +226,7 @@ class TestRunControlUsage:
         ["run", "--accesses", "2000", "--watchdog-timeout", "-1"],
         ["report", "--jobs", "2", "--timeout", "-1"],
         ["report", "--retries", "-1"],
-        ["chaos", "--plan", CI_PLAN, "--timeout", "-1"],
-        ["chaos", "--plan", CI_PLAN, "--retries", "-1"],
-    ], ids=["watchdog-0", "watchdog-neg", "report-timeout", "report-retries",
-            "chaos-timeout", "chaos-retries"])
+    ], ids=["watchdog-0", "watchdog-neg", "report-timeout", "report-retries"])
     def test_out_of_range_value(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_TOTAL_ACCESSES", "1000")
         monkeypatch.chdir(tmp_path)
@@ -252,20 +241,12 @@ class TestRunControlUsage:
         (["report", "--jobs", "1", "--checkpoint-every", "500",
           "--store", "store"], "--checkpoint-every"),
         (["report", "--jobs", "1", "--retries", "3"], "--retries"),
-        (["chaos", "--plan", CI_PLAN, "--jobs", "1"], "pool.worker."),
-        (["chaos", "--plan", PARENT_ONLY_PLAN, "--jobs", "1",
-          "--retries", "3"], "retries"),
-    ], ids=["report-timeout", "report-checkpoint-every", "report-retries",
-            "chaos-plan", "chaos-retries"])
+    ], ids=["report-timeout", "report-checkpoint-every", "report-retries"])
     def test_refused_with_one_job(
         self, argv, named, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv("REPRO_TOTAL_ACCESSES", "1000")
         monkeypatch.chdir(tmp_path)
-        (tmp_path / PARENT_ONLY_PLAN).write_text(json.dumps({
-            "name": "parent-only",
-            "faults": [{"point": "store.save.corrupt_byte"}],
-        }))
         argv = argv + ["--only", "figure8", "--out", "out"]
         assert exit_code(argv) == EXIT_USAGE
         err = capsys.readouterr().err

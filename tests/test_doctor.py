@@ -162,17 +162,32 @@ class TestDoctorCli:
     def test_old_style_store_temp_is_a_bad_entry(self, tmp_path, capsys):
         # Earlier builds named the store's temp files
         # ``.tmp-<random>.json``, which the entry glob matches: the
-        # integrity check reports a leftover one and ``--fix`` deletes it.
+        # integrity check reports a leftover one and ``--fix`` deletes it
+        # as a stray file, since no point stands behind it.  A torn entry
+        # named by a digest is a point that will re-simulate.
         store, _ = populated_store(tmp_path)
         old = store.root / ".tmp-x.json"
         old.write_text('{"schema_')  # torn, as a killed write leaves it
+        torn = store.root / ("0" * 64 + ".json")
+        torn.write_text('{"schema_')
         assert main(["doctor", "--store", str(store.root)]) == EXIT_DOCTOR
         out = capsys.readouterr().out
         assert "[PROBLEM] store integrity" in out
         assert "problem: .tmp-x.json: unreadable" in out
         assert "[     ok] orphaned temp files" in out
         assert main(["doctor", "--store", str(store.root), "--fix"]) == 0
-        assert not old.exists()
+        fixed = {
+            line.split()[4]: line
+            for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith("fixed: deleted")
+        }
+        assert sorted(fixed) == sorted([old.name, torn.name])
+        assert "fixed: deleted stray file .tmp-x.json (unreadable" in (
+            fixed[old.name]
+        )
+        assert "re-simulate" not in fixed[old.name]
+        assert fixed[torn.name].endswith("the point will re-simulate")
+        assert not old.exists() and not torn.exists()
         assert len(store) == 1
 
     def test_problems_exit_doctor_code(self, tmp_path, capsys):

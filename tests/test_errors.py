@@ -7,7 +7,6 @@ from repro.analysis.diff import DiffError
 from repro.checkpoint import CheckpointError, SimulationStalled
 from repro.errors import (
     EXIT_BUDGET,
-    EXIT_CHAOS,
     EXIT_DOCTOR,
     EXIT_FAILURE,
     EXIT_INTERRUPT,
@@ -15,7 +14,6 @@ from repro.errors import (
     EXIT_SIMULATION,
     EXIT_USAGE,
     CampaignError,
-    ChaosError,
     BudgetExceededError,
     ConfigError,
     DataError,
@@ -33,8 +31,7 @@ from repro.validate import InvariantViolation
 class TestHierarchy:
     def test_every_family_is_repro_error(self):
         for family in (ConfigError, DataError, SimulationError,
-                       CampaignError, ChaosError, DoctorError,
-                       BudgetExceededError):
+                       CampaignError, DoctorError, BudgetExceededError):
             assert issubclass(family, ReproError)
 
     def test_legacy_value_error_bases(self):
@@ -62,7 +59,6 @@ class TestExitCodes:
         assert DataError.exit_code == EXIT_USAGE == 2
         assert SimulationError.exit_code == EXIT_SIMULATION == 3
         assert CampaignError.exit_code == EXIT_FAILURE == 1
-        assert ChaosError.exit_code == EXIT_CHAOS == 4
         assert DoctorError.exit_code == EXIT_DOCTOR == 5
         assert BudgetExceededError.exit_code == EXIT_BUDGET == 7
         assert DiskFullError.exit_code == EXIT_BUDGET
@@ -73,7 +69,7 @@ class TestExitCodes:
             value for name, value in vars(errors).items()
             if name.startswith("EXIT_")
         }
-        assert codes == {0, 1, 2, 3, 4, 5, 7, 130}
+        assert codes == {0, 1, 2, 3, 5, 7, 130}
 
     def test_subclasses_inherit_their_family_code(self):
         assert exit_code_for(CheckpointError("x")) == EXIT_SIMULATION

@@ -15,7 +15,7 @@ class TestGeometry:
         pom = PomTlb(base_address=0, size_bytes=1 << 20)
         for va in (0x0, 0x1234_5000, 0xFFFF_F000):
             for bits in (PAGE_4K_BITS, PAGE_2M_BITS):
-                address = pom.set_address(A, va, bits)
+                _, address = pom.probe_with_address(A, va, bits)
                 assert pom.base_address <= address < (
                     pom.base_address + pom.size_bytes
                 )
@@ -23,24 +23,31 @@ class TestGeometry:
 
     def test_size_halves_use_disjoint_sets(self):
         pom = PomTlb(size_bytes=1 << 20)
-        small = pom.set_address(A, 0x1000, PAGE_4K_BITS)
+        _, small = pom.probe_with_address(A, 0x1000, PAGE_4K_BITS)
         assert small < pom.base_address + pom.size_bytes // 2
-        large = pom.set_address(A, 0x1000, PAGE_2M_BITS)
+        _, large = pom.probe_with_address(A, 0x1000, PAGE_2M_BITS)
         assert large >= pom.base_address + pom.size_bytes // 2
+
+
+def probe(pom, asid, virtual_address, page_bits):
+    """The entry half of :meth:`PomTlb.probe_with_address`."""
+    return pom.probe_with_address(asid, virtual_address, page_bits)[0]
 
 
 class TestContents:
     def test_probe_miss_then_hit(self):
         pom = PomTlb(size_bytes=1 << 20)
-        assert pom.probe(A, 0x1000, PAGE_4K_BITS) is None
-        pom.insert(A, 0x1000, TlbEntry(42, PAGE_4K_BITS))
-        found = pom.probe(A, 0x1000, PAGE_4K_BITS)
+        entry, address = pom.probe_with_address(A, 0x1000, PAGE_4K_BITS)
+        assert entry is None
+        # The fill writes the set line the probe read.
+        assert pom.insert(A, 0x1000, TlbEntry(42, PAGE_4K_BITS)) == address
+        found, _ = pom.probe_with_address(A, 0x1000, PAGE_4K_BITS)
         assert found.frame_base == 42
 
     def test_asid_isolation(self):
         pom = PomTlb(size_bytes=1 << 20)
         pom.insert(A, 0x1000, TlbEntry(42, PAGE_4K_BITS))
-        assert pom.probe(B, 0x1000, PAGE_4K_BITS) is None
+        assert probe(pom, B, 0x1000, PAGE_4K_BITS) is None
 
     def test_set_lru_eviction(self):
         pom = PomTlb(size_bytes=1 << 20, entries_per_set=2)
@@ -54,8 +61,9 @@ class TestContents:
             vpn += 1
         for i, page in enumerate(colliding):
             pom.insert(A, page << PAGE_4K_BITS, TlbEntry(i, PAGE_4K_BITS))
-        assert pom.probe(A, colliding[0] << PAGE_4K_BITS, PAGE_4K_BITS) is None
-        assert pom.probe(A, colliding[2] << PAGE_4K_BITS, PAGE_4K_BITS) is not None
+        oldest, newest = (page << PAGE_4K_BITS for page in colliding[::2])
+        assert probe(pom, A, oldest, PAGE_4K_BITS) is None
+        assert probe(pom, A, newest, PAGE_4K_BITS) is not None
 
 
 class TestPredictor:

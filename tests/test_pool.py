@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.core.schemes import Scheme
+from repro.errors import SimulationError
 from repro.experiments import runner
 from repro.experiments.pool import (
     CampaignInterrupted,
@@ -126,15 +127,31 @@ class TestParallelCampaign:
         def flaky(config, workloads, **kwargs):
             if kwargs.get("workload_name") == "canneal":
                 raise RuntimeError("injected fault")
+            if kwargs.get("workload_name") == "streamcluster":
+                raise SimulationError("injected integrity failure")
             return real(config, workloads, **kwargs)
 
         # Workers are forked, so the monkeypatch propagates to them.
         monkeypatch.setattr(runner, "run_simulation", flaky)
-        summary = run_campaign(tiny_grid(), jobs=2, backoff=0.0)
+        summary = run_campaign(
+            tiny_grid(mixes=("gups", "canneal", "streamcluster")),
+            jobs=2, backoff=0.0,
+        )
         assert summary.simulated == 1
-        assert len(summary.failures) == 1
-        assert summary.failures[0].attempts == 1
-        assert "injected fault" in summary.failures[0].error
+        failures = {
+            failure.signature["mix_name"]: failure
+            for failure in summary.failures
+        }
+        assert sorted(failures) == ["canneal", "streamcluster"]
+        assert [failure.attempts for failure in failures.values()] == [1, 1]
+        # An unexpected type ships its traceback; a classified failure
+        # ships its class and message alone.
+        unexpected = failures["canneal"].error
+        assert unexpected.startswith("unexpected RuntimeError: injected fault")
+        assert "Traceback" in unexpected
+        assert failures["streamcluster"].error == (
+            "SimulationError: injected integrity failure"
+        )
 
     def test_killed_worker_retries_then_fails(self, monkeypatch):
         real = runner.run_simulation
@@ -184,6 +201,86 @@ class TestParallelCampaign:
         assert summary.simulated == 1
         assert len(summary.failures) == 1
         assert "timed out" in summary.failures[0].error
+
+    def test_worker_hang_killed_by_timeout(self, tmp_path, monkeypatch):
+        # Hang once: the timeout kills the first worker, the retry
+        # completes the point.  Forked workers inherit the patch; the
+        # marker file is the counter that survives the killed worker.
+        import time as time_module
+
+        marker = tmp_path / "hung-once"
+        real = runner.run_simulation
+
+        def hang_once(config, workloads, **kwargs):
+            if not marker.exists():
+                marker.write_text("x")
+                time_module.sleep(60)
+            return real(config, workloads, **kwargs)
+
+        monkeypatch.setattr(runner, "run_simulation", hang_once)
+        store = ResultStore(tmp_path / "store")
+        summary = run_campaign(
+            tiny_grid(mixes=("gups",)), jobs=2, store=store, retries=2,
+            timeout=1.0, backoff=0.05,
+        )
+        assert marker.exists()
+        assert summary.ok
+        assert summary.simulated == 1
+        assert len(store) == 1
+
+
+class TestConvergence:
+    """A killed worker, a failed point and a bit-rotted store entry in one
+    campaign: one resumed round later the store holds exactly the bytes a
+    fault-free campaign writes."""
+
+    def test_faults_converge_to_fault_free_store(self, tmp_path, monkeypatch):
+        grid = tiny_grid(mixes=("gups", "canneal", "streamcluster"))
+        baseline = ResultStore(tmp_path / "baseline")
+        assert run_campaign(grid, jobs=2, store=baseline).ok
+        runner.clear_cache()
+
+        marker = tmp_path / "gups-crashed"
+        real = runner.run_simulation
+
+        def faulty(config, workloads, **kwargs):
+            name = kwargs.get("workload_name")
+            if name == "gups" and not marker.exists():
+                marker.write_text("x")
+                os._exit(17)  # killed on its first attempt only
+            if name == "streamcluster":
+                raise SimulationError("injected integrity failure")
+            return real(config, workloads, **kwargs)
+
+        store = ResultStore(tmp_path / "store")
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "run_simulation", faulty)
+            first = run_campaign(grid, jobs=2, store=store, backoff=0.0)
+        assert marker.exists()
+        assert first.simulated == 2  # gups on its retry, and canneal
+        (failure,) = first.failures
+        assert failure.signature["mix_name"] == "streamcluster"
+        assert failure.attempts == 1  # deterministic: no retry
+
+        entry = store.path_for(grid[1])  # canneal's landed entry
+        data = bytearray(entry.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        entry.write_bytes(bytes(data))
+
+        # Memory must not mask disk: the resumed round reads the store.
+        runner.clear_cache()
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            resumed = run_campaign(grid, jobs=2, store=store, resume=True)
+        assert resumed.ok
+        assert (resumed.loaded, resumed.simulated) == (1, 2)
+        expected = {
+            path.name: path.read_bytes()
+            for path in baseline.root.glob("*.json")
+        }
+        assert len(expected) == 3
+        assert {
+            path.name: path.read_bytes() for path in store.root.glob("*.json")
+        } == expected
 
 
 class TestInterrupt:

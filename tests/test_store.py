@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.doctor import run_doctor
+from repro.errors import DiskFullError
 from repro.experiments import runner
 from repro.experiments.store import (
     ResultStore,
@@ -33,6 +34,14 @@ def tiny_point():
     signature = runner.point_signature("gups", Scheme.POM_TLB, **TINY)
     result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
     return signature, result
+
+
+def failing_replace(code):
+    """An ``os.replace`` stand-in that fails with ``code``."""
+    def replace(*args, **kwargs):
+        raise OSError(code, os.strerror(code))
+
+    return replace
 
 
 class TestSignatureKey:
@@ -110,12 +119,8 @@ class TestRobustness:
         # in ``save``'s finally clause from removing it.
         store = ResultStore(tmp_path)
         signature, result = tiny_point()
-
-        def failing_replace(*args, **kwargs):
-            raise OSError(errno.EIO, os.strerror(errno.EIO))
-
         with monkeypatch.context() as patch:
-            patch.setattr(os, "replace", failing_replace)
+            patch.setattr(os, "replace", failing_replace(errno.EIO))
             patch.setattr(os, "unlink", lambda path: None)
             with pytest.raises(OSError):
                 store.save(signature, result)
@@ -162,6 +167,33 @@ class TestRobustness:
         signature, result = tiny_point()
         store.save(signature, result)
         assert list(store.signatures()) == [dict(signature)]
+
+
+class TestIoErrors:
+    """I/O failures of the store's own reads and writes."""
+
+    def test_save_io_error_raises_oserror(self, tmp_path, monkeypatch):
+        # The temp file exists when os.replace fails, so the no-orphan
+        # assert checks the sweep in ``save``'s finally clause.
+        store = ResultStore(tmp_path)
+        signature, result = tiny_point()
+        monkeypatch.setattr(os, "replace", failing_replace(errno.EIO))
+        with pytest.raises(OSError) as exc_info:
+            store.save(signature, result)
+        assert exc_info.value.errno == errno.EIO
+        assert not isinstance(exc_info.value, DiskFullError)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert len(store) == 0
+
+    def test_load_io_error_degrades_to_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        signature, result = tiny_point()
+        store.path_for(signature).mkdir()  # open() raises IsADirectoryError
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            assert store.load(signature) is None
+        store.path_for(signature).rmdir()
+        store.save(signature, result)
+        assert store.load(signature) is not None
 
 
 class TestCorruptionClasses:
@@ -259,11 +291,7 @@ class TestRunnerIntegration:
     ):
         store = ResultStore(tmp_path)
         runner.set_store(store)
-
-        def failing_replace(*args, **kwargs):
-            raise OSError(errno.EIO, os.strerror(errno.EIO))
-
-        monkeypatch.setattr(os, "replace", failing_replace)
+        monkeypatch.setattr(os, "replace", failing_replace(errno.EIO))
         with pytest.warns(RuntimeWarning, match="could not persist"):
             result = runner.run_point("gups", Scheme.POM_TLB, **TINY)
         assert isinstance(result, SimulationResult)

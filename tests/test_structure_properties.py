@@ -17,8 +17,8 @@ class TestPomTlbProperties:
     @given(asids, addresses, page_bits)
     def test_set_address_deterministic_and_in_region(self, asid, va, bits):
         pom = PomTlb(base_address=0x4000, size_bytes=1 << 20)
-        first = pom.set_address(asid, va, bits)
-        assert first == pom.set_address(asid, va, bits)
+        _, first = pom.probe_with_address(asid, va, bits)
+        assert first == pom.probe_with_address(asid, va, bits)[1]
         assert pom.base_address <= first < pom.base_address + pom.size_bytes
         assert first % 64 == 0
 
@@ -26,14 +26,14 @@ class TestPomTlbProperties:
     def test_insert_then_probe_roundtrip(self, asid, va, bits):
         pom = PomTlb(size_bytes=1 << 20)
         pom.insert(asid, va, TlbEntry(1234, bits))
-        found = pom.probe(asid, va, bits)
+        found, _ = pom.probe_with_address(asid, va, bits)
         assert found is not None and found.frame_base == 1234
 
     @given(asids, addresses)
     def test_same_page_same_set_line(self, asid, va):
         pom = PomTlb(size_bytes=1 << 20)
-        base = pom.set_address(asid, va & ~0xFFF, PAGE_4K_BITS)
-        assert pom.set_address(asid, va, PAGE_4K_BITS) == base
+        _, base = pom.probe_with_address(asid, va & ~0xFFF, PAGE_4K_BITS)
+        assert pom.probe_with_address(asid, va, PAGE_4K_BITS)[1] == base
 
 
 class TestTlbProperties:

@@ -85,7 +85,7 @@ class TestTranslationDatapath:
         system = mapped_system()
         core = system.cores[0]
         system.translate_beyond_l1(core, A, 0x5123)
-        set_address = system.pom.set_address(A, 0x5123, PAGE_4K_BITS)
+        _, set_address = system.pom.probe_with_address(A, 0x5123, PAGE_4K_BITS)
         line = set_address >> core.l2._line_shift
         assert (line >> core.l2._set_bits) in core.l2._tag_to_way[
             line & core.l2._set_mask
@@ -126,7 +126,9 @@ class TestTranslationDatapath:
         [result] = walks
         assert entry is result.translation
         assert core.l2_tlb.probe(A, 0x5123) is entry
-        assert system.pom.probe(A, 0x5123, entry.page_bits) is entry
+        assert system.pom.probe_with_address(
+            A, 0x5123, entry.page_bits
+        )[0] is entry
         assert core.l1_tlb.lookup(A, 0x5123) is entry
 
     def test_l2_tlb_hit_fast_path(self):
