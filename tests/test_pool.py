@@ -1,6 +1,8 @@
 """Campaign pool: dedup, resume, fault isolation, retry, parallel workers."""
 
 import os
+import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -229,18 +231,26 @@ class TestParallelCampaign:
         assert len(store) == 1
 
 
+def store_bytes(store):
+    return {path.name: path.read_bytes() for path in store.root.glob("*.json")}
+
+
 class TestConvergence:
     """A killed worker, a failed point and a bit-rotted store entry in one
     campaign: one resumed round later the store holds exactly the bytes a
-    fault-free campaign writes."""
+    fault-free campaign writes.  The campaign runs once for the class and
+    each test checks one step of it."""
 
-    def test_faults_converge_to_fault_free_store(self, tmp_path, monkeypatch):
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("convergence")
         grid = tiny_grid(mixes=("gups", "canneal", "streamcluster"))
-        baseline = ResultStore(tmp_path / "baseline")
+        runner.clear_cache()
+        baseline = ResultStore(root / "baseline")
         assert run_campaign(grid, jobs=2, store=baseline).ok
         runner.clear_cache()
 
-        marker = tmp_path / "gups-crashed"
+        marker = root / "gups-crashed"
         real = runner.run_simulation
 
         def faulty(config, workloads, **kwargs):
@@ -252,35 +262,72 @@ class TestConvergence:
                 raise SimulationError("injected integrity failure")
             return real(config, workloads, **kwargs)
 
-        store = ResultStore(tmp_path / "store")
-        with monkeypatch.context() as patch:
+        store = ResultStore(root / "store")
+        with pytest.MonkeyPatch.context() as patch:
             patch.setattr(runner, "run_simulation", faulty)
             first = run_campaign(grid, jobs=2, store=store, backoff=0.0)
-        assert marker.exists()
-        assert first.simulated == 2  # gups on its retry, and canneal
-        (failure,) = first.failures
-        assert failure.signature["mix_name"] == "streamcluster"
-        assert failure.attempts == 1  # deterministic: no retry
+        first_entries = store_bytes(store)
 
         entry = store.path_for(grid[1])  # canneal's landed entry
         data = bytearray(entry.read_bytes())
         data[len(data) // 2] ^= 0xFF
         entry.write_bytes(bytes(data))
+        with warnings.catch_warnings(record=True) as load_warnings:
+            warnings.simplefilter("always")
+            corrupt_load = store.load(grid[1])
 
         # Memory must not mask disk: the resumed round reads the store.
         runner.clear_cache()
-        with pytest.warns(RuntimeWarning, match="unreadable"):
+        with warnings.catch_warnings(record=True) as resume_warnings:
+            warnings.simplefilter("always")
             resumed = run_campaign(grid, jobs=2, store=store, resume=True)
-        assert resumed.ok
-        assert (resumed.loaded, resumed.simulated) == (1, 2)
-        expected = {
-            path.name: path.read_bytes()
-            for path in baseline.root.glob("*.json")
-        }
-        assert len(expected) == 3
-        assert {
-            path.name: path.read_bytes() for path in store.root.glob("*.json")
-        } == expected
+        runner.clear_cache()
+        return SimpleNamespace(
+            grid=grid,
+            store=store,
+            expected=store_bytes(baseline),
+            crashed=marker.exists(),
+            first=first,
+            first_entries=first_entries,
+            corrupt_load=corrupt_load,
+            load_warnings=[str(w.message) for w in load_warnings],
+            resumed=resumed,
+            resume_warnings=[str(w.message) for w in resume_warnings],
+        )
+
+    def test_worker_crash_retried_to_success(self, run):
+        assert run.crashed
+        assert run.first.simulated == 2  # gups on its retry, and canneal
+        gups = run.store.path_for(run.grid[0]).name
+        assert run.first_entries.get(gups) == run.expected[gups]
+
+    def test_worker_error_fails_point_without_retry(self, run):
+        (failure,) = run.first.failures
+        assert failure.signature["mix_name"] == "streamcluster"
+        assert failure.attempts == 1  # deterministic: no retry
+        # The class a real simulation failure raises (exit code 3).
+        assert failure.error == "SimulationError: injected integrity failure"
+
+    def test_corrupt_byte_loads_as_miss(self, run):
+        canneal = run.store.path_for(run.grid[1]).name
+        assert run.corrupt_load is None
+        (message,) = run.load_warnings
+        assert message.startswith(f"ignoring unreadable store entry {canneal}")
+        # The resumed round takes the same miss and re-simulates canneal.
+        assert any(
+            "unreadable" in message and canneal in message
+            for message in run.resume_warnings
+        )
+
+    def test_crash_and_corruption_converge(self, run):
+        assert run.resumed.ok
+        # gups loads; canneal (corrupt) and streamcluster (failed) re-run.
+        assert (run.resumed.loaded, run.resumed.simulated) == (1, 2)
+        assert len(run.store) == 3
+
+    def test_stores_byte_identical_after_convergence(self, run):
+        assert len(run.expected) == 3
+        assert store_bytes(run.store) == run.expected
 
 
 class TestInterrupt:
